@@ -15,11 +15,10 @@ import sys
 from .expr import ExprError, pasture_of
 from .groups import InfiniteTargetError, SearchSpaceExceeded
 from .hexagons import hexagons
-from .lifts import (NotFinitary, binary_lift, grs_lift, ternary_lift,
-                    wlum_lift)
+from .lifts import LIFTS, NotFinitary
 from .matroids import (lift_bijection_check, matroid_from_json, mk4,
                        representation_classes, u24)
-from .morphisms import Iso, NotIso, Unknown, hom_set, iso_check
+from .morphisms import Iso, NotIso, hom_set, iso_check
 from .pasture import InfinitePasture
 from . import verify as verify_mod
 
@@ -27,9 +26,6 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
-
-LIFTS = {"binary": binary_lift, "ternary": ternary_lift,
-         "wlum": wlum_lift, "grs": grs_lift}
 
 BUILTIN_MATROIDS = {"U24": u24, "MK4": mk4}
 
@@ -150,7 +146,6 @@ def cmd_iso(args) -> int:
         _emit(args, data,
               f"{P.label} and {Q.label} are not isomorphic: {res.reason}")
         return EXIT_FALSE
-    assert isinstance(res, Unknown)
     data = {"result": "unknown", "reason": res.reason}
     _emit(args, data, f"unknown: {res.reason}")
     return EXIT_UNKNOWN
@@ -159,8 +154,7 @@ def cmd_iso(args) -> int:
 def cmd_reps(args) -> int:
     M = _load_matroid(args.matroid)
     P = pasture_of(args.pasture)
-    classes = representation_classes(M, P, threads=args.threads,
-                                     **_caps(args))
+    classes = representation_classes(M, P, **_caps(args))
     data = {"matroid": M.to_json(), "pasture": P.label,
             "count": len(classes)}
     lines = [f"{len(classes)} rescaling classes over {P.label} "
@@ -181,7 +175,7 @@ def cmd_lift_check(args) -> int:
     M = _load_matroid(args.matroid)
     P = pasture_of(args.pasture)
     res = LIFTS[args.kind](P)
-    rep = lift_bijection_check(M, res, threads=args.threads, **_caps(args))
+    rep = lift_bijection_check(M, res, **_caps(args))
     data = {"matroid": M.to_json(), "pasture": P.label, "kind": args.kind,
             "ok": rep.ok, "lift_classes": rep.source_classes,
             "base_classes": rep.target_classes,
@@ -195,8 +189,7 @@ def cmd_lift_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_mod.run(args.suite, max_q=args.max_q,
-                            threads=args.threads)
+    report = verify_mod.run(args.suite, max_q=args.max_q)
     lines = []
     for item in report.items:
         mark = "PASS" if item.ok else "FAIL"
@@ -215,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit machine-readable JSON")
     common.add_argument("--max-candidates", type=int, metavar="N",
                         default=None, help="search-space guard override")
-    common.add_argument("--threads", type=int, metavar="N", default=1,
-                        help="worker threads for enumeration")
 
     parser = argparse.ArgumentParser(
         prog="pastures",

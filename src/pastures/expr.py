@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .pasture import (
     Pasture,
-    PastureElement,
     ZERO,
     finite_field,
     free_algebra,
@@ -35,7 +34,7 @@ from .pasture import (
     tensor,
     unit,
 )
-from .lifts import LiftResult, binary_lift, grs_lift, ternary_lift, wlum_lift
+from .lifts import LIFTS, LiftResult
 
 
 class ExprError(ValueError):
@@ -324,10 +323,6 @@ def print_expr(node) -> str:
 
 # -- evaluation --------------------------------------------------------------
 
-_LIFTS = {"binary": binary_lift, "ternary": ternary_lift,
-          "wlum": wlum_lift, "grs": grs_lift}
-
-
 def as_pasture(value) -> Pasture:
     """A pasture from an evaluation result (a lift contributes its lift)."""
     if isinstance(value, LiftResult):
@@ -371,7 +366,7 @@ def evaluate(node):
         return tensor(as_pasture(evaluate(node.left)),
                       as_pasture(evaluate(node.right)))
     if isinstance(node, Lift):
-        return _LIFTS[node.kind](as_pasture(evaluate(node.inner)))
+        return LIFTS[node.kind](as_pasture(evaluate(node.inner)))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -15,9 +15,8 @@ usual residue 0..p-1.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-
-import sympy
 
 
 class NotPrimePower(ValueError):
@@ -25,14 +24,21 @@ class NotPrimePower(ValueError):
 
 
 def prime_power(q):
-    """Split q as (p, k), or raise :class:`NotPrimePower`."""
+    """Split q as (p, k), or raise :class:`NotPrimePower`.
+
+    The least divisor p >= 2 of q is prime, so q is a prime power exactly
+    when dividing out p leaves 1.
+    """
     if not isinstance(q, int) or q < 2:
         raise NotPrimePower(f"{q!r} is not a prime power")
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    n, k = q, 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    if n != 1:
         raise NotPrimePower(f"{q} is not a prime power")
-    [(p, k)] = fac.items()
-    return int(p), int(k)
+    return p, k
 
 
 class GF:

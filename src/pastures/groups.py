@@ -32,8 +32,10 @@ class SearchSpaceExceeded(RuntimeError):
     """An enumeration would exceed the configured candidate cap."""
 
 
-def _identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def identity_rows(n):
+    """Rows of the n x n identity matrix: the unit vectors of Z^n, which are
+    also the canonical generators of any group with n coordinates."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def smith_normal_form(rows, width):
@@ -57,8 +59,8 @@ def smith_normal_form(rows, width):
     for row in a:
         if len(row) != n:
             raise ValueError("relation row of wrong width")
-    v = _identity_matrix(n)
-    vinv = _identity_matrix(n)
+    v = [list(r) for r in identity_rows(n)]
+    vinv = [list(r) for r in identity_rows(n)]
 
     def col_swap(i, j):
         for r in a:

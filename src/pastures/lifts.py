@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .groups import AbelianGroup, evaluate_word
 from .pasture import (
     Pasture,
-    PastureElement,
     ZERO,
     named,
     quotient_full,
@@ -39,6 +38,12 @@ class KindMismatch(ValueError):
 class NotFinitary(ValueError):
     """The pasture has too many fundamental elements to present its GRS
     lift."""
+
+
+class LiftCheckFailed(RuntimeError):
+    """A computed lift fails a property its construction guarantees: lambda
+    is not a bijection on fundamental pairs or elements, or the fundamental
+    elements are not closed under the GRS relations."""
 
 
 @dataclass(frozen=True)
@@ -139,9 +144,10 @@ def _check_pair_bijection(lam: PastureMorphism):
     src_pairs = fundamental_pairs(lam.source)
     mapped = {(lam.unit_map(a), lam.unit_map(b)) for a, b in src_pairs}
     tgt_pairs = fundamental_pairs(lam.target)
-    assert len(mapped) == len(src_pairs) == len(tgt_pairs), \
-        "lambda is not injective on fundamental pairs"
-    assert mapped == tgt_pairs, "lambda does not cover the fundamental pairs"
+    if not len(mapped) == len(src_pairs) == len(tgt_pairs):
+        raise LiftCheckFailed("lambda is not injective on fundamental pairs")
+    if mapped != tgt_pairs:
+        raise LiftCheckFailed("lambda does not cover the fundamental pairs")
 
 
 def ternary_lift(P: Pasture) -> LiftResult:
@@ -209,12 +215,15 @@ def grs_lift(P: Pasture, *, max_fundamental: int = 512) -> LiftResult:
         relations.append((t(a), t(b), meps))                       # G3
         binv = g.inv(b)
         c = g.mul(g.epsilon, g.inv(g.mul(a, binv)))
-        assert binv in index and c in index, \
-            "fundamental elements are not closed under the pair relations"
+        if binv not in index or c not in index:
+            raise LiftCheckFailed(
+                "fundamental elements are not closed under the pair relations")
         idents.append((t_word(a, binv, c), meps))                  # G4
     for a in F:
         ainv = g.inv(a)
-        assert ainv in index
+        if ainv not in index:
+            raise LiftCheckFailed(
+                "fundamental elements are not closed under inversion")
         idents.append((t_word(a, ainv), one))                      # G2
     for a, b, c in itertools.combinations_with_replacement(F, 3):
         if g.mul(g.mul(a, b), c) == g.identity():
@@ -226,8 +235,9 @@ def grs_lift(P: Pasture, *, max_fundamental: int = 512) -> LiftResult:
     lam = make(lift, P, rows)
     lifted_F = {a for a, _ in fundamental_pairs(lift)}
     mapped = {lam.unit_map(a) for a in lifted_F}
-    assert len(mapped) == len(lifted_F) == len(F) and mapped == set(F), \
-        "lambda is not a bijection on fundamental elements"
+    if not (len(mapped) == len(lifted_F) == len(F) and mapped == set(F)):
+        raise LiftCheckFailed(
+            "lambda is not a bijection on fundamental elements")
     return LiftResult(lift, lam, "grs", None)
 
 
@@ -242,3 +252,7 @@ def lift_descriptor_iso(L1: LiftResult, L2: LiftResult) -> bool:
     if L1.kind != L2.kind:
         raise KindMismatch("cannot compare lifts of different kinds")
     return L1.factor_descriptor == L2.factor_descriptor
+
+
+LIFTS = {"binary": binary_lift, "ternary": ternary_lift,
+         "wlum": wlum_lift, "grs": grs_lift}

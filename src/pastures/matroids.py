@@ -10,7 +10,6 @@ basis keeps value 1.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .groups import SearchSpaceExceeded
@@ -19,6 +18,11 @@ from .pasture import InfinitePasture, Pasture, PastureElement, ZERO
 
 class ExchangeAxiomViolation(ValueError):
     """The given collection of bases fails the basis exchange axiom."""
+
+
+class InconsistentClasses(RuntimeError):
+    """Rescaling left the accepted representations, or a pushed-forward
+    class does not land in exactly one target class."""
 
 
 @dataclass(frozen=True)
@@ -68,9 +72,16 @@ class Matroid:
 
 
 def matroid_from_json(data: dict) -> Matroid:
-    return Matroid.from_bases(int(data["n"]), int(data["rank"]),
-                              [tuple(int(e) for e in b)
-                               for b in data["bases"]])
+    """Parse ``{"n": ..., "rank": ..., "bases": [[...], ...]}``; a missing
+    key or a value of the wrong JSON type raises ValueError."""
+    try:
+        n, rank = int(data["n"]), int(data["rank"])
+        bases = [tuple(int(e) for e in b) for b in data["bases"]]
+    except KeyError as e:
+        raise ValueError(f"matroid JSON lacks the key {e}") from None
+    except TypeError as e:
+        raise ValueError(f"malformed matroid JSON: {e}") from None
+    return Matroid.from_bases(n, rank, bases)
 
 
 def uniform(rank: int, n: int) -> Matroid:
@@ -205,8 +216,7 @@ class RepresentationClass:
 
 
 def representation_classes(M: Matroid, P: Pasture, *, cap: int = 10**9,
-                           orbit_cap: int = 10**6,
-                           threads: int = 1) -> list:
+                           orbit_cap: int = 10**6) -> list:
     """All rescaling classes of representations of M over P.
 
     Exhaustive search over unit values for every basis, with the minimum
@@ -247,21 +257,7 @@ def representation_classes(M: Matroid, P: Pasture, *, cap: int = 10**9,
     accepted = []
     values = [one]
     if all(_check_constraint(P, c, values, meps) for c in buckets[0]):
-        if threads > 1 and B > 1:
-            branches = []
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for u in units:
-                    vals = [one, u]
-                    if all(_check_constraint(P, c, vals, meps)
-                           for c in buckets[1]):
-                        out = []
-                        branches.append(
-                            (pool.submit(extend, 2, vals, out), out))
-                for fut, out in branches:
-                    fut.result()
-                    accepted.extend(out)
-        else:
-            extend(1, values, accepted)
+        extend(1, values, accepted)
 
     accepted_set = set(accepted)
     seen = set()
@@ -280,8 +276,9 @@ def representation_classes(M: Matroid, P: Pasture, *, cap: int = 10**9,
                 scaled.append(w)
             c = P.inv(scaled[0])
             orbit.add(tuple(P.mul(c, w) for w in scaled))
-        assert orbit <= accepted_set, \
-            "rescaling left the accepted set; search was not exhaustive"
+        if not orbit <= accepted_set:
+            raise InconsistentClasses(
+                "rescaling left the accepted set; search was not exhaustive")
         seen |= orbit
         rep_vals = min(orbit, key=lambda t: tuple(key(v.coords) for v in t))
         classes.append(RepresentationClass(
@@ -300,20 +297,22 @@ class LiftBijectionReport:
 
 
 def lift_bijection_check(M: Matroid, lift_result, *, cap: int = 10**9,
-                         orbit_cap: int = 10**6,
-                         threads: int = 1) -> LiftBijectionReport:
+                         orbit_cap: int = 10**6) -> LiftBijectionReport:
     """Push every representation class over the lift through lambda and
     check the induced map on classes is a bijection."""
     lam = lift_result.lam
     cl_L = representation_classes(M, lift_result.lift, cap=cap,
-                                  orbit_cap=orbit_cap, threads=threads)
+                                  orbit_cap=orbit_cap)
     cl_P = representation_classes(M, lam.target, cap=cap,
-                                  orbit_cap=orbit_cap, threads=threads)
+                                  orbit_cap=orbit_cap)
     pairs = []
     for i, cls in enumerate(cl_L):
         image = tuple(lam.apply(v) for v in cls.representative.values)
         hits = [j for j, tcls in enumerate(cl_P) if image in tcls.members]
-        assert len(hits) == 1, "pushforward misses the target classes"
+        if len(hits) != 1:
+            raise InconsistentClasses(
+                f"pushforward of lift class {i} lands in {len(hits)} "
+                "target classes")
         pairs.append((i, hits[0]))
     ok = (len({j for _, j in pairs}) == len(cl_P)
           and len(cl_L) == len(cl_P))

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 from .groups import (
     GroupMap,
-    InfiniteTargetError,
     SearchSpaceExceeded,
     enumerate_homs,
+    identity_rows,
     is_surjective,
-    reduce_presentation,
 )
 from .pasture import Pasture, PastureElement, ZERO, canonical_orbit
 from .hexagons import hexagons as _hexagons
@@ -84,12 +83,8 @@ def make(source: Pasture, target: Pasture, images) -> PastureMorphism:
 
 
 def identity_morphism(P: Pasture) -> PastureMorphism:
-    rows = []
-    for i in range(P.units.ngens):
-        e = [0] * P.units.ngens
-        e[i] = 1
-        rows.append(P.units.reduce(e))
-    return PastureMorphism(P, P, GroupMap(P.units, tuple(rows)))
+    rows = identity_rows(P.units.ngens)
+    return PastureMorphism(P, P, GroupMap(P.units, rows))
 
 
 def compose(g: PastureMorphism, f: PastureMorphism) -> PastureMorphism:

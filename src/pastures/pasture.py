@@ -17,7 +17,6 @@ representative does not depend on the member we start from.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -25,11 +24,10 @@ from . import gf as gf_mod
 from .groups import (
     AbelianGroup,
     GroupMap,
+    identity_rows,
     reduce_presentation,
     quotient_by,
 )
-
-log = logging.getLogger(__name__)
 
 NotPrimePower = gf_mod.NotPrimePower
 
@@ -46,8 +44,9 @@ class InfinitePasture(ValueError):
     """An operation requiring finitely many units met an infinite pasture."""
 
 
-class QuotientDepthExceeded(RuntimeError):
-    """Quotient closure failed to stabilize within the round cap."""
+class UnexpectedUnitGroup(RuntimeError):
+    """Adjoining free generators changed the torsion or the free rank
+    in a way the construction rules out."""
 
 
 @dataclass(frozen=True)
@@ -217,15 +216,6 @@ class TensorResult:
                                 # concatenated factor generators
 
 
-def _identity_map(g: AbelianGroup) -> GroupMap:
-    rows = []
-    for i in range(g.ngens):
-        e = [0] * g.ngens
-        e[i] = 1
-        rows.append(g.reduce(e))
-    return GroupMap(g, tuple(rows))
-
-
 # -- constructors ------------------------------------------------------------
 
 
@@ -245,7 +235,11 @@ def free_algebra(P: Pasture, names) -> Pasture:
     rows = [r + [0] * len(names) for r in g.relation_rows()]
     red = reduce_presentation(n, rows, list(g.epsilon) + [0] * len(names))
     # relations were already diagonal, so coordinates pass through unchanged
-    assert red.group.torsion == g.torsion and red.group.free_rank == g.free_rank + len(names)
+    if (red.group.torsion != g.torsion
+            or red.group.free_rank != g.free_rank + len(names)):
+        raise UnexpectedUnitGroup(
+            f"adjoining {names} gave torsion {red.group.torsion} and free "
+            f"rank {red.group.free_rank}")
     orbits = frozenset(
         tuple(red.project(list(x) + [0] * len(names)) for x in o)
         for o in P.null_orbits)
@@ -267,8 +261,7 @@ def _as_unit_coords(P: Pasture, e: PastureElement):
     return P.units.reduce(e.coords)
 
 
-def quotient_full(P: Pasture, relations, identifications=(),
-                  max_rounds: int = 10000) -> QuotientResult:
+def quotient_full(P: Pasture, relations, identifications=()) -> QuotientResult:
     """Quotient of ``P`` by null relations and unit identifications.
 
     Each relation is a triple of :class:`PastureElement` with at most one
@@ -303,41 +296,24 @@ def quotient_full(P: Pasture, relations, identifications=(),
             raise BadRelationShape("identifications must relate units")
         kill.append(units.mul(cg, units.inv(ch)))
 
-    cum = _identity_map(units)
-    sections = tuple(tuple(r) for r in _identity_map(units).rows)
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > max_rounds:
-            raise QuotientDepthExceeded(
-                f"quotient closure did not stabilize in {max_rounds} rounds")
-        if kill:
-            if rounds > 1:
-                log.debug("quotient closure cascaded to round %d", rounds)
-            red = quotient_by(units, kill)
-            units = red.group
-            orbits = {tuple(red.project(x) for x in o) for o in orbits}
-            adjoin = [tuple(red.project(x) for x in t) for t in adjoin]
-            cum = cum.then(red.project)
-            sections = tuple(
-                tuple(sum(c * old[k] for k, c in enumerate(w))
-                      for old in zip(*sections))
-                for w in red.sections)
-            kill = []
-        orbits = {canonical_orbit(units, o) for o in orbits}
-        orbits.update(canonical_orbit(units, t) for t in adjoin)
-        adjoin = []
-        # stored orbits are all-unit triples and stay that way under
-        # projection, so they can never force further identifications;
-        # closure is reached after the single kill round
-        if not kill:
-            break
+    if kill:
+        red = quotient_by(units, kill)
+        units, cum, sections = red.group, red.project, red.sections
+        orbits = {tuple(cum(x) for x in o) for o in orbits}
+        adjoin = [tuple(cum(x) for x in t) for t in adjoin]
+    else:
+        cum = GroupMap(units, identity_rows(units.ngens))
+        sections = identity_rows(units.ngens)
+    # stored orbits are all-unit triples and stay that way under projection,
+    # so they never force further identifications: one kill round reaches
+    # closure
+    orbits = {canonical_orbit(units, o) for o in orbits}
+    orbits.update(canonical_orbit(units, t) for t in adjoin)
     return QuotientResult(Pasture(units, frozenset(orbits)), cum, sections)
 
 
-def quotient(P: Pasture, relations, identifications=(),
-             max_rounds: int = 10000) -> Pasture:
-    return quotient_full(P, relations, identifications, max_rounds).pasture
+def quotient(P: Pasture, relations, identifications=()) -> Pasture:
+    return quotient_full(P, relations, identifications).pasture
 
 
 def product_full(P: Pasture, Q: Pasture) -> ProductResult:
@@ -356,8 +332,8 @@ def product_full(P: Pasture, Q: Pasture) -> ProductResult:
     def pad2(y):
         return [0] * n1 + list(y)
 
-    embed1 = GroupMap(R, tuple(red.project(pad1(e)) for e in _basis(n1)))
-    embed2 = GroupMap(R, tuple(red.project(pad2(e)) for e in _basis(n2)))
+    embed1 = GroupMap(R, tuple(red.project(pad1(e)) for e in identity_rows(n1)))
+    embed2 = GroupMap(R, tuple(red.project(pad2(e)) for e in identity_rows(n2)))
     proj1 = GroupMap(gp, tuple(gp.reduce(w[:n1]) for w in red.sections))
     proj2 = GroupMap(gq, tuple(gq.reduce(w[n1:]) for w in red.sections))
 
@@ -374,15 +350,6 @@ def product_full(P: Pasture, Q: Pasture) -> ProductResult:
         label = f"{P.label} x {Q.label}"
     return ProductResult(Pasture(R, frozenset(orbits), label),
                          proj1, proj2, embed1, embed2)
-
-
-def _basis(n):
-    out = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        out.append(e)
-    return out
 
 
 def product(*pastures) -> Pasture:
@@ -420,7 +387,7 @@ def tensor_full(factors) -> TensorResult:
     red = reduce_presentation(total, rows, pad(0, factors[0].units.epsilon))
     R = red.group
     inclusions = tuple(
-        GroupMap(R, tuple(red.project(pad(i, e)) for e in _basis(ngs[i])))
+        GroupMap(R, tuple(red.project(pad(i, e)) for e in identity_rows(ngs[i])))
         for i in range(len(factors)))
     orbits = set()
     for i, F in enumerate(factors):

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import factorint
-
 from . import tables
-from .gf import field
+from .gf import NotPrimePower, field, prime_power
 from .hexagons import census, hexagons, psi_product
 from .lifts import (binary_lift, grs_lift, lift_descriptor_iso, ternary_lift,
                     wlum_lift)
@@ -50,7 +48,11 @@ def _item(name, ok, detail=""):
 
 
 def is_prime_power(n: int) -> bool:
-    return n >= 2 and len(factorint(n)) == 1
+    try:
+        prime_power(n)
+    except NotPrimePower:
+        return False
+    return True
 
 
 def prime_powers(limit: int):
@@ -225,34 +227,30 @@ def idempotence_suite(**_) -> VerifyReport:
     return VerifyReport("idempotence", tuple(items))
 
 
-def matroid_suite(*, threads: int = 1, **_) -> VerifyReport:
+def matroid_suite(**_) -> VerifyReport:
     items = []
     M = u24()
     counts = {}
     for q in (4, 5, 7, 8):
-        cl = representation_classes(M, finite_field(q), threads=threads)
+        cl = representation_classes(M, finite_field(q))
         counts[q] = len(cl)
         items.append(_item(f"|X_U24(F{q})| = {q - 2}", len(cl) == q - 2,
                            f"got {len(cl)}" if len(cl) != q - 2 else ""))
     items.append(_item("|X_U24(F8)| = |X_U24(F4)| * |X_U24(F5)|",
                        counts[8] == counts[4] * counts[5]))
-    rep = lift_bijection_check(M, ternary_lift(finite_field(4)),
-                               threads=threads)
+    rep = lift_bijection_check(M, ternary_lift(finite_field(4)))
     items.append(_item("U24 ternary lift H -> F4 bijection", rep.ok,
                        f"{rep.source_classes} <-> {rep.target_classes}"))
-    rep = lift_bijection_check(M, wlum_lift(finite_field(4)),
-                               threads=threads)
+    rep = lift_bijection_check(M, wlum_lift(finite_field(4)))
     items.append(_item("U24 wlum lift F2 ox H -> F4 bijection", rep.ok,
                        f"{rep.source_classes} <-> {rep.target_classes}"))
     K = mk4()
-    rep = lift_bijection_check(K, binary_lift(finite_field(2)),
-                               threads=threads)
+    rep = lift_bijection_check(K, binary_lift(finite_field(2)))
     items.append(_item("MK4 binary lift F2 -> F2 bijection", rep.ok,
                        f"{rep.source_classes} <-> {rep.target_classes}"))
-    cl = representation_classes(K, finite_field(3), threads=threads)
+    cl = representation_classes(K, finite_field(3))
     items.append(_item("|X_MK4(F3)| = 1", len(cl) == 1))
-    cl = representation_classes(K, finite_field(5), cap=2 * 10**9,
-                                threads=threads)
+    cl = representation_classes(K, finite_field(5), cap=2 * 10**9)
     items.append(_item("|X_MK4(F5)| = 1", len(cl) == 1))
     return VerifyReport("matroid", tuple(items))
 
@@ -269,10 +267,10 @@ SUITES = {
 }
 
 
-def run(suite: str, *, max_q: int = 64, threads: int = 1) -> VerifyReport:
+def run(suite: str, *, max_q: int = 64) -> VerifyReport:
     try:
         fn = SUITES[suite]
     except KeyError:
         raise ValueError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join(sorted(SUITES))}") from None
-    return fn(max_q=max_q, threads=threads)
+    return fn(max_q=max_q)

@@ -1,10 +1,16 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
-from pastures.gf import NotPrimePower, field
+import pastures
+from pastures.gf import NotPrimePower, field, prime_power
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
@@ -90,3 +96,36 @@ def test_not_prime_power():
 
 def test_field_is_cached():
     assert field(8) is field(8)
+
+
+@given(st.integers(-5, 10**6))
+@example(2)
+@example(4)
+@example(997 * 997)
+@example(2**19)
+@example(10**6)
+@settings(max_examples=500, deadline=None)
+def test_prime_power_matches_factorint(n):
+    """Trial division agrees with sympy, used here only as an oracle."""
+    if n < 2 or len(factorint(n)) != 1:
+        with pytest.raises(NotPrimePower):
+            prime_power(n)
+    else:
+        [(p, k)] = factorint(n).items()
+        assert prime_power(n) == (p, k)
+
+
+@pytest.mark.parametrize("bad", [4.0, 2.5, "4", None, (4,)])
+def test_prime_power_rejects_non_integers(bad):
+    with pytest.raises(NotPrimePower):
+        prime_power(bad)
+
+
+def test_import_does_not_load_sympy():
+    src = pathlib.Path(pastures.__file__).resolve().parents[1]
+    code = ("import sys, pastures, pastures.cli; "
+            "sys.exit('sympy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "sympy was imported"

@@ -1,10 +1,12 @@
 import pytest
 
 from pastures.hexagons import fundamental_pairs, hexagons
-from pastures.lifts import (HexagonNotOfPasture, KindMismatch, NotFinitary,
-                            binary_lift, grs_lift, hexagon_lift,
-                            lift_descriptor_iso, ternary_lift, wlum_lift)
-from pastures.morphisms import is_isomorphism, iso_check
+from pastures.lifts import (HexagonNotOfPasture, KindMismatch,
+                            LiftCheckFailed, NotFinitary,
+                            _check_pair_bijection, binary_lift, grs_lift,
+                            hexagon_lift, lift_descriptor_iso, ternary_lift,
+                            wlum_lift)
+from pastures.morphisms import hom_set, is_isomorphism, iso_check
 from pastures.pasture import finite_field, named, product
 from pastures.tables import LIFT_TABLE, WLUM_TABLE
 
@@ -108,3 +110,12 @@ def test_descriptor_iso():
     assert not lift_descriptor_iso(L1, L3)
     with pytest.raises(KindMismatch):
         lift_descriptor_iso(L1, grs_lift(finite_field(5)))
+
+
+def test_pair_bijection_check_is_a_typed_error():
+    # U has one near-regular hexagon (6 pairs), F3 a single pair, so no
+    # morphism U -> F3 is a bijection on fundamental pairs; the check must
+    # raise its own error, which `python -O` does not strip
+    lam = hom_set(named("U"), finite_field(3))[0]
+    with pytest.raises(LiftCheckFailed):
+        _check_pair_bijection(lam)

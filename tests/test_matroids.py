@@ -156,16 +156,6 @@ def test_relabeling_invariance():
         assert [c.size for c in a] == [c.size for c in b]
 
 
-def test_threads_do_not_change_output():
-    M = u24()
-    P = finite_field(7)
-    one = representation_classes(M, P, threads=1)
-    two = representation_classes(M, P, threads=3)
-    assert [c.representative.values for c in one] == \
-        [c.representative.values for c in two]
-    assert [c.members for c in one] == [c.members for c in two]
-
-
 def test_guards():
     with pytest.raises(InfinitePasture):
         representation_classes(u24(), named("D"))
