@@ -23,6 +23,10 @@ class NotPrimePower(ValueError):
     """q is not of the form p^k with p prime and k >= 1."""
 
 
+class FieldConstructionFailed(RuntimeError):
+    """A step that cannot fail for a prime power q failed building GF(q)."""
+
+
 def prime_power(q):
     """Split q as (p, k), or raise :class:`NotPrimePower`.
 
@@ -92,7 +96,7 @@ class GF:
             cand = self._digits(tail) + [1]  # monic degree k
             if all(self._trial(cand, d) for d in range(1, k // 2 + 1)):
                 return cand
-        raise AssertionError("no irreducible polynomial found")
+        raise FieldConstructionFailed("no irreducible polynomial found")
 
     def _trial(self, cand, d):
         # no monic divisor of degree d
@@ -166,7 +170,7 @@ class GF:
             x = self.mul(x, a)
             n += 1
             if n > self.q:
-                raise AssertionError("order computation ran away")
+                raise FieldConstructionFailed("order computation ran away")
         return n
 
     def _least_generator(self):
@@ -175,7 +179,7 @@ class GF:
         for a in range(2, self.q):
             if self._order(a) == self.q - 1:
                 return a
-        raise AssertionError("no generator found")
+        raise FieldConstructionFailed("no generator found")
 
     @property
     def minus_one(self):

@@ -330,9 +330,9 @@ def is_surjective(source: AbelianGroup, gmap: GroupMap) -> bool:
 
 
 def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
-                   eps_to_eps: bool = True, cap: int = 10**8):
-    """All homomorphisms source -> target as image tuples, in a deterministic
-    order.
+                   cap: int = 10**8):
+    """All homomorphisms source -> target that send epsilon to epsilon, as
+    image tuples, in a deterministic order.
 
     The target may be infinite provided the source is all-torsion (every
     generator image is then confined to the finite torsion subgroup).  When a
@@ -359,8 +359,6 @@ def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
             f"{total} candidate homomorphisms exceed the cap of {cap}")
     out = []
     for images in itertools.product(*per_gen):
-        if eps_to_eps:
-            if evaluate_word(target, images, source.epsilon) != target.epsilon:
-                continue
-        out.append(tuple(images))
+        if evaluate_word(target, images, source.epsilon) == target.epsilon:
+            out.append(tuple(images))
     return out

@@ -30,6 +30,10 @@ class NotFundamental(ValueError):
     """The dihedral action is only defined on fundamental pairs."""
 
 
+class HexagonsInconsistent(RuntimeError):
+    """A fundamental pair lies in no hexagon, against the orbit partition."""
+
+
 KIND_BY_MU = {1: "ternary", 2: "hexagonal", 3: "dyadic", 6: "near-regular"}
 
 
@@ -212,7 +216,7 @@ def psi_product(P1: Pasture, P2: Pasture) -> PsiData:
         for i, h in enumerate(hs):
             if pair in h.pairs:
                 return i
-        raise AssertionError(f"pair {pair} not in any hexagon")
+        raise HexagonsInconsistent(f"pair {pair} not in any hexagon")
 
     fibers = {}
     for idx, h in enumerate(hr):

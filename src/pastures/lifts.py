@@ -166,7 +166,10 @@ def wlum_lift(P: Pasture) -> LiftResult:
     return LiftResult(lift, lam, "wlum", _descriptor(counts))
 
 
-def grs_lift(P: Pasture, *, max_fundamental: int = 512) -> LiftResult:
+MAX_FUNDAMENTAL = 512      # grs_lift raises NotFinitary past this many
+
+
+def grs_lift(P: Pasture) -> LiftResult:
     """The lift presented by one generator t_a per fundamental element a.
 
     Relations, with F the set of fundamental elements of P:
@@ -185,10 +188,10 @@ def grs_lift(P: Pasture, *, max_fundamental: int = 512) -> LiftResult:
     g = P.units
     pairs = fundamental_pairs(P)
     F = sorted({a for a, _ in pairs}, key=g.key)
-    if len(F) > max_fundamental:
+    if len(F) > MAX_FUNDAMENTAL:
         raise NotFinitary(
             f"{len(F)} fundamental elements exceed the cap of "
-            f"{max_fundamental}")
+            f"{MAX_FUNDAMENTAL}")
     index = {a: i for i, a in enumerate(F)}
     n = len(F)
     ambient_units = AbelianGroup((2,), n, (1,) + (0,) * n)

@@ -21,8 +21,9 @@ class ExchangeAxiomViolation(ValueError):
 
 
 class InconsistentClasses(RuntimeError):
-    """Rescaling left the accepted representations, or a pushed-forward
-    class does not land in exactly one target class."""
+    """A rescaled representation fails a Pluecker relation, a class meets
+    the gauge other than at its search result, or a pushed-forward class
+    does not land in exactly one target class."""
 
 
 @dataclass(frozen=True)
@@ -191,18 +192,20 @@ def _check_constraint(P: Pasture, con, values, meps):
     return P.null_contains(*prods)
 
 
+def _failing_constraint(P: Pasture, buckets, values):
+    """The first constraint in ``buckets`` that ``values`` fail, or None."""
+    meps = P.minus_one()
+    return next((con for bucket in buckets for con in bucket
+                 if not _check_constraint(P, con, values, meps)), None)
+
+
 def plucker_check(rep: Representation):
     """(ok, witness): whether all 3-term Pluecker relations of the
     representation land in the nullset; the witness is a failing constraint
     as basis-position terms."""
-    buckets = _constraints(rep.matroid)
-    P = rep.pasture
-    meps = P.minus_one()
-    for bucket in buckets:
-        for con in bucket:
-            if not _check_constraint(P, con, rep.values, meps):
-                return False, con
-    return True, None
+    con = _failing_constraint(rep.pasture, _constraints(rep.matroid),
+                              rep.values)
+    return con is None, con
 
 
 @dataclass(frozen=True)
@@ -215,15 +218,37 @@ class RepresentationClass:
         return len(self.members)
 
 
-def representation_classes(M: Matroid, P: Pasture, *, cap: int = 10**9,
-                           orbit_cap: int = 10**6) -> list:
+def _gauge(M: Matroid):
+    """(pinned, roots): the positions of the bases held at 1, namely
+    B0 = ``M.bases[0]`` and each B0 - x + y along a spanning forest of B0's
+    fundamental graph; and one root element per component of that graph,
+    which are the components of M (a loop or coloop lies alone).  Rescaling
+    with the roots fixed acts freely, so each class meets the slice once."""
+    parent = list(range(M.n + 1))
+
+    def find(e):
+        return e if parent[e] == e else find(parent[e])
+
+    B0 = set(M.bases[0])
+    pinned = {0}
+    for x, y in itertools.product(sorted(B0), range(1, M.n + 1)):
+        i = M._index.get(tuple(sorted(B0 - {x} | {y})))
+        if y not in B0 and i is not None and find(x) != find(y):
+            parent[find(x)] = find(y)
+            pinned.add(i)
+    return pinned, {find(e) for e in range(1, M.n + 1)}
+
+
+def representation_classes(M: Matroid, P: Pasture, *,
+                           cap: int = 10**9) -> list:
     """All rescaling classes of representations of M over P.
 
-    Exhaustive search over unit values for every basis, with the minimum
-    basis pinned to 1 and constraints checked as soon as their last basis
-    is assigned.  Raises InfinitePasture for infinite P, SearchSpaceExceeded
-    when the normalized search space is larger than ``cap`` or the rescaling
-    torus is larger than ``orbit_cap``.
+    Exhaustive search over unit values for the bases the gauge leaves free
+    (see ``_gauge``), constraints checked as soon as their last basis is
+    assigned.  Each result is one class; its members are its rescalings
+    with the component roots fixed, its representative the least member.
+    Raises InfinitePasture for infinite P, SearchSpaceExceeded when the
+    gauge-fixed search space is larger than ``cap``.
     """
     if not P.is_finite:
         raise InfinitePasture(
@@ -231,14 +256,11 @@ def representation_classes(M: Matroid, P: Pasture, *, cap: int = 10**9,
     units = [PastureElement(c) for c in
              sorted(P.units.elements(), key=P.units.key)]
     B = len(M.bases)
-    if len(units) ** (B - 1) > cap:
+    pinned, roots = _gauge(M)
+    if len(units) ** (B - len(pinned)) > cap:
         raise SearchSpaceExceeded(
-            f"{len(units)}^{B - 1} normalized assignments exceed the cap "
-            f"of {cap}")
-    if len(units) ** M.n > orbit_cap:
-        raise SearchSpaceExceeded(
-            f"rescaling torus of size {len(units)}^{M.n} exceeds the cap "
-            f"of {orbit_cap}")
+            f"{len(units)}^{B - len(pinned)} gauge-fixed assignments exceed "
+            f"the cap of {cap}")
     buckets = _constraints(M)
     meps = P.minus_one()
     one = P.one()
@@ -247,27 +269,22 @@ def representation_classes(M: Matroid, P: Pasture, *, cap: int = 10**9,
         if k == B:
             out.append(tuple(values))
             return
-        for u in units:
+        for u in [one] if k in pinned else units:
             values.append(u)
             if all(_check_constraint(P, c, values, meps)
                    for c in buckets[k]):
                 extend(k + 1, values, out)
             values.pop()
 
-    accepted = []
-    values = [one]
-    if all(_check_constraint(P, c, values, meps) for c in buckets[0]):
-        extend(1, values, accepted)
+    gauged = []
+    extend(0, [], gauged)
 
-    accepted_set = set(accepted)
-    seen = set()
+    scales = [[one] if e in roots else units for e in range(1, M.n + 1)]
     classes = []
     key = P.units.key
-    for vals in accepted:
-        if vals in seen:
-            continue
+    for vals in gauged:
         orbit = set()
-        for d in itertools.product(units, repeat=M.n):
+        for d in itertools.product(*scales):
             scaled = []
             for b, v in zip(M.bases, vals):
                 w = v
@@ -276,10 +293,10 @@ def representation_classes(M: Matroid, P: Pasture, *, cap: int = 10**9,
                 scaled.append(w)
             c = P.inv(scaled[0])
             orbit.add(tuple(P.mul(c, w) for w in scaled))
-        if not orbit <= accepted_set:
-            raise InconsistentClasses(
-                "rescaling left the accepted set; search was not exhaustive")
-        seen |= orbit
+        if any(_failing_constraint(P, buckets, m) for m in orbit):
+            raise InconsistentClasses("a rescaling fails a Pluecker relation")
+        if [m for m in orbit if all(m[k] == one for k in pinned)] != [vals]:
+            raise InconsistentClasses("a class meets the gauge off its result")
         rep_vals = min(orbit, key=lambda t: tuple(key(v.coords) for v in t))
         classes.append(RepresentationClass(
             Representation(M, P, rep_vals), frozenset(orbit)))
@@ -296,15 +313,13 @@ class LiftBijectionReport:
     target_classes: int
 
 
-def lift_bijection_check(M: Matroid, lift_result, *, cap: int = 10**9,
-                         orbit_cap: int = 10**6) -> LiftBijectionReport:
+def lift_bijection_check(M: Matroid, lift_result, *,
+                         cap: int = 10**9) -> LiftBijectionReport:
     """Push every representation class over the lift through lambda and
     check the induced map on classes is a bijection."""
     lam = lift_result.lam
-    cl_L = representation_classes(M, lift_result.lift, cap=cap,
-                                  orbit_cap=orbit_cap)
-    cl_P = representation_classes(M, lam.target, cap=cap,
-                                  orbit_cap=orbit_cap)
+    cl_L = representation_classes(M, lift_result.lift, cap=cap)
+    cl_P = representation_classes(M, lam.target, cap=cap)
     pairs = []
     for i, cls in enumerate(cl_L):
         image = tuple(lam.apply(v) for v in cls.representative.values)

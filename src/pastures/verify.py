@@ -250,7 +250,7 @@ def matroid_suite(**_) -> VerifyReport:
                        f"{rep.source_classes} <-> {rep.target_classes}"))
     cl = representation_classes(K, finite_field(3))
     items.append(_item("|X_MK4(F3)| = 1", len(cl) == 1))
-    cl = representation_classes(K, finite_field(5), cap=2 * 10**9)
+    cl = representation_classes(K, finite_field(5))
     items.append(_item("|X_MK4(F5)| = 1", len(cl) == 1))
     return VerifyReport("matroid", tuple(items))
 

@@ -7,6 +7,7 @@ by hand.
 """
 
 import json
+import os
 import pathlib
 
 import pytest
@@ -31,6 +32,7 @@ EXIT_CASES = [
     (["hom", "H", "F7"], 0),
     (["iso", "F4", "F4"], 0),
     (["verify", "glift"], 0),
+    (["reps", "--matroid", "MK4", "--pasture", "F5"], 0),
     # verified-false answers
     (["iso", "F4", "F5"], 1),
     (["iso", "U", "D"], 1),
@@ -54,8 +56,11 @@ EXIT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv,expected", EXIT_CASES,
-                         ids=[" ".join(a) or "<empty>" for a, _ in EXIT_CASES])
+# ids name data files relative to tests/data, so they match in any checkout
+@pytest.mark.parametrize(
+    "argv,expected", EXIT_CASES,
+    ids=[" ".join(a).replace(str(DATA) + os.sep, "") or "<empty>"
+         for a, _ in EXIT_CASES])
 def test_exit_code(capsys, argv, expected):
     code, _, _ = run(capsys, argv)
     assert code == expected

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 import pastures
-from pastures.gf import NotPrimePower, field, prime_power
+from pastures.gf import (GF, FieldConstructionFailed, NotPrimePower, field,
+                         prime_power)
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
@@ -129,3 +130,10 @@ def test_import_does_not_load_sympy():
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr or "sympy was imported"
+
+
+def test_construction_failure_is_a_typed_error(monkeypatch):
+    # no element of full order: a typed error, not an assert, under -O too
+    monkeypatch.setattr(GF, "_order", lambda self, a: 1)
+    with pytest.raises(FieldConstructionFailed):
+        GF(5)

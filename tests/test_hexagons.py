@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pastures.hexagons import (KIND_BY_MU, NotFundamental, census,
+from pastures.hexagons import (HexagonsInconsistent, KIND_BY_MU,
+                               NotFundamental, census,
                                classify_by_shape, fundamental_pairs,
                                hexagon_of_pair, hexagons, is_fundamental,
                                pair_orbit, partition_check, psi_product, rho,
@@ -127,3 +128,12 @@ def test_psi_product_s_s():
     assert tuple(sorted(h.mu for h in data.hexes)) == (3, 6)
     kinds = sorted(h.kind for h in hexagons(product(S, S)))
     assert kinds == ["dyadic", "near-regular"]
+
+
+def test_psi_product_missing_hexagon_is_a_typed_error(monkeypatch):
+    F5 = finite_field(5)
+    # the module's namespace: pastures.hexagons names the function here
+    monkeypatch.setitem(psi_product.__globals__, "hexagons",
+                        lambda P: () if P is F5 else hexagons(P))
+    with pytest.raises(HexagonsInconsistent):
+        psi_product(F5, finite_field(4))

@@ -1,5 +1,6 @@
 import pytest
 
+from pastures import lifts
 from pastures.hexagons import fundamental_pairs, hexagons
 from pastures.lifts import (HexagonNotOfPasture, KindMismatch,
                             LiftCheckFailed, NotFinitary,
@@ -90,9 +91,10 @@ def test_grs_small_cases():
     assert res.kind == "grs"
 
 
-def test_grs_guard():
+def test_grs_guard(monkeypatch):
+    monkeypatch.setattr(lifts, "MAX_FUNDAMENTAL", 1)
     with pytest.raises(NotFinitary):
-        grs_lift(finite_field(7), max_fundamental=1)
+        grs_lift(finite_field(7))
 
 
 def test_idempotence_spot_checks():

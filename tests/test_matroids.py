@@ -3,12 +3,14 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from pastures.gf import field
 from pastures.groups import SearchSpaceExceeded
 from pastures.lifts import binary_lift, ternary_lift, wlum_lift
 from pastures.matroids import (ExchangeAxiomViolation, Matroid,
-                               Representation, lift_bijection_check,
+                               Representation, _check_constraint,
+                               _constraints, _gauge, lift_bijection_check,
                                matroid_from_json, mk4, plucker_check,
                                representation_classes, u24, uniform)
 from pastures.pasture import InfinitePasture, PastureElement, ZERO, \
@@ -56,27 +58,26 @@ def test_delta_alternating():
     assert r3.delta((3, 1, 2)) == P.one()
 
 
+def field_det(F, cols):
+    """Determinant of the square matrix with the given columns over F, by
+    Laplace expansion (fine at this size)."""
+    total = 0
+    for perm in itertools.permutations(range(len(cols))):
+        prod = 1
+        for r, c in enumerate(perm):
+            prod = F.mul(prod, cols[c][r])
+        total = F.add(total, prod if _perm_sign(perm) > 0
+                      else F.mul(F.minus_one, prod))
+    return total
+
+
 def field_matrix_rep(M, q, cols):
     """Representation whose values are the maximal minors of a matrix."""
     F = field(q)
     P = finite_field(q)
-
-    def det(js):
-        # Laplace expansion, fine at this size
-        idx = list(range(len(js)))
-        total = 0
-        for perm in itertools.permutations(idx):
-            sign = _perm_sign(perm)
-            prod = 1
-            for r, c in enumerate(perm):
-                prod = F.mul(prod, cols[js[c]][r])
-            total = F.add(total, prod if sign > 0
-                          else F.mul(F.minus_one, prod))
-        return total
-
     values = []
     for b in M.bases:
-        d = det([e - 1 for e in b])
+        d = field_det(F, [cols[e - 1] for e in b])
         assert d != 0, "matrix does not represent the matroid"
         values.append(PastureElement((F.dlog[d],)))
     return Representation(M, P, tuple(values))
@@ -161,14 +162,11 @@ def test_guards():
         representation_classes(u24(), named("D"))
     with pytest.raises(SearchSpaceExceeded):
         representation_classes(u24(), finite_field(7), cap=10)
-    with pytest.raises(SearchSpaceExceeded):
-        representation_classes(u24(), finite_field(7), orbit_cap=10)
 
 
 def test_mk4_counts():
     assert len(representation_classes(mk4(), finite_field(3))) == 1
-    assert len(representation_classes(mk4(), finite_field(5),
-                                      cap=2 * 10**9)) == 1
+    assert len(representation_classes(mk4(), finite_field(5))) == 1
 
 
 def test_lift_bijections():
@@ -190,3 +188,121 @@ def test_pushforward_preserves_acceptance():
         image = tuple(lam.apply(v) for v in c.representative.values)
         ok, _ = plucker_check(Representation(u24(), lam.target, image))
         assert ok
+
+
+# -- reference oracle ---------------------------------------------------
+
+def reference_classes(M, P):
+    """The two-pass search the gauge replaced, kept as an oracle: backtrack
+    over every assignment with the first basis at 1, then sweep the whole
+    rescaling torus around each accepted assignment and drop repeats.
+    Returns (representative values, members) pairs in output order."""
+    units = [PastureElement(c) for c in
+             sorted(P.units.elements(), key=P.units.key)]
+    buckets = _constraints(M)
+    meps = P.minus_one()
+    accepted = []
+
+    def extend(values):
+        k = len(values)
+        if k and not all(_check_constraint(P, c, values, meps)
+                         for c in buckets[k - 1]):
+            return
+        if k == len(M.bases):
+            accepted.append(tuple(values))
+            return
+        for u in ([P.one()] if k == 0 else units):
+            extend(values + [u])
+
+    extend([])
+    accepted_set, seen, out = set(accepted), set(), []
+    key = P.units.key
+    for vals in accepted:
+        if vals in seen:
+            continue
+        orbit = set()
+        for d in itertools.product(units, repeat=M.n):
+            scaled = []
+            for b, v in zip(M.bases, vals):
+                for e in b:
+                    v = P.mul(d[e - 1], v)
+                scaled.append(v)
+            c = P.inv(scaled[0])
+            orbit.add(tuple(P.mul(c, w) for w in scaled))
+        assert orbit <= accepted_set
+        seen |= orbit
+        out.append((min(orbit, key=lambda t: tuple(key(v.coords)
+                                                   for v in t)),
+                    frozenset(orbit)))
+    return sorted(out, key=lambda c: tuple(key(v.coords) for v in c[0]))
+
+
+def assert_matches_reference(M, P):
+    got = [(c.representative.values, c.members)
+           for c in representation_classes(M, P)]
+    assert got == reference_classes(M, P)
+
+
+def component_count(M):
+    """Connected components, by circuits: two elements are connected when
+    a circuit holds both; a loop or coloop is a component alone."""
+    independent = {s for b in M.bases for k in range(len(b) + 1)
+                   for s in itertools.combinations(b, k)}
+    comp = {e: {e} for e in range(1, M.n + 1)}
+    for k in range(1, M.rank + 2):
+        for s in itertools.combinations(range(1, M.n + 1), k):
+            subsets = set(itertools.combinations(s, k - 1))
+            if s not in independent and subsets <= independent:
+                merged = set().union(*(comp[e] for e in s))
+                for e in merged:
+                    comp[e] = merged
+    return len({frozenset(c) for c in comp.values()})
+
+
+# U(1,2) + U(1,2), and U(2,3) on {2,3,4} beside the coloop 1 and the loop 5
+TWO_LINES = Matroid.from_bases(4, 2, [(1, 3), (1, 4), (2, 3), (2, 4)])
+LOOP_AND_COLOOP = Matroid.from_bases(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
+
+REFERENCE_CORPUS = (
+    [pytest.param(u24(), finite_field(q), id=f"U24/F{q}")
+     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    + [pytest.param(u24(), named("H"), id="U24/H"),
+       pytest.param(u24(), ternary_lift(finite_field(4)).lift,
+                    id="U24/Lt(F4)")]
+    + [pytest.param(mk4(), finite_field(q), id=f"MK4/F{q}")
+       for q in (2, 3, 4, 5)]
+    + [pytest.param(M, finite_field(q), id=name)
+       for name, M, q in (("U23/F5", uniform(2, 3), 5),
+                          ("U35/F5", uniform(3, 5), 5),
+                          ("U12+U12/F5", TWO_LINES, 5),
+                          ("loop+coloop/F4", LOOP_AND_COLOOP, 4))])
+
+
+@pytest.mark.parametrize("M,P", REFERENCE_CORPUS)
+def test_classes_match_reference(M, P):
+    assert_matches_reference(M, P)
+
+
+@pytest.mark.parametrize("q", (3, 5))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_column_matroids_match_reference(q, data):
+    cols = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * 3),
+                              min_size=5, max_size=5))
+    bases = [b for b in itertools.combinations(range(1, 6), 3)
+             if field_det(field(q), [cols[e - 1] for e in b])]
+    assume(bases)       # a matrix of rank below 3 has no rank-3 matroid
+    assert_matches_reference(Matroid.from_bases(5, 3, bases), finite_field(q))
+
+
+@pytest.mark.parametrize("M", [u24(), mk4(), uniform(2, 3), uniform(3, 5),
+                               TWO_LINES, LOOP_AND_COLOOP,
+                               Matroid.from_bases(3, 0, [()]),
+                               Matroid.from_bases(2, 2, [(1, 2)])],
+                         ids=["U24", "MK4", "U23", "U35", "U12+U12",
+                              "loop+coloop", "loops", "coloops"])
+def test_gauge_pins_one_basis_per_forest_edge(M):
+    pinned, roots = _gauge(M)
+    assert 0 in pinned
+    assert len(roots) == component_count(M)
+    assert len(pinned) == 1 + M.n - component_count(M)
