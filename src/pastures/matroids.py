@@ -26,6 +26,9 @@ class InconsistentClasses(RuntimeError):
     does not land in exactly one target class."""
 
 
+MAX_CLASS_SIZE = 10**6     # representation_classes refuses larger classes
+
+
 @dataclass(frozen=True)
 class Matroid:
     n: int
@@ -248,7 +251,8 @@ def representation_classes(M: Matroid, P: Pasture, *,
     assigned.  Each result is one class; its members are its rescalings
     with the component roots fixed, its representative the least member.
     Raises InfinitePasture for infinite P, SearchSpaceExceeded when the
-    gauge-fixed search space is larger than ``cap``.
+    gauge-fixed search space is larger than ``cap`` or a class may have
+    more than MAX_CLASS_SIZE members.
     """
     if not P.is_finite:
         raise InfinitePasture(
@@ -261,6 +265,10 @@ def representation_classes(M: Matroid, P: Pasture, *,
         raise SearchSpaceExceeded(
             f"{len(units)}^{B - len(pinned)} gauge-fixed assignments exceed "
             f"the cap of {cap}")
+    if len(units) ** (M.n - len(roots)) > MAX_CLASS_SIZE:
+        raise SearchSpaceExceeded(
+            f"{len(units)}^{M.n - len(roots)} rescalings per class exceed "
+            f"the cap of {MAX_CLASS_SIZE}")
     buckets = _constraints(M)
     meps = P.minus_one()
     one = P.one()

@@ -162,6 +162,10 @@ def test_guards():
         representation_classes(u24(), named("D"))
     with pytest.raises(SearchSpaceExceeded):
         representation_classes(u24(), finite_field(7), cap=10)
+    # every basis of U(1,8) is pinned, so the search passes any cap, but a
+    # class would have 15^7 members
+    with pytest.raises(SearchSpaceExceeded, match="rescalings per class"):
+        representation_classes(uniform(1, 8), finite_field(16))
 
 
 def test_mk4_counts():
@@ -265,7 +269,7 @@ LOOP_AND_COLOOP = Matroid.from_bases(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
 
 REFERENCE_CORPUS = (
     [pytest.param(u24(), finite_field(q), id=f"U24/F{q}")
-     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+     for q in (2, 3, 4, 5, 7, 8, 9, 11)]
     + [pytest.param(u24(), named("H"), id="U24/H"),
        pytest.param(u24(), ternary_lift(finite_field(4)).lift,
                     id="U24/Lt(F4)")]
