@@ -9,7 +9,9 @@ basis keeps value 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .groups import SearchSpaceExceeded
@@ -21,12 +23,7 @@ class ExchangeAxiomViolation(ValueError):
 
 
 class InconsistentClasses(RuntimeError):
-    """A rescaled representation fails a Pluecker relation, a class meets
-    the gauge other than at its search result, or a pushed-forward class
-    does not land in exactly one target class."""
-
-
-MAX_CLASS_SIZE = 10**6     # representation_classes refuses larger classes
+    """A pushed-forward class lands in no target class."""
 
 
 @dataclass(frozen=True)
@@ -195,30 +192,39 @@ def _check_constraint(P: Pasture, con, values, meps):
     return P.null_contains(*prods)
 
 
-def _failing_constraint(P: Pasture, buckets, values):
-    """The first constraint in ``buckets`` that ``values`` fail, or None."""
-    meps = P.minus_one()
-    return next((con for bucket in buckets for con in bucket
-                 if not _check_constraint(P, con, values, meps)), None)
-
-
 def plucker_check(rep: Representation):
     """(ok, witness): whether all 3-term Pluecker relations of the
     representation land in the nullset; the witness is a failing constraint
     as basis-position terms."""
-    con = _failing_constraint(rep.pasture, _constraints(rep.matroid),
-                              rep.values)
+    P, meps = rep.pasture, rep.pasture.minus_one()
+    con = next((con for bucket in _constraints(rep.matroid) for con in bucket
+                if not _check_constraint(P, con, rep.values, meps)), None)
     return con is None, con
 
 
 @dataclass(frozen=True)
 class RepresentationClass:
+    """One rescaling class: its least member and its size |U|^(n - c) for
+    n elements in c components.  ``members`` enumerates the class on first
+    read; nothing in the library reads it."""
     representative: Representation
-    members: frozenset
+    size: int
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    @functools.cached_property
+    def members(self) -> frozenset:
+        """The rescalings of the representative with the component roots
+        fixed, renormalized at B0: the whole class, each member once."""
+        M, P = self.representative.matroid, self.representative.pasture
+        units = [PastureElement(c) for c in P.units.elements()]
+        roots = _gauge(M)[1]
+        out = set()
+        for d in itertools.product(*[[P.one()] if e in roots else units
+                                     for e in range(1, M.n + 1)]):
+            scaled = [functools.reduce(P.mul, (d[e - 1] for e in b), v)
+                      for b, v in zip(M.bases, self.representative.values)]
+            c = P.inv(scaled[0])
+            out.add(tuple(P.mul(c, w) for w in scaled))
+        return frozenset(out)
 
 
 def _gauge(M: Matroid):
@@ -242,17 +248,53 @@ def _gauge(M: Matroid):
     return pinned, {find(e) for e in range(1, M.n + 1)}
 
 
+def _least(M: Matroid, P: Pasture, values) -> tuple:
+    """The least rescaling of ``values``, a representation normalized at
+    B0 = ``M.bases[0]``, in the order of ``P.units.key``.
+
+    Rescaling element e and renormalizing adds [e in b] - [e in B0] to the
+    value of basis b, in each torsion coordinate Z/d of the (finite) units
+    separately, so the class is a coset of a span in (Z/d)^bases for each
+    coordinate, and its least member is the coset's reduction by the Howell
+    form of that span, columns taken in basis order."""
+    B0 = M.bases[0]
+    out = [list(v.coords) for v in values]
+    for k, d in enumerate(P.units.torsion):
+        rows = [[((e in b) - (e in B0)) % d for b in M.bases]
+                for e in range(1, M.n + 1)]
+        for j in range(len(M.bases)):
+            piv, rest = None, []
+            for r in rows:
+                while piv is not None and r[j]:     # Euclid on column j
+                    q = piv[j] // r[j]
+                    piv, r = r, [(a - q * b) % d for a, b in zip(piv, r)]
+                if piv is None and r[j]:
+                    piv = r
+                elif any(r):
+                    rest.append(r)
+            if piv is None:
+                rows = rest
+                continue
+            g = math.gcd(piv[j], d)
+            m = out[j][k] // g * pow(piv[j] // g, -1, d // g)
+            for v, a in zip(out, piv):
+                v[k] = (v[k] - m * a) % d
+            rows = rest + [[d // g * a % d for a in piv]]   # annihilator
+    return tuple(PastureElement(tuple(v)) for v in out)
+
+
 def representation_classes(M: Matroid, P: Pasture, *,
                            cap: int = 10**9) -> list:
-    """All rescaling classes of representations of M over P.
+    """All rescaling classes of representations of M over P, sorted by
+    representative.
 
     Exhaustive search over unit values for the bases the gauge leaves free
     (see ``_gauge``), constraints checked as soon as their last basis is
-    assigned.  Each result is one class; its members are its rescalings
-    with the component roots fixed, its representative the least member.
-    Raises InfinitePasture for infinite P, SearchSpaceExceeded when the
-    gauge-fixed search space is larger than ``cap`` or a class may have
-    more than MAX_CLASS_SIZE members.
+    assigned.  Each result is one class; its representative is the least
+    member (``_least``), its size |U|^(n - c) by formula; no member is
+    enumerated.  Raises InfinitePasture for infinite P and
+    SearchSpaceExceeded when the gauge-fixed search space is larger than
+    ``cap``.
     """
     if not P.is_finite:
         raise InfinitePasture(
@@ -265,10 +307,6 @@ def representation_classes(M: Matroid, P: Pasture, *,
         raise SearchSpaceExceeded(
             f"{len(units)}^{B - len(pinned)} gauge-fixed assignments exceed "
             f"the cap of {cap}")
-    if len(units) ** (M.n - len(roots)) > MAX_CLASS_SIZE:
-        raise SearchSpaceExceeded(
-            f"{len(units)}^{M.n - len(roots)} rescalings per class exceed "
-            f"the cap of {MAX_CLASS_SIZE}")
     buckets = _constraints(M)
     meps = P.minus_one()
     one = P.one()
@@ -286,28 +324,10 @@ def representation_classes(M: Matroid, P: Pasture, *,
 
     gauged = []
     extend(0, [], gauged)
-
-    scales = [[one] if e in roots else units for e in range(1, M.n + 1)]
-    classes = []
+    size = len(units) ** (M.n - len(roots))
+    classes = [RepresentationClass(Representation(M, P, _least(M, P, vals)),
+                                   size) for vals in gauged]
     key = P.units.key
-    for vals in gauged:
-        orbit = set()
-        for d in itertools.product(*scales):
-            scaled = []
-            for b, v in zip(M.bases, vals):
-                w = v
-                for e in b:
-                    w = P.mul(d[e - 1], w)
-                scaled.append(w)
-            c = P.inv(scaled[0])
-            orbit.add(tuple(P.mul(c, w) for w in scaled))
-        if any(_failing_constraint(P, buckets, m) for m in orbit):
-            raise InconsistentClasses("a rescaling fails a Pluecker relation")
-        if [m for m in orbit if all(m[k] == one for k in pinned)] != [vals]:
-            raise InconsistentClasses("a class meets the gauge off its result")
-        rep_vals = min(orbit, key=lambda t: tuple(key(v.coords) for v in t))
-        classes.append(RepresentationClass(
-            Representation(M, P, rep_vals), frozenset(orbit)))
     classes.sort(key=lambda c: tuple(key(v.coords)
                                      for v in c.representative.values))
     return classes
@@ -328,15 +348,15 @@ def lift_bijection_check(M: Matroid, lift_result, *,
     lam = lift_result.lam
     cl_L = representation_classes(M, lift_result.lift, cap=cap)
     cl_P = representation_classes(M, lam.target, cap=cap)
+    index = {c.representative.values: j for j, c in enumerate(cl_P)}
     pairs = []
     for i, cls in enumerate(cl_L):
         image = tuple(lam.apply(v) for v in cls.representative.values)
-        hits = [j for j, tcls in enumerate(cl_P) if image in tcls.members]
-        if len(hits) != 1:
+        j = index.get(_least(M, lam.target, image))
+        if j is None:
             raise InconsistentClasses(
-                f"pushforward of lift class {i} lands in {len(hits)} "
-                "target classes")
-        pairs.append((i, hits[0]))
+                f"pushforward of lift class {i} lands in no target class")
+        pairs.append((i, j))
     ok = (len({j for _, j in pairs}) == len(cl_P)
           and len(cl_L) == len(cl_P))
     return LiftBijectionReport(ok, tuple(pairs), len(cl_L), len(cl_P))

@@ -33,6 +33,8 @@ EXIT_CASES = [
     (["iso", "F4", "F4"], 0),
     (["verify", "glift"], 0),
     (["reps", "--matroid", "MK4", "--pasture", "F5"], 0),
+    # one class of 15^7 members, sized by formula
+    (["reps", "--matroid", str(DATA / "u18.json"), "--pasture", "F16"], 0),
     # verified-false answers
     (["iso", "F4", "F5"], 1),
     (["iso", "U", "D"], 1),

@@ -9,12 +9,13 @@ from pastures.gf import field
 from pastures.groups import SearchSpaceExceeded
 from pastures.lifts import binary_lift, ternary_lift, wlum_lift
 from pastures.matroids import (ExchangeAxiomViolation, Matroid,
-                               Representation, _check_constraint,
-                               _constraints, _gauge, lift_bijection_check,
+                               Representation, RepresentationClass,
+                               _check_constraint, _constraints, _gauge,
+                               _least, lift_bijection_check,
                                matroid_from_json, mk4, plucker_check,
                                representation_classes, u24, uniform)
 from pastures.pasture import InfinitePasture, PastureElement, ZERO, \
-    finite_field, named, unit
+    finite_field, named, product, unit
 
 
 def test_from_bases_validation():
@@ -162,10 +163,11 @@ def test_guards():
         representation_classes(u24(), named("D"))
     with pytest.raises(SearchSpaceExceeded):
         representation_classes(u24(), finite_field(7), cap=10)
-    # every basis of U(1,8) is pinned, so the search passes any cap, but a
-    # class would have 15^7 members
-    with pytest.raises(SearchSpaceExceeded, match="rescalings per class"):
-        representation_classes(uniform(1, 8), finite_field(16))
+    # every basis of U(1,8) is pinned, so the search walks one assignment;
+    # its class has 15^7 members, counted by formula, never enumerated
+    [c] = representation_classes(uniform(1, 8), finite_field(16))
+    assert c.size == 15**7
+    assert "members" not in c.__dict__
 
 
 def test_mk4_counts():
@@ -245,6 +247,23 @@ def assert_matches_reference(M, P):
     got = [(c.representative.values, c.members)
            for c in representation_classes(M, P)]
     assert got == reference_classes(M, P)
+    return got
+
+
+def assert_members_are_representations(M, P, classes):
+    """Every member passes the Pluecker check, and each class meets the
+    gauge slice (pinned bases at 1) exactly once; those meeting points are
+    the gauge-fixed search's results, all accepted points with the pinned
+    bases at 1."""
+    pinned, _ = _gauge(M)
+    one = P.one()
+    accepted = set().union(*(members for _, members in classes))
+    in_gauge = [[m for m in members if all(m[k] == one for k in pinned)]
+                for _, members in classes]
+    assert all(plucker_check(Representation(M, P, m))[0] for m in accepted)
+    assert all(len(hits) == 1 for hits in in_gauge)
+    assert ({hits[0] for hits in in_gauge}
+            == {m for m in accepted if all(m[k] == one for k in pinned)})
 
 
 def component_count(M):
@@ -279,24 +298,85 @@ REFERENCE_CORPUS = (
        for name, M, q in (("U23/F5", uniform(2, 3), 5),
                           ("U35/F5", uniform(3, 5), 5),
                           ("U12+U12/F5", TWO_LINES, 5),
-                          ("loop+coloop/F4", LOOP_AND_COLOOP, 4))])
+                          ("loop+coloop/F4", LOOP_AND_COLOOP, 4))]
+    # units with two torsion coordinates: C2 x C4 and C4 x C4
+    + [pytest.param(u24(), product(finite_field(3), finite_field(5)),
+                    id="U24/F3xF5"),
+       pytest.param(TWO_LINES, product(finite_field(5), finite_field(5)),
+                    id="U12+U12/F5xF5")])
 
 
 @pytest.mark.parametrize("M,P", REFERENCE_CORPUS)
 def test_classes_match_reference(M, P):
-    assert_matches_reference(M, P)
+    assert_members_are_representations(M, P, assert_matches_reference(M, P))
+
+
+def draw_column_matroid(q, data):
+    """The matroid of a random 3x5 matrix over F_q, rejecting rank < 3."""
+    cols = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * 3),
+                              min_size=5, max_size=5))
+    bases = [b for b in itertools.combinations(range(1, 6), 3)
+             if field_det(field(q), [cols[e - 1] for e in b])]
+    assume(bases)       # a matrix of rank below 3 has no rank-3 matroid
+    return Matroid.from_bases(5, 3, bases)
 
 
 @pytest.mark.parametrize("q", (3, 5))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_column_matroids_match_reference(q, data):
-    cols = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * 3),
-                              min_size=5, max_size=5))
-    bases = [b for b in itertools.combinations(range(1, 6), 3)
-             if field_det(field(q), [cols[e - 1] for e in b])]
-    assume(bases)       # a matrix of rank below 3 has no rank-3 matroid
-    assert_matches_reference(Matroid.from_bases(5, 3, bases), finite_field(q))
+    assert_matches_reference(draw_column_matroid(q, data), finite_field(q))
+
+
+@pytest.mark.parametrize("q", (3, 5))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_least_is_the_least_member(q, data):
+    M, P = draw_column_matroid(q, data), finite_field(q)
+    key = P.units.key
+    classes = representation_classes(M, P)
+    for c in classes:
+        least = min(c.members, key=lambda t: tuple(key(v.coords) for v in t))
+        assert all(_least(M, P, t) == least for t in c.members)
+    units = [PastureElement(u) for u in P.units.elements()]
+    for rest in data.draw(st.lists(st.lists(st.sampled_from(units),
+                                            min_size=len(M.bases) - 1,
+                                            max_size=len(M.bases) - 1),
+                                   max_size=5)):
+        t = (P.one(), *rest)
+        for c in classes:
+            assert ((_least(M, P, t) == c.representative.values)
+                    == (t in c.members))
+
+
+# With the bases in lex order, every pivot of the reduction in ``_least``
+# was 1 on every matroid tried.  These orders (built directly, since
+# from_bases sorts the bases) reach the other branches: a pivot -1 in Z/4 (U24), and a pivot 2 in Z/4 with its
+# annihilator row (MK4).
+SHUFFLED_BASES = [
+    pytest.param(Matroid(4, 2, ((1, 4), (2, 3), (1, 3), (2, 4), (3, 4),
+                                (1, 2))),
+                 product(finite_field(3), finite_field(5)), id="U24/F3xF5"),
+    pytest.param(Matroid(6, 3, ((3, 5, 6), (1, 3, 4), (2, 4, 5), (1, 2, 6),
+                                (1, 4, 6), (3, 4, 6), (2, 4, 6), (1, 3, 6),
+                                (1, 5, 6), (2, 3, 4), (3, 4, 5), (2, 5, 6),
+                                (1, 4, 5), (1, 2, 5), (1, 2, 3), (2, 3, 5))),
+                 finite_field(5), id="MK4/F5"),
+]
+
+
+@pytest.mark.parametrize("M,P", SHUFFLED_BASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_least_in_any_basis_order(M, P, data):
+    units = [PastureElement(u) for u in P.units.elements()]
+    t = (P.one(), *data.draw(st.lists(st.sampled_from(units),
+                                      min_size=len(M.bases) - 1,
+                                      max_size=len(M.bases) - 1)))
+    orbit = RepresentationClass(Representation(M, P, t), 0).members
+    key = P.units.key
+    assert _least(M, P, t) == min(orbit, key=lambda m: tuple(key(v.coords)
+                                                              for v in m))
 
 
 @pytest.mark.parametrize("M", [u24(), mk4(), uniform(2, 3), uniform(3, 5),
