@@ -329,16 +329,14 @@ def is_surjective(source: AbelianGroup, gmap: GroupMap) -> bool:
     return red.group.is_trivial
 
 
-def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
-                   cap: int = 10**8):
-    """All homomorphisms source -> target that send epsilon to epsilon, as
-    image tuples, in a deterministic order.
+def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):
+    """The candidate images of each source generator, sorted by
+    ``target.key``: the elements whose order divides the generator's order,
+    or every element for a free generator.
 
-    The target may be infinite provided the source is all-torsion (every
-    generator image is then confined to the finite torsion subgroup).  When a
-    free source generator meets an infinite target, the hom set has no finite
-    enumeration and :class:`InfiniteTargetError` is raised.  Candidate counts
-    above ``cap`` raise :class:`SearchSpaceExceeded`.
+    Raises :class:`InfiniteTargetError` for a free generator with an
+    infinite target, and :class:`SearchSpaceExceeded` when the product of
+    the pool sizes exceeds ``cap``.
     """
     per_gen = []
     for i in range(source.ngens):
@@ -353,12 +351,27 @@ def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
             pool = list(target.elements())
         pool.sort(key=target.key)
         per_gen.append(pool)
-    total = math.prod(len(p) for p in per_gen) if per_gen else 1
+    total = math.prod(len(p) for p in per_gen)
     if total > cap:
         raise SearchSpaceExceeded(
             f"{total} candidate homomorphisms exceed the cap of {cap}")
+    return per_gen
+
+
+def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
+                   cap: int = 10**8):
+    """All homomorphisms source -> target that send epsilon to epsilon, as
+    image tuples, in a deterministic order: ``itertools.product`` over
+    :func:`hom_pools`.
+
+    The target may be infinite provided the source is all-torsion (every
+    generator image is then confined to the finite torsion subgroup).  When a
+    free source generator meets an infinite target, the hom set has no finite
+    enumeration and :class:`InfiniteTargetError` is raised.  Candidate counts
+    above ``cap`` raise :class:`SearchSpaceExceeded`.
+    """
     out = []
-    for images in itertools.product(*per_gen):
+    for images in itertools.product(*hom_pools(source, target, cap=cap)):
         if evaluate_word(target, images, source.epsilon) == target.epsilon:
             out.append(tuple(images))
     return out

@@ -19,7 +19,6 @@ partial fields these supports partition P minus {0, 1}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .pasture import Pasture
@@ -77,20 +76,10 @@ def pair_orbit(P: Pasture, pair):
 
 
 def fundamental_pairs(P: Pasture):
-    """All fundamental pairs, read off the stored null orbits.
-
-    A null triple a + b + c = 0 yields the pairs (-a/c, -b/c) over the six
-    orderings of its entries; unit scalings of the triple yield the same
-    pairs, so one representative per orbit suffices.
-    """
-    g = P.units
-    pairs = set()
-    for o in P.null_orbits:
-        for x, y, z in itertools.permutations(o):
-            zinv = g.inv(z)
-            pairs.add((g.mul(g.epsilon, g.mul(x, zinv)),
-                       g.mul(g.epsilon, g.mul(y, zinv))))
-    return frozenset(pairs)
+    """All fundamental pairs, read off the stored null orbits: the cached
+    ``P.null_pairs``, which a null triple a + b + c = 0 enters as
+    (-a/c, -b/c) over the six orderings of its entries."""
+    return P.null_pairs
 
 
 @dataclass(frozen=True)

@@ -143,19 +143,21 @@ class Representation:
                            for b, v in zip(self.matroid.bases, self.values)}}
 
 
-def _constraints(M: Matroid):
+@functools.lru_cache
+def _constraints(M: Matroid) -> tuple:
     """The 3-term Pluecker constraints, precompiled to basis positions.
 
     Each constraint is three terms (i, j, sign): positions of the two bases
     whose values multiply (None for a nonbasis, killing the term) and the
     parity of the sorting sign, with the middle term's extra -1 folded in.
     Constraints are bucketed by the largest basis position they mention so
-    the search can check them as early as possible.
+    the search can check them as early as possible.  Cached per matroid,
+    as a tuple of tuples so that no caller can change the cached value.
     """
     r = M.rank
     buckets = [[] for _ in M.bases]
     if r < 2:
-        return buckets
+        return tuple(map(tuple, buckets))
 
     def term(seq, extra):
         srt, parity = _sorted_with_parity(seq)
@@ -176,7 +178,7 @@ def _constraints(M: Matroid):
             used = [t[0] for pair in con for t in pair if t[0] is not None]
             if used:
                 buckets[max(used)].append(con)
-    return buckets
+    return tuple(map(tuple, buckets))
 
 
 def _check_constraint(P: Pasture, con, values, meps):

@@ -12,13 +12,21 @@ The canonical representative of an orbit is the lexicographic minimum, in the
 element total order, over the at most three scalings that send one entry to 1,
 each sorted.  Since every such scaling arises from every orbit member, the
 representative does not depend on the member we start from.
+
+Membership is answered by the fundamental pairs instead: an all-unit triple
+``a + b + c = 0`` holds exactly when ``(-a/c, -b/c)`` is a fundamental pair
+(``x + y - 1 = 0``).  Each pasture reads these pairs off its orbits once, into
+the cached set ``Pasture.null_pairs`` (at most six pairs per orbit, so finite
+for infinite pastures too), and a null test is one set lookup.  The hom search
+for finite targets (``morphisms.hom_set``) uses the same pairs with the units
+indexed as integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import gf as gf_mod
 from .groups import (
@@ -138,10 +146,28 @@ class Pasture:
             return True
         if len(parts) == 1:
             return False
+        g = self.units
         if len(parts) == 2:
             u, w = parts
-            return w == self.units.mul(u, self.eps)
-        return canonical_orbit(self.units, tuple(parts)) in self.null_orbits
+            return w == g.mul(u, self.eps)
+        s = g.mul(self.eps, g.inv(z))
+        return (g.mul(x, s), g.mul(y, s)) in self.null_pairs
+
+    @cached_property
+    def null_pairs(self) -> frozenset:
+        """The fundamental pairs: units (a, b) with a + b - 1 = 0.
+
+        A null triple x + y + z = 0 gives the pair (-x/z, -y/z) for each
+        ordering of its entries; unit scalings of the triple give the same
+        pairs, so one representative per orbit suffices.
+        """
+        g = self.units
+        pairs = set()
+        for o in self.null_orbits:
+            for x, y, z in itertools.permutations(o):
+                s = g.mul(self.eps, g.inv(z))
+                pairs.add((g.mul(x, s), g.mul(y, s)))
+        return frozenset(pairs)
 
     def sorted_orbits(self):
         g = self.units
@@ -406,7 +432,10 @@ def tensor(*pastures) -> Pasture:
 
 def finite_field(q: int) -> Pasture:
     """The pasture of GF(q): cyclic unit group written multiplicatively via
-    the deterministic generator, nullset from the additive structure."""
+    the deterministic generator, nullset from the additive structure.
+
+    Every scaling orbit of a null triple has a member (1, a, -1-a), so the
+    q - 2 units a != -1 give every orbit: O(q) field operations."""
     f = gf_mod.field(q)
     if q == 2:
         g = AbelianGroup((), 0, ())
@@ -414,15 +443,10 @@ def finite_field(q: int) -> Pasture:
     eps = ((q - 1) // 2,) if q % 2 else (0,)
     g = AbelianGroup((q - 1,), 0, eps)
     orbits = set()
-    for i in range(q - 1):
-        a = f.exp[i]
-        for j in range(q - 1):
-            b = f.exp[j]
-            c = f.neg(f.add(a, b))
-            if c == 0:
-                continue
-            tri = ((i,), (j,), (f.dlog[c],))
-            orbits.add(canonical_orbit(g, tri))
+    for j in range(q - 1):
+        c = f.neg(f.add(f.exp[0], f.exp[j]))
+        if c:
+            orbits.add(canonical_orbit(g, ((0,), (j,), (f.dlog[c],))))
     return Pasture(g, frozenset(orbits), f"F{q}")
 
 

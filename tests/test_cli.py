@@ -142,6 +142,14 @@ def test_text_mode_summaries(capsys):
     assert "0 failures" in out
 
 
+def test_hom_guard_message(capsys):
+    code, out, err = run(capsys, ["hom", "U", "F7", "--max-candidates", "10"])
+    assert code == 2
+    assert out == ""
+    assert err == ("guard tripped: 72 candidate homomorphisms exceed the "
+                   "cap of 10\n")
+
+
 def test_guard_message_goes_to_stderr(capsys):
     code, out, err = run(capsys, ["reps", "--matroid", "U24",
                                   "--pasture", "F9",

@@ -18,6 +18,15 @@ from pastures.pasture import InfinitePasture, PastureElement, ZERO, \
     finite_field, named, product, unit
 
 
+def test_constraints_are_cached():
+    M = mk4()
+    assert _constraints(M) is _constraints(M)
+    assert _constraints(M) is _constraints(mk4())
+    assert isinstance(_constraints(M), tuple)
+    assert all(isinstance(b, tuple) for b in _constraints(M))
+    assert _constraints(uniform(1, 3)) == ((), (), ())
+
+
 def test_from_bases_validation():
     M = u24()
     assert M.n == 4 and M.rank == 2 and len(M.bases) == 6

@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pastures.groups import (GroupMap, InfiniteTargetError,
+                             SearchSpaceExceeded, enumerate_homs,
+                             is_surjective)
 from pastures.morphisms import (EpsilonViolation, GroupHomViolation, Iso,
-                                NotIso, NullsetViolation, Unknown, compose,
-                                hom_set, identity_morphism, is_isomorphism,
-                                iso_check, make)
-from pastures.pasture import finite_field, free_algebra, named, product, \
-    quotient, tensor, unit
+                                NotIso, NullsetViolation, PastureMorphism,
+                                Unknown, compose, hom_set, identity_morphism,
+                                is_isomorphism, iso_check, make)
+from pastures.pasture import NAMED, ZERO, Pasture, canonical_orbit, \
+    finite_field, free_algebra, named, product, quotient, tensor, unit
 
 
 def test_make_validates_nullset():
@@ -109,3 +113,94 @@ def test_product_projections_are_morphisms():
     homs4 = hom_set(R, F4)
     homs5 = hom_set(R, F5)
     assert homs4 and homs5
+
+
+def reference_hom_rows(P, Q):
+    """The unpruned search ``hom_set`` replaced for finite targets, kept as
+    its oracle: every candidate of ``enumerate_homs`` that ``make`` accepts,
+    in order."""
+    out = []
+    for images in enumerate_homs(P.units, Q.units):
+        try:
+            out.append(make(P, Q, images).unit_map.rows)
+        except NullsetViolation:
+            continue
+    return out
+
+
+F = {q: finite_field(q) for q in (2, 3, 4, 5, 7, 8, 9)}
+SOURCES = [named(n) for n in NAMED] + list(F.values())
+# non-cyclic unit groups (F3 x F5: C2 x C4, F5 x F5: C4 x C4, F4 x F4:
+# C3 x C3 with -1 = 1) and characteristic 2 (F2, F4, F8)
+FINITE_TARGETS = list(F.values()) + [
+    named("K"), named("S"), named("W"), named("H"),
+    product(F[3], F[5]), product(F[5], F[5]), product(F[4], F[4])]
+INFINITE_TARGETS = [named("U"), named("D"), named("G")]
+
+
+@st.composite
+def free_quotients(draw):
+    """F1pm<a, b> modulo one or two random 3- or 2-term relations whose
+    terms are +-a^i b^j with |i|, |j| <= 2."""
+    P = free_algebra(named("F1pm"), ("a", "b"))
+    term = st.builds(lambda s, i, j: unit((s, i, j)), st.integers(0, 1),
+                     st.integers(-2, 2), st.integers(-2, 2))
+    relation = st.tuples(term, term, st.one_of(st.just(ZERO), term))
+    return quotient(P, draw(st.lists(relation, min_size=1, max_size=2)))
+
+
+@given(st.one_of(st.sampled_from(SOURCES), free_quotients()),
+       st.sampled_from(FINITE_TARGETS + INFINITE_TARGETS))
+@settings(max_examples=150, deadline=None)
+def test_hom_set_matches_unpruned_search(P, Q):
+    if not Q.is_finite and not P.is_finite:
+        with pytest.raises(InfiniteTargetError):
+            hom_set(P, Q)
+        with pytest.raises(InfiniteTargetError):
+            reference_hom_rows(P, Q)
+        return
+    assert [m.unit_map.rows for m in hom_set(P, Q)] == \
+        reference_hom_rows(P, Q)
+
+
+def test_hom_set_guard_counts_every_candidate():
+    # U -> F7: 2 * 6 * 6 candidates, as enumerate_homs counts them
+    with pytest.raises(SearchSpaceExceeded,
+                       match="^72 candidate homomorphisms exceed the cap "
+                             "of 71$"):
+        hom_set(named("U"), finite_field(7), cap=71)
+    assert len(hom_set(named("U"), finite_field(7), cap=72)) == 5
+
+
+def reference_iso(P, Q):
+    """The finite iso search ``iso_check`` replaced: every epsilon-preserving
+    unit hom of ``enumerate_homs``, first isomorphism wins."""
+    for images in enumerate_homs(P.units, Q.units):
+        gmap = GroupMap(Q.units, images)
+        if is_surjective(P.units, gmap):
+            m = PastureMorphism(P, Q, gmap)
+            if is_isomorphism(m):
+                return m
+    return None
+
+
+def twist(P, k):
+    """P with its nullset moved by the unit automorphism x -> x^k (k prime
+    to the exponent): isomorphic to P, and usually not equal to it."""
+    g = P.units
+    orbits = frozenset(canonical_orbit(g, tuple(g.power(x, k) for x in o))
+                       for o in P.null_orbits)
+    return Pasture(g, orbits)
+
+
+@pytest.mark.parametrize("P, k", [
+    (finite_field(7), 5), (finite_field(8), 3), (finite_field(9), 7),
+    (finite_field(9), 5), (finite_field(13), 5), (finite_field(16), 7),
+    (product(finite_field(3), finite_field(5)), 3),
+    (product(finite_field(4), finite_field(7)), 5)],
+    ids=lambda x: getattr(x, "label", None) or str(x))
+def test_iso_check_finite_matches_reference(P, k):
+    Q = twist(P, k)
+    res = iso_check(P, Q)
+    assert isinstance(res, Iso)
+    assert res.morphism == reference_iso(P, Q)

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pastures.gf import field
 from pastures.groups import AbelianGroup
 from pastures.morphisms import iso_check
 from pastures.pasture import (InfinitePasture, Pasture, PastureElement, ZERO,
@@ -58,6 +61,52 @@ def test_finite_fields_as_pastures():
                     s = F.add(F.add(F.exp[a], F.exp[b]), F.exp[c])
                     assert P.null_contains(unit((a,)), unit((b,)),
                                            unit((c,))) == (s == 0)
+
+
+def reference_finite_field(q):
+    """The O(q^2) construction ``finite_field`` replaced, kept as its oracle:
+    the canonical orbit of every all-unit triple (a, b, -a-b)."""
+    f = field(q)
+    if q == 2:
+        return Pasture(AbelianGroup((), 0, ()), frozenset(), "F2")
+    eps = ((q - 1) // 2,) if q % 2 else (0,)
+    g = AbelianGroup((q - 1,), 0, eps)
+    orbits = set()
+    for i in range(q - 1):
+        for j in range(q - 1):
+            c = f.neg(f.add(f.exp[i], f.exp[j]))
+            if c:
+                orbits.add(canonical_orbit(g, ((i,), (j,), (f.dlog[c],))))
+    return Pasture(g, frozenset(orbits), f"F{q}")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23,
+                               25, 27, 29, 31, 32, 49, 64, 81])
+def test_finite_field_matches_reference(q):
+    P, R = finite_field(q), reference_finite_field(q)
+    assert P.units == R.units
+    assert P.null_orbits == R.null_orbits
+    assert P.label == R.label
+
+
+@pytest.mark.parametrize("P", [
+    finite_field(2), finite_field(7), finite_field(8), named("K"),
+    named("S"), named("W"), product(finite_field(3), finite_field(5))],
+    ids=lambda P: P.label)
+def test_null3_matches_orbit_lookup(P):
+    """The pair lookup of ``_null3`` against the canonical orbit lookup it
+    replaced, on every triple of units."""
+    g = P.units
+    for t in itertools.product(g.elements(), repeat=3):
+        assert P._null3(*t) == (canonical_orbit(g, t) in P.null_orbits), t
+
+
+def test_null_pairs_are_cached():
+    P = named("U")
+    assert P.null_pairs is P.null_pairs
+    # U's one orbit x + y - 1 = 0 is a near-regular hexagon: six pairs
+    assert len(P.null_pairs) == 6
+    assert ((0, 1, 0), (0, 0, 1)) in P.null_pairs
 
 
 def test_zero_rules():
