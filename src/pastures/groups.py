@@ -48,6 +48,13 @@ def smith_normal_form(rows, width):
     coordinates ``y = x*v`` the row lattice of the input equals the row lattice
     of the diagonal matrix.
 
+    Scans whose outcome is known are skipped, which leaves the output as is:
+    the pivot search (first minimum in row-major order) stops after a row
+    holding an entry of absolute value 1; the divisibility sweep is skipped
+    for a pivot of +-1; row operations start at the pivot column, left of
+    which both rows are zero; column operations skip rows that are zero in
+    the source column.
+
     >>> smith_normal_form([[4, 6]], 2)[0]
     [2, 0]
     >>> smith_normal_form([[2, 0], [1, 3]], 2)[0]
@@ -71,10 +78,9 @@ def smith_normal_form(rows, width):
 
     def col_add(j, i, k):
         # column j += k * column i
-        for r in a:
-            r[j] += k * r[i]
-        for r in v:
-            r[j] += k * r[i]
+        for r in itertools.chain(a, v):
+            if r[i]:
+                r[j] += k * r[i]
         vinv[i] = [x - k * y for x, y in zip(vinv[i], vinv[j])]
 
     def col_neg(i):
@@ -88,7 +94,7 @@ def smith_normal_form(rows, width):
         a[i], a[j] = a[j], a[i]
 
     def row_add(j, i, k):
-        a[j] = [x + k * y for x, y in zip(a[j], a[i])]
+        a[j][t:] = [x + k * y for x, y in zip(a[j][t:], a[i][t:])]
 
     t = 0
     while t < m and t < n:
@@ -98,6 +104,8 @@ def smith_normal_form(rows, width):
                 x = a[i][j]
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
+            if best and best[0] == 1:
+                break
         if best is None:
             break
         row_swap(t, best[1])
@@ -121,14 +129,9 @@ def smith_normal_form(rows, width):
             if dirty:
                 continue
             d = a[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % d:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = None if abs(d) == 1 else next(
+                (i for i in range(t + 1, m) if any(x % d for x in a[i][t + 1:])),
+                None)
             if bad is None:
                 break
             row_add(t, bad, 1)

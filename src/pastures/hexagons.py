@@ -53,16 +53,20 @@ def sigma(P: Pasture, pair):
     a, b = _check(P, pair)
     return (b, a)
 
-def rho(P: Pasture, pair):
-    """Rotate a fundamental pair: (a, b) -> (1/b, -a/b)."""
-    g = P.units
-    a, b = _check(P, pair)
+def _rotate(g, pair):
+    a, b = pair
     binv = g.inv(b)
     return (binv, g.mul(g.epsilon, g.mul(a, binv)))
 
 
+def rho(P: Pasture, pair):
+    """Rotate a fundamental pair: (a, b) -> (1/b, -a/b)."""
+    return _rotate(P.units, _check(P, pair))
+
+
 def pair_orbit(P: Pasture, pair):
-    """The D3 orbit of a fundamental pair, as a set."""
+    """The D3 orbit of a fundamental pair, as a set.  Only the start pair is
+    checked, as D3 maps fundamental pairs to fundamental pairs."""
     seen = set()
     frontier = [_check(P, pair)]
     while frontier:
@@ -70,8 +74,8 @@ def pair_orbit(P: Pasture, pair):
         if p in seen:
             continue
         seen.add(p)
-        frontier.append(sigma(P, p))
-        frontier.append(rho(P, p))
+        frontier.append((p[1], p[0]))
+        frontier.append(_rotate(P.units, p))
     return frozenset(seen)
 
 

@@ -11,7 +11,6 @@ generator per fundamental element with the induced multiplicative relations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .groups import AbelianGroup, evaluate_word
@@ -166,6 +165,16 @@ def wlum_lift(P: Pasture) -> LiftResult:
     return LiftResult(lift, lam, "wlum", _descriptor(counts))
 
 
+def _g5_triples(g, F, index):
+    """The triples F[i], F[j], F[k] with i <= j <= k and product 1, in
+    lexicographic order; k is the index of 1/(F[i] F[j]), if any."""
+    for i, a in enumerate(F):
+        for j in range(i, len(F)):
+            k = index.get(g.inv(g.mul(a, F[j])))
+            if k is not None and k >= j:
+                yield a, F[j], F[k]
+
+
 MAX_FUNDAMENTAL = 512      # grs_lift raises NotFinitary past this many
 
 
@@ -228,9 +237,8 @@ def grs_lift(P: Pasture) -> LiftResult:
             raise LiftCheckFailed(
                 "fundamental elements are not closed under inversion")
         idents.append((t_word(a, ainv), one))                      # G2
-    for a, b, c in itertools.combinations_with_replacement(F, 3):
-        if g.mul(g.mul(a, b), c) == g.identity():
-            idents.append((t_word(a, b, c), one))                  # G5
+    for a, b, c in _g5_triples(g, F, index):
+        idents.append((t_word(a, b, c), one))                      # G5
     res = quotient_full(ambient, relations, idents)
     lift = res.pasture
     gen_images = (g.epsilon,) + tuple(F)

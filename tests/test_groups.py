@@ -1,14 +1,18 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix, ZZ
+from sympy import Matrix, ZZ, factorint
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from pastures import groups
 from pastures.groups import (AbelianGroup, EpsilonOrderError, GroupMap,
                              InfiniteTargetError, enumerate_homs,
                              evaluate_word, is_surjective,
                              map_from_presentation, quotient_by,
-                             reduce_presentation, smith_normal_form)
+                             identity_rows, reduce_presentation,
+                             smith_normal_form)
+from pastures.lifts import grs_lift
+from pastures.pasture import finite_field, product
 
 matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -47,6 +51,132 @@ def test_snf_matches_sympy_and_transforms(case):
     s = sympy_snf(Matrix(rows), domain=ZZ)
     theirs = sorted(abs(s[i, i]) for i in range(min(s.shape)) if s[i, i])
     assert sorted(nz) == theirs
+
+
+def reference_smith_normal_form(rows, width):
+    """The full-scan Smith normal form: every pivot search scans the whole
+    trailing block, every pivot gets the divisibility sweep, and row and
+    column operations run over whole rows and columns."""
+    a = [list(row) for row in rows]
+    m = len(a)
+    n = width
+    for row in a:
+        if len(row) != n:
+            raise ValueError("relation row of wrong width")
+    v = [list(r) for r in identity_rows(n)]
+    vinv = [list(r) for r in identity_rows(n)]
+
+    def col_swap(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def col_add(j, i, k):
+        # column j += k * column i
+        for r in a:
+            r[j] += k * r[i]
+        for r in v:
+            r[j] += k * r[i]
+        vinv[i] = [x - k * y for x, y in zip(vinv[i], vinv[j])]
+
+    def col_neg(i):
+        for r in a:
+            r[i] = -r[i]
+        for r in v:
+            r[i] = -r[i]
+        vinv[i] = [-x for x in vinv[i]]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def row_add(j, i, k):
+        a[j] = [x + k * y for x, y in zip(a[j], a[i])]
+
+    t = 0
+    while t < m and t < n:
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = a[i][j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        row_swap(t, best[1])
+        col_swap(t, best[2])
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_add(i, t, -q)
+                    if a[i][t]:
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_add(j, t, -q)
+                    if a[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            d = a[t][t]
+            bad = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % d:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+        t += 1
+    diag = [a[j][j] if j < m else 0 for j in range(n)]
+    for j in range(n):
+        if diag[j] < 0:
+            col_neg(j)
+            diag[j] = -diag[j]
+    return diag, v, vinv
+
+
+def test_snf_matches_reference_on_grs_presentations(monkeypatch):
+    prime_powers = [q for q in range(2, 33) if len(factorint(q)) == 1]
+    pastures = [finite_field(q) for q in prime_powers]
+    # Zagier products F_p1 x F_p2 with q - 2 = (p1 - 2)(p2 - 2): q = 8, 11
+    pastures += [product(finite_field(4), finite_field(5)),
+                 product(finite_field(5), finite_field(5))]
+    inputs = []     # every (rows, width) that grs_lift passes to the SNF
+
+    def record(rows, width):
+        inputs.append(([list(r) for r in rows], width))
+        return smith_normal_form(rows, width)
+
+    monkeypatch.setattr(groups, "smith_normal_form", record)
+    for P in pastures:
+        grs_lift(P)
+    assert max(len(rows) for rows, _ in inputs) > 100     # q = 31, 32
+    for rows, width in inputs:
+        assert smith_normal_form(rows, width) == \
+            reference_smith_normal_form(rows, width)
+
+
+small_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+        max_size=6).map(lambda rows: (rows, n)))
+
+
+@given(small_matrices)
+@settings(max_examples=300, deadline=None)
+def test_snf_matches_reference_on_random_matrices(case):
+    rows, n = case
+    assert smith_normal_form(rows, n) == reference_smith_normal_form(rows, n)
 
 
 def test_snf_known_values():

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from pastures.hexagons import (HexagonsInconsistent, KIND_BY_MU,
-                               NotFundamental, census,
+                               NotFundamental, _check, census,
                                classify_by_shape, fundamental_pairs,
                                hexagon_of_pair, hexagons, is_fundamental,
                                pair_orbit, partition_check, psi_product, rho,
@@ -90,6 +91,33 @@ def test_support_partition():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32])
 def test_census_rules(q):
     assert census(q) == expected_census(q)
+
+
+def reference_pair_orbit(P, pair):
+    """The D3 orbit walked with the checked moves sigma and rho."""
+    seen = set()
+    frontier = [_check(P, pair)]
+    while frontier:
+        p = frontier.pop()
+        if p in seen:
+            continue
+        seen.add(p)
+        frontier.append(sigma(P, p))
+        frontier.append(rho(P, p))
+    return frozenset(seen)
+
+
+def test_pair_orbit_matches_checked_walk():
+    fields = [finite_field(q) for q in range(2, 33) if len(factorint(q)) == 1]
+    named_ones = [named(n) for n in ("F1pm", "F2", "F3", "K", "S", "W", "U",
+                                     "D", "H", "G")]
+    for P in fields + named_ones:
+        for pair in fundamental_pairs(P):
+            assert pair_orbit(P, pair) == reference_pair_orbit(P, pair)
+        one = P.units.identity()
+        if (one, one) not in fundamental_pairs(P):  # 1 + 1 = 1 holds in K, S, W
+            with pytest.raises(NotFundamental):
+                pair_orbit(P, (one, one))
 
 
 def test_is_fundamental_and_errors():

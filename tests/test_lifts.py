@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from sympy import factorint
 
 from pastures import lifts
 from pastures.hexagons import fundamental_pairs, hexagons
@@ -89,6 +92,33 @@ def test_grs_small_cases():
     res = grs_lift(product(finite_field(4), finite_field(5)))
     assert bool(iso_check(res.lift, named("G")))
     assert res.kind == "grs"
+
+
+def reference_g5_triples(g, F, index):
+    """Every unordered triple (with repetition) from F whose product is 1,
+    found by trying all of them."""
+    for a, b, c in itertools.combinations_with_replacement(F, 3):
+        if g.mul(g.mul(a, b), c) == g.identity():
+            yield a, b, c
+
+
+def test_grs_lift_matches_reference_g5_loop(monkeypatch):
+    pastures = [finite_field(q) for q in range(2, 33) if len(factorint(q)) == 1]
+    pastures += [product(finite_field(3), finite_field(5)),
+                 product(finite_field(4), finite_field(5))]
+    for P in pastures:
+        g = P.units
+        F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
+        index = {a: i for i, a in enumerate(F)}
+        assert list(lifts._g5_triples(g, F, index)) == \
+            list(reference_g5_triples(g, F, index)), P.label
+    fast = [grs_lift(P) for P in pastures]
+    monkeypatch.setattr(lifts, "_g5_triples", reference_g5_triples)
+    for P, got in zip(pastures, fast):
+        want = grs_lift(P)
+        assert got.lift == want.lift, P.label
+        assert got.lift.label == want.lift.label
+        assert got.lam.unit_map.rows == want.lam.unit_map.rows, P.label
 
 
 def test_grs_guard(monkeypatch):
