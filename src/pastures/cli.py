@@ -72,7 +72,7 @@ def cmd_pasture(args) -> int:
     lines = [f"pasture: {P.label}",
              f"units: {_group_str(P.units)}"
              + ("" if not P.is_finite
-                else f" (order {len(P.units.elements())})"),
+                else f" (order {P.units.size()})"),
              f"epsilon: {_coords_str(P.eps)}",
              f"null orbits ({len(d['null_orbits'])}):"]
     for o in P.sorted_orbits():

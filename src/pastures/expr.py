@@ -21,7 +21,6 @@ they are ordinary generator names.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .pasture import (
     Pasture,
@@ -35,6 +34,7 @@ from .pasture import (
     unit,
 )
 from .lifts import LIFTS, LiftResult
+from .record import Record
 
 
 class ExprError(ValueError):
@@ -48,39 +48,30 @@ class ExprError(ValueError):
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Name:
-    name: str
+class Name(Record):
+    _fields = ("name",)
 
 
-@dataclass(frozen=True)
-class Fq:
-    q: int
+class Fq(Record):
+    _fields = ("q",)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    names: tuple                 # generator names, possibly empty
-    relations: tuple             # each a tuple of 2 or 3 terms
-                                 # term = (sign, ((name, exponent), ...))
+class Presentation(Record):
+    # names: generator names, possibly empty; relations: each a tuple of 2 or
+    # 3 terms, term = (sign, ((name, exponent), ...))
+    _fields = ("names", "relations")
 
 
-@dataclass(frozen=True)
-class Product:
-    left: object
-    right: object
+class Product(Record):
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: object
-    right: object
+class Tensor(Record):
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Lift:
-    kind: str                    # binary | ternary | wlum | grs
-    inner: object
+class Lift(Record):
+    _fields = ("kind", "inner")  # kind: binary | ternary | wlum | grs
 
 
 NAMED_ATOMS = ("F1pm", "K", "S", "W", "U", "D", "H", "G")

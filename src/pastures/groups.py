@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from operator import add as _add, mod as _mod, neg as _neg
+
+from .record import Record, set_field as _set
 
 
 class EpsilonOrderError(ValueError):
@@ -144,8 +146,7 @@ def smith_normal_form(rows, width):
     return diag, v, vinv
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """A finitely generated abelian group in canonical coordinates.
 
     ``torsion`` holds the invariant factors (all >= 2, each dividing the
@@ -154,9 +155,21 @@ class AbelianGroup:
     sign element.
     """
 
-    torsion: tuple[int, ...]
-    free_rank: int
-    epsilon: tuple[int, ...]
+    __slots__ = _fields = ("torsion", "free_rank", "epsilon")
+
+    def __init__(self, torsion, free_rank, epsilon):
+        _set(self, "torsion", torsion)
+        _set(self, "free_rank", free_rank)
+        _set(self, "epsilon", epsilon)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.torsion, self.free_rank, self.epsilon)
+                    == (other.torsion, other.free_rank, other.epsilon))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.torsion, self.free_rank, self.epsilon))
 
     @property
     def ngens(self) -> int:
@@ -180,19 +193,23 @@ class AbelianGroup:
         return (0,) * self.ngens
 
     def reduce(self, vec) -> tuple[int, ...]:
-        out = []
-        for i, c in enumerate(vec):
-            if i < len(self.torsion):
-                out.append(c % self.torsion[i])
-            else:
-                out.append(c)
-        return tuple(out)
+        """Torsion coordinates modulo their factors; the rest (free ones, and
+        any past ``ngens``) copied."""
+        t = self.torsion
+        out = tuple(map(_mod, vec, t))
+        return out + tuple(vec[len(t):]) if len(vec) > len(t) else out
 
     def mul(self, a, b) -> tuple[int, ...]:
-        return self.reduce([x + y for x, y in zip(a, b)])
+        t = self.torsion
+        out = tuple(map(_mod, map(_add, a, b), t))
+        n = len(t)
+        return (out + tuple(map(_add, a[n:], b[n:]))
+                if len(a) > n < len(b) else out)
 
     def inv(self, a) -> tuple[int, ...]:
-        return self.reduce([-x for x in a])
+        t = self.torsion
+        out = tuple(map(_mod, map(_neg, a), t))
+        return out + tuple(map(_neg, a[len(t):])) if len(a) > len(t) else out
 
     def power(self, a, k: int) -> tuple[int, ...]:
         return self.reduce([k * x for x in a])
@@ -242,13 +259,23 @@ class AbelianGroup:
         return rows
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(Record):
     """A homomorphism out of a group in canonical coordinates, given by the
     image of each canonical generator of the source."""
 
-    target: AbelianGroup
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("target", "rows")
+
+    def __init__(self, target, rows):
+        _set(self, "target", target)
+        _set(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.target, self.rows) == (other.target, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.target, self.rows))
 
     def __call__(self, vec) -> tuple[int, ...]:
         acc = [0] * self.target.ngens
@@ -263,13 +290,11 @@ class GroupMap:
         return GroupMap(other.target, tuple(other(r) for r in self.rows))
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """Result of collapsing a presentation to canonical coordinates."""
+class Reduction(Record):
+    """Result of collapsing a presentation to canonical coordinates: the
+    ``group``, the ``project`` map onto it and the ``sections``."""
 
-    group: AbelianGroup
-    project: GroupMap
-    sections: tuple[tuple[int, ...], ...]
+    _fields = ("group", "project", "sections")
 
 
 def reduce_presentation(num_gens, relation_rows, epsilon_row) -> Reduction:

@@ -19,10 +19,9 @@ partial fields these supports partition P minus {0, 1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pasture import Pasture
 from . import pasture as pa
+from .record import Record
 
 
 class NotFundamental(ValueError):
@@ -86,15 +85,12 @@ def fundamental_pairs(P: Pasture):
     return P.null_pairs
 
 
-@dataclass(frozen=True)
-class Hexagon:
-    """A D3 orbit of fundamental pairs of a fixed pasture."""
+class Hexagon(Record):
+    """A D3 orbit of fundamental pairs of a fixed pasture: the sorted orbit
+    ``pairs``, its minimum ``canonical_pair`` in the element order, ``mu``
+    and ``kind``, and the ``support``, the first coordinates of the pairs."""
 
-    pairs: tuple                    # orbit, sorted
-    canonical_pair: tuple           # minimum pair in the element order
-    mu: int
-    kind: str
-    support: frozenset              # first coordinates of the orbit pairs
+    _fields = ("pairs", "canonical_pair", "mu", "kind", "support")
 
     def diagonal_element(self):
         """For a dyadic hexagon, the x with (x, x) in the orbit."""
@@ -186,16 +182,14 @@ def partition_check(P: Pasture):
     return True, None
 
 
-@dataclass(frozen=True)
-class PsiData:
+class PsiData(Record):
     """The map induced by a product on hexagons: each hexagon of P1 x P2 lies
     over a pair of factor hexagons, with multiplicities multiplying along the
-    fibers."""
+    fibers.  ``hexes`` are the hexagons of the product, ``factor_hexes`` the
+    pair (hexagons of P1, hexagons of P2), and ``fibers`` maps (i1, i2) to a
+    tuple of product hexagon indices."""
 
-    product: Pasture
-    hexes: tuple                # hexagons of the product
-    factor_hexes: tuple         # (hexagons of P1, hexagons of P2)
-    fibers: dict                # (i1, i2) -> tuple of product hexagon indices
+    _fields = ("product", "hexes", "factor_hexes", "fibers")
 
 
 def psi_product(P1: Pasture, P2: Pasture) -> PsiData:

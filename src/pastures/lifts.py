@@ -11,8 +11,6 @@ generator per fundamental element with the induced multiplicative relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groups import AbelianGroup, evaluate_word
 from .pasture import (
     Pasture,
@@ -24,6 +22,7 @@ from .pasture import (
 )
 from .hexagons import Hexagon, fundamental_pairs, hexagons
 from .morphisms import PastureMorphism, make
+from .record import Record
 
 
 class HexagonNotOfPasture(ValueError):
@@ -45,12 +44,12 @@ class LiftCheckFailed(RuntimeError):
     elements are not closed under the GRS relations."""
 
 
-@dataclass(frozen=True)
-class LiftResult:
-    lift: Pasture
-    lam: PastureMorphism
-    kind: str                       # binary | hexagon | ternary | wlum | grs
-    factor_descriptor: dict | None  # counts of U, D, H, F3, F2 tensor factors
+class LiftResult(Record):
+    """The ``lift`` L with ``lam: L -> P``; ``kind`` is binary, hexagon,
+    ternary, wlum or grs; ``factor_descriptor`` counts the U, D, H, F3 and F2
+    tensor factors, or is None."""
+
+    _fields = ("lift", "lam", "kind", "factor_descriptor")
 
 
 def _descriptor(counts) -> dict:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .groups import SearchSpaceExceeded
 from .pasture import InfinitePasture, Pasture, PastureElement, ZERO
+from .record import Record, set_field as _set
 
 
 class ExchangeAxiomViolation(ValueError):
@@ -26,16 +26,15 @@ class InconsistentClasses(RuntimeError):
     """A pushed-forward class lands in no target class."""
 
 
-@dataclass(frozen=True)
-class Matroid:
-    n: int
-    rank: int
-    bases: tuple          # lex-sorted tuple of sorted tuples over 1..n
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
+class Matroid(Record):
+    """``bases`` is a lex-sorted tuple of sorted tuples over 1..n; the
+    position of each basis, ``_index``, is not a field."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {b: i for i, b in enumerate(self.bases)})
+    _fields = ("n", "rank", "bases")
+
+    def __init__(self, n, rank, bases):
+        super().__init__(n, rank, bases)
+        self.__dict__["_index"] = {b: i for i, b in enumerate(bases)}
 
     @classmethod
     def from_bases(cls, n, rank, bases) -> "Matroid":
@@ -116,11 +115,24 @@ def _sorted_with_parity(seq):
     return tuple(seq), parity
 
 
-@dataclass(frozen=True)
-class Representation:
-    matroid: Matroid
-    pasture: Pasture
-    values: tuple           # one unit per basis, aligned with matroid.bases
+class Representation(Record):
+    """One unit in ``values`` per basis, aligned with ``matroid.bases``."""
+
+    __slots__ = _fields = ("matroid", "pasture", "values")
+
+    def __init__(self, matroid, pasture, values):
+        _set(self, "matroid", matroid)
+        _set(self, "pasture", pasture)
+        _set(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.matroid, self.pasture, self.values)
+                    == (other.matroid, other.pasture, other.values))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.matroid, self.pasture, self.values))
 
     def delta(self, seq) -> PastureElement:
         """The basis value of the (unordered) index sequence, with the sign
@@ -204,13 +216,11 @@ def plucker_check(rep: Representation):
     return con is None, con
 
 
-@dataclass(frozen=True)
-class RepresentationClass:
+class RepresentationClass(Record):
     """One rescaling class: its least member and its size |U|^(n - c) for
     n elements in c components.  ``members`` enumerates the class on first
     read; nothing in the library reads it."""
-    representative: Representation
-    size: int
+    _fields = ("representative", "size")
 
     @functools.cached_property
     def members(self) -> frozenset:
@@ -335,12 +345,9 @@ def representation_classes(M: Matroid, P: Pasture, *,
     return classes
 
 
-@dataclass(frozen=True)
-class LiftBijectionReport:
-    ok: bool
-    pairs: tuple            # (source class index, target class index)
-    source_classes: int
-    target_classes: int
+class LiftBijectionReport(Record):
+    # pairs: (source class index, target class index)
+    _fields = ("ok", "pairs", "source_classes", "target_classes")
 
 
 def lift_bijection_check(M: Matroid, lift_result, *,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .groups import (
     GroupMap,
@@ -23,6 +22,7 @@ from .groups import (
 )
 from .pasture import Pasture, PastureElement, ZERO, canonical_orbit
 from .hexagons import hexagons as _hexagons
+from .record import Record
 
 
 class GroupHomViolation(ValueError):
@@ -41,11 +41,8 @@ class ChainMismatch(ValueError):
     """Composition of morphisms whose endpoints do not match."""
 
 
-@dataclass(frozen=True)
-class PastureMorphism:
-    source: Pasture
-    target: Pasture
-    unit_map: GroupMap
+class PastureMorphism(Record):
+    _fields = ("source", "target", "unit_map")
 
     def apply_unit(self, coords):
         return self.unit_map(coords)
@@ -191,25 +188,22 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int):
 # -- isomorphism checking ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Iso:
-    morphism: PastureMorphism
+class Iso(Record):
+    _fields = ("morphism",)
 
     def __bool__(self):
         return True
 
 
-@dataclass(frozen=True)
-class NotIso:
-    reason: str
+class NotIso(Record):
+    _fields = ("reason",)
 
     def __bool__(self):
         return False
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str
+class Unknown(Record):
+    _fields = ("reason",)
 
     def __bool__(self):
         return False

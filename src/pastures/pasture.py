@@ -25,7 +25,6 @@ indexed as integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 from . import gf as gf_mod
@@ -36,6 +35,7 @@ from .groups import (
     reduce_presentation,
     quotient_by,
 )
+from .record import Record, set_field as _set
 
 NotPrimePower = gf_mod.NotPrimePower
 
@@ -57,16 +57,29 @@ class UnexpectedUnitGroup(RuntimeError):
     in a way the construction rules out."""
 
 
-@dataclass(frozen=True)
-class PastureElement:
+class PastureElement(Record):
     """Either zero (``coords is None``) or a unit given by its canonical
     coordinate tuple in the ambient unit group."""
 
-    coords: tuple[int, ...] | None
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords):
+        _set_coords(self, coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @property
     def is_zero(self) -> bool:
         return self.coords is None
+
+
+_set_coords = PastureElement.coords.__set__  # slot setter: faster than _set
 
 
 ZERO = PastureElement(None)
@@ -89,11 +102,26 @@ def canonical_orbit(group: AbelianGroup, triple):
     return best
 
 
-@dataclass(frozen=True)
-class Pasture:
-    units: AbelianGroup
-    null_orbits: frozenset
-    label: str | None = field(default=None, compare=False)
+class Pasture(Record):
+    """Unit group, null orbits and an optional ``label``, which equality and
+    hash ignore; the ``__dict__`` holds the cached ``null_pairs``."""
+
+    __slots__ = ("units", "null_orbits", "label", "__dict__")
+    _fields = __slots__[:3]
+
+    def __init__(self, units, null_orbits, label=None):
+        _set(self, "units", units)
+        _set(self, "null_orbits", null_orbits)
+        _set(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.units, self.null_orbits)
+                    == (other.units, other.null_orbits))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.units, self.null_orbits))
 
     # -- elements -----------------------------------------------------------
 
@@ -177,7 +205,7 @@ class Pasture:
     # -- bookkeeping ---------------------------------------------------------
 
     def with_label(self, label: str) -> "Pasture":
-        return replace(self, label=label)
+        return Pasture(self.units, self.null_orbits, label)
 
     def descriptor(self) -> dict:
         return {
@@ -218,28 +246,21 @@ class Pasture:
 # -- construction results ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientResult:
-    pasture: Pasture
-    unit_map: GroupMap          # old canonical coordinates -> new
-    sections: tuple             # new canonical generators as words over old
+class QuotientResult(Record):
+    # unit_map: old canonical coordinates -> new;
+    # sections: new canonical generators as words over old
+    _fields = ("pasture", "unit_map", "sections")
 
 
-@dataclass(frozen=True)
-class ProductResult:
-    pasture: Pasture
-    proj1: GroupMap             # product units -> first factor units
-    proj2: GroupMap
-    embed1: GroupMap
-    embed2: GroupMap
+class ProductResult(Record):
+    # proj1: product units -> first factor units
+    _fields = ("pasture", "proj1", "proj2", "embed1", "embed2")
 
 
-@dataclass(frozen=True)
-class TensorResult:
-    pasture: Pasture
-    inclusions: tuple           # one GroupMap per factor
-    sections: tuple             # canonical generators as words over the
-                                # concatenated factor generators
+class TensorResult(Record):
+    # inclusions: one GroupMap per factor; sections: canonical generators as
+    # words over the concatenated factor generators
+    _fields = ("pasture", "inclusions", "sections")
 
 
 # -- constructors ------------------------------------------------------------

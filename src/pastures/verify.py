@@ -7,8 +7,6 @@ matroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tables
 from .gf import NotPrimePower, field, prime_power
 from .hexagons import census, hexagons, psi_product
@@ -17,22 +15,19 @@ from .lifts import (binary_lift, grs_lift, lift_descriptor_iso, ternary_lift,
 from .matroids import lift_bijection_check, mk4, representation_classes, u24
 from .morphisms import is_isomorphism, iso_check
 from .pasture import finite_field, named, product
+from .record import Record
 
 
-@dataclass(frozen=True)
-class VerifyItem:
-    name: str
-    ok: bool
-    detail: str = ""
+class VerifyItem(Record):
+    _fields = ("name", "ok", "detail")
+    detail = ""
 
     def to_json(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    items: tuple
+class VerifyReport(Record):
+    _fields = ("suite", "items")
 
     @property
     def ok(self) -> bool:

@@ -13,6 +13,8 @@ import pathlib
 import pytest
 
 from pastures import cli
+from pastures.expr import pasture_of
+from pastures.groups import AbelianGroup
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -140,6 +142,23 @@ def test_text_mode_summaries(capsys):
     assert "not isomorphic" in out
     _, out, _ = run(capsys, ["verify", "glift"])
     assert "0 failures" in out
+
+
+def test_pasture_order_lists_no_unit(capsys, monkeypatch):
+    """The order of the unit group comes from its invariant factors: the
+    text output for a product is byte-identical with the unit listing
+    patched to raise."""
+    argv = ["pasture", "F16 x F9"]
+    code, expected, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    units = pasture_of(argv[1]).units
+    assert f"(order {len(units.elements())})" in expected
+
+    def refuse(self):
+        raise AssertionError("AbelianGroup.elements called")
+
+    monkeypatch.setattr(AbelianGroup, "elements", refuse)
+    assert run(capsys, argv) == (0, expected, "")
 
 
 def test_hom_guard_message(capsys):

@@ -227,6 +227,38 @@ def test_group_arithmetic():
     assert len(set(h.elements())) == 12
 
 
+def reference_reduce(g, vec):
+    """The coordinate loop ``AbelianGroup.reduce`` ran before it reduced the
+    torsion coordinates by ``zip`` and copied the others by slice."""
+    out = []
+    for i, c in enumerate(vec):
+        if i < len(g.torsion):
+            out.append(c % g.torsion[i])
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+groups_and_vectors = st.tuples(
+    st.lists(st.integers(2, 12), max_size=3), st.integers(0, 3)).flatmap(
+    lambda tf: st.tuples(
+        st.just(AbelianGroup(tuple(tf[0]), tf[1], (0,) * (len(tf[0]) + tf[1]))),
+        *[st.lists(st.integers(-40, 40), max_size=len(tf[0]) + tf[1] + 2)
+          .map(tuple)] * 2))
+
+
+@given(groups_and_vectors)
+@settings(max_examples=300, deadline=None)
+def test_reduce_mul_inv_match_coordinate_loop(case):
+    """Vectors of any length, shorter or longer than ``ngens``, as lists or
+    tuples: the same tuples as the loop, whose mul and inv reduced
+    coordinatewise sums and negations."""
+    g, a, b = case
+    assert g.reduce(a) == g.reduce(list(a)) == reference_reduce(g, a)
+    assert g.mul(a, b) == reference_reduce(g, [x + y for x, y in zip(a, b)])
+    assert g.inv(a) == reference_reduce(g, [-x for x in a])
+
+
 def test_key_orders_free_coords_positive_first():
     g = AbelianGroup((), 1, ())
     assert sorted([(2,), (-1,), (0,), (1,), (-2,)], key=g.key) == \
