@@ -109,6 +109,11 @@ def _lex(text):
     return out
 
 
+def _found(val):
+    """A token as an error names it; only the end token's value is None."""
+    return "end of input" if val is None else repr(val)
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -126,7 +131,7 @@ class _Parser:
     def expect(self, value):
         kind, val, pos = self.next()
         if val != value:
-            raise ExprError(f"expected {value!r}, found {val!r}", pos)
+            raise ExprError(f"expected {value!r}, found {_found(val)}", pos)
 
     def fail(self, message):
         raise ExprError(message, self.peek()[2])
@@ -155,7 +160,7 @@ class _Parser:
             self.expect(")")
             return node
         if kind != "ident":
-            self.fail(f"expected a pasture expression, found {val!r}")
+            self.fail(f"expected a pasture expression, found {_found(val)}")
         self.next()
         if val in LIFT_KEYWORDS:
             self.expect("(")

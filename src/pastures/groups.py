@@ -37,7 +37,7 @@ class SearchSpaceExceeded(RuntimeError):
 def identity_rows(n):
     """Rows of the n x n identity matrix: the unit vectors of Z^n, which are
     also the canonical generators of any group with n coordinates."""
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def smith_normal_form(rows, width):
@@ -50,12 +50,14 @@ def smith_normal_form(rows, width):
     coordinates ``y = x*v`` the row lattice of the input equals the row lattice
     of the diagonal matrix.
 
-    Scans whose outcome is known are skipped, which leaves the output as is:
-    the pivot search (first minimum in row-major order) stops after a row
-    holding an entry of absolute value 1; the divisibility sweep is skipped
-    for a pivot of +-1; row operations start at the pivot column, left of
-    which both rows are zero; column operations skip rows that are zero in
-    the source column.
+    The pivots and the row and column operations are those of the full-scan
+    elimination, but each step touches only entries it can change: the pivot
+    search (first minimum in row-major order) stops after a row holding an
+    entry of absolute value 1; a row reduction updates the pivot row's support
+    only (its nonzero columns, taken again after a row swaps into the pivot);
+    a column reduction updates only the rows of the matrix and of ``v`` that
+    are nonzero in the pivot column (collected once per pass and again after
+    a column swap); the divisibility sweep is skipped for a pivot of +-1.
 
     >>> smith_normal_form([[4, 6]], 2)[0]
     [2, 0]
@@ -77,13 +79,6 @@ def smith_normal_form(rows, width):
         for r in v:
             r[i], r[j] = r[j], r[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_add(j, i, k):
-        # column j += k * column i
-        for r in itertools.chain(a, v):
-            if r[i]:
-                r[j] += k * r[i]
-        vinv[i] = [x - k * y for x, y in zip(vinv[i], vinv[j])]
 
     def col_neg(i):
         for r in a:
@@ -114,19 +109,27 @@ def smith_normal_form(rows, width):
         col_swap(t, best[2])
         while True:
             dirty = False
+            cols = [j for j in range(t, n) if a[t][j]]
             for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t]:
+                r, p = a[i], a[t]
+                if r[t]:
+                    q = r[t] // p[t]
+                    for j in cols:
+                        r[j] -= q * p[j]
+                    if r[t]:
                         row_swap(t, i)
+                        cols = [j for j in range(t, n) if r[j]]
                         dirty = True
+            hits = [r for r in itertools.chain(a, v) if r[t]]
             for j in range(t + 1, n):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
+                    for r in hits:
+                        r[j] -= q * r[t]
+                    vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
                     if a[t][j]:
                         col_swap(t, j)
+                        hits = [r for r in itertools.chain(a, v) if r[t]]
                         dirty = True
             if dirty:
                 continue
@@ -222,6 +225,8 @@ class AbelianGroup(Record):
         >>> sorted([(2,), (-1,), (0,), (1,), (-2,)], key=g.key)
         [(0,), (1,), (-1,), (2,), (-2,)]
         """
+        if len(a) <= len(self.torsion):
+            return tuple(a)
         out = list(a[: len(self.torsion)])
         for c in a[len(self.torsion):]:
             out.append(abs(c))

@@ -78,6 +78,22 @@ def test_syntax_errors_have_positions():
         assert exc.value.position == pos, text
 
 
+@pytest.mark.parametrize("text, message", [
+    ("U x", "expected a pasture expression, found end of input "
+            "(at position 3)"),
+    ("", "expected a pasture expression, found end of input (at position 0)"),
+    ("Lg(U", "expected ')', found end of input (at position 4)"),
+    ("F1pm<x>//(x+1", "expected ')', found end of input (at position 13)"),
+    ("Lt F4", "expected '(', found 'F4' (at position 3)"),
+    ("F4 x )", "expected a pasture expression, found ')' (at position 5)"),
+])
+def test_syntax_error_messages(text, message):
+    """A token is named by its value; the end of the text as such."""
+    with pytest.raises(ExprError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_unknown_names_rejected():
     with pytest.raises(ExprError):
         parse("F4 x Q7")

@@ -145,25 +145,68 @@ def reference_smith_normal_form(rows, width):
     return diag, v, vinv
 
 
-def test_snf_matches_reference_on_grs_presentations(monkeypatch):
-    prime_powers = [q for q in range(2, 33) if len(factorint(q)) == 1]
-    pastures = [finite_field(q) for q in prime_powers]
-    # Zagier products F_p1 x F_p2 with q - 2 = (p1 - 2)(p2 - 2): q = 8, 11
-    pastures += [product(finite_field(4), finite_field(5)),
-                 product(finite_field(5), finite_field(5))]
-    inputs = []     # every (rows, width) that grs_lift passes to the SNF
+def record_snf_inputs(monkeypatch):
+    """Patch the SNF so that each call's ``(rows, width)`` is appended to the
+    returned list."""
+    inputs = []
 
     def record(rows, width):
         inputs.append(([list(r) for r in rows], width))
         return smith_normal_form(rows, width)
 
     monkeypatch.setattr(groups, "smith_normal_form", record)
+    return inputs
+
+
+def test_snf_matches_reference_on_grs_presentations(monkeypatch):
+    prime_powers = [q for q in range(2, 33) if len(factorint(q)) == 1]
+    pastures = [finite_field(q) for q in prime_powers]
+    # Zagier products F_p1 x F_p2 with q - 2 = (p1 - 2)(p2 - 2): q = 8, 11
+    pastures += [product(finite_field(4), finite_field(5)),
+                 product(finite_field(5), finite_field(5))]
+    # every (rows, width) that grs_lift passes to the SNF
+    inputs = record_snf_inputs(monkeypatch)
     for P in pastures:
         grs_lift(P)
     assert max(len(rows) for rows, _ in inputs) > 100     # q = 31, 32
     for rows, width in inputs:
         assert smith_normal_form(rows, width) == \
             reference_smith_normal_form(rows, width)
+
+
+def test_snf_matches_reference_on_largest_benchmark_lifts(monkeypatch):
+    """The largest presentations of the ``presentations`` benchmark: the GRS
+    lifts of F53 and of F5 x F19 (a Zagier pair, 53 - 2 = 3 * 17), each
+    lifted again.  The lift of F53 gives a 553 x 52 relation matrix whose
+    last pivot, 52, is not a unit."""
+    inputs = record_snf_inputs(monkeypatch)
+    for P in (finite_field(53), product(finite_field(5), finite_field(19))):
+        grs_lift(grs_lift(P).lift)
+    assert (553, 52) in {(len(rows), width) for rows, width in inputs}
+    assert any(smith_normal_form(rows, width)[0][-1] == 52
+               for rows, width in inputs)
+    for rows, width in inputs:
+        assert smith_normal_form(rows, width) == \
+            reference_smith_normal_form(rows, width)
+
+
+# Tall and mostly zero, as relation matrices are, with entries of absolute
+# value up to 3, so that pivots other than +-1 occur: those make the dirty
+# row and column swaps and the divisibility sweep run on sparse input.  At
+# most 7 columns: with 8 or more, some draws of this density make the
+# transform's entries grow to many thousands of digits (ROADMAP item 4).
+sparse_tall_matrices = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from((0,) * 16 + (1, -1, 2, -2, 3, -3)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=24).map(lambda rows: (rows, n)))
+
+
+@given(sparse_tall_matrices)
+@settings(max_examples=300, deadline=None)
+def test_snf_matches_reference_on_sparse_tall_matrices(case):
+    rows, n = case
+    assert smith_normal_form(rows, n) == reference_smith_normal_form(rows, n)
 
 
 small_matrices = st.integers(1, 6).flatmap(
@@ -177,6 +220,12 @@ small_matrices = st.integers(1, 6).flatmap(
 def test_snf_matches_reference_on_random_matrices(case):
     rows, n = case
     assert smith_normal_form(rows, n) == reference_smith_normal_form(rows, n)
+
+
+def test_identity_rows_match_indicator_expression():
+    for n in range(13):
+        assert identity_rows(n) == \
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def test_snf_known_values():
@@ -257,6 +306,25 @@ def test_reduce_mul_inv_match_coordinate_loop(case):
     assert g.reduce(a) == g.reduce(list(a)) == reference_reduce(g, a)
     assert g.mul(a, b) == reference_reduce(g, [x + y for x, y in zip(a, b)])
     assert g.inv(a) == reference_reduce(g, [-x for x in a])
+
+
+def reference_key(g, a):
+    """The loop ``AbelianGroup.key`` runs on vectors with coordinates past
+    the torsion ones, kept for every vector."""
+    out = list(a[: len(g.torsion)])
+    for c in a[len(g.torsion):]:
+        out.append(abs(c))
+        out.append(0 if c >= 0 else 1)
+    return tuple(out)
+
+
+@given(groups_and_vectors)
+@settings(max_examples=300, deadline=None)
+def test_key_matches_coordinate_loop(case):
+    """Torsion-only, mixed and free groups, vectors up to two coordinates
+    past ``ngens``."""
+    g, a, _ = case
+    assert g.key(a) == g.key(list(a)) == reference_key(g, a)
 
 
 def test_key_orders_free_coords_positive_first():
