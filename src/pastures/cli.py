@@ -59,6 +59,19 @@ def _load_matroid(source: str):
     raise ExprError(f"no matroid file or builtin named {source!r}", 0)
 
 
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``, so that a
+    malformed bound is a usage error and not a vacuous or refused run."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"      # argparse reports "invalid int value: 'x'"
+    return parse
+
+
 def _caps(args) -> dict:
     out = {}
     if args.max_candidates is not None:
@@ -206,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
-    common.add_argument("--max-candidates", type=int, metavar="N",
+    common.add_argument("--max-candidates", type=_int_at_least(1),
+                        metavar="N",
                         default=None, help="search-space guard override")
 
     parser = argparse.ArgumentParser(
@@ -264,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="recompute a frozen reference suite")
     p.add_argument("suite", choices=sorted(verify_mod.SUITES))
-    p.add_argument("--max-q", type=int, default=64,
+    p.add_argument("--max-q", type=_int_at_least(2), default=64,
                    help="largest prime power for table1 (default 64)")
     p.set_defaults(func=cmd_verify)
 

@@ -1,10 +1,16 @@
 """Matroids and their representations over pastures.
 
-A representation assigns a unit of the pasture to every basis (the basis
-minimum gets 1; nonbases are implicitly 0), subject to the 3-term Pluecker
-relations holding in the nullset.  Representation classes are orbits under
-rescaling each ground-set element by a unit, renormalized so the minimum
-basis keeps value 1.
+A representation assigns a unit of the pasture to every basis (nonbases are
+implicitly 0), subject to the 3-term Pluecker relations holding in the
+nullset.  Representation classes are orbits under rescaling each ground-set
+element by a unit, renormalized so the first basis keeps value 1.
+
+Pinning a basis and a spanning forest of its fundamental graph to 1
+(``_gauge``) meets every class exactly once, so the classes over P are the
+morphisms F_M -> P out of the foundation F_M of the matroid (Baker and
+Lorscheid, "Foundations of matroids, Part 1"): F1pm with one free unit per
+basis left unpinned, modulo the Pluecker relations (``_foundation``).  The
+classes are found by ``morphisms.hom_set`` and nothing here searches.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ import functools
 import itertools
 import math
 
-from .groups import SearchSpaceExceeded
-from .pasture import InfinitePasture, Pasture, PastureElement, ZERO
+from .groups import identity_rows
+from .morphisms import hom_set
+from .pasture import (InfinitePasture, Pasture, PastureElement, ZERO,
+                      free_algebra, named, quotient_full)
 from .record import Record, set_field as _set
 
 
@@ -57,14 +65,6 @@ class Matroid(Record):
                         raise ExchangeAxiomViolation(
                             f"no exchange for {x} from {b1} into {b2}")
         return cls(n, rank, tuple(clean))
-
-    def is_basis(self, b) -> bool:
-        return tuple(sorted(b)) in self._index
-
-    def nonbases(self):
-        return tuple(b for b in itertools.combinations(range(1, self.n + 1),
-                                                       self.rank)
-                     if b not in self._index)
 
     def to_json(self) -> dict:
         return {"n": self.n, "rank": self.rank,
@@ -134,21 +134,6 @@ class Representation(Record):
     def __hash__(self):
         return hash((self.matroid, self.pasture, self.values))
 
-    def delta(self, seq) -> PastureElement:
-        """The basis value of the (unordered) index sequence, with the sign
-        of the sorting permutation; zero on repeats and nonbases."""
-        seq = tuple(seq)
-        if len(set(seq)) < len(seq):
-            return ZERO
-        srt, parity = _sorted_with_parity(seq)
-        i = self.matroid._index.get(srt)
-        if i is None:
-            return ZERO
-        v = self.values[i]
-        if parity:
-            v = self.pasture.mul(self.pasture.minus_one(), v)
-        return v
-
     def record(self):
         return {"values": {"".join(map(str, b)) if self.matroid.n < 10
                            else ",".join(map(str, b)): list(v.coords)
@@ -162,9 +147,10 @@ def _constraints(M: Matroid) -> tuple:
     Each constraint is three terms (i, j, sign): positions of the two bases
     whose values multiply (None for a nonbasis, killing the term) and the
     parity of the sorting sign, with the middle term's extra -1 folded in.
-    Constraints are bucketed by the largest basis position they mention so
-    the search can check them as early as possible.  Cached per matroid,
-    as a tuple of tuples so that no caller can change the cached value.
+    Constraints are bucketed by the largest basis position they mention,
+    where a search over basis values could first check them.  Cached per
+    matroid, as a tuple of tuples so that no caller can change the cached
+    value.
     """
     r = M.rank
     buckets = [[] for _ in M.bases]
@@ -191,29 +177,6 @@ def _constraints(M: Matroid) -> tuple:
             if used:
                 buckets[max(used)].append(con)
     return tuple(map(tuple, buckets))
-
-
-def _check_constraint(P: Pasture, con, values, meps):
-    prods = []
-    for (i, pi), (j, pj) in con:
-        if i is None or j is None:
-            prods.append(ZERO)
-            continue
-        v = P.mul(values[i], values[j])
-        if (pi + pj) & 1:
-            v = P.mul(meps, v)
-        prods.append(v)
-    return P.null_contains(*prods)
-
-
-def plucker_check(rep: Representation):
-    """(ok, witness): whether all 3-term Pluecker relations of the
-    representation land in the nullset; the witness is a failing constraint
-    as basis-position terms."""
-    P, meps = rep.pasture, rep.pasture.minus_one()
-    con = next((con for bucket in _constraints(rep.matroid) for con in bucket
-                if not _check_constraint(P, con, rep.values, meps)), None)
-    return con is None, con
 
 
 class RepresentationClass(Record):
@@ -260,6 +223,38 @@ def _gauge(M: Matroid):
     return pinned, {find(e) for e in range(1, M.n + 1)}
 
 
+@functools.lru_cache
+def _foundation(M: Matroid):
+    """(F_M, basis_units): the foundation of M and, for each basis, the
+    coordinates of its unit t_B in F_M.
+
+    F_M is F1pm with a free unit t_B for each basis that ``_gauge`` leaves
+    free, modulo the 3-term Pluecker relations of ``_constraints``, in which
+    a pinned t_B is 1, a nonbasis term is 0 and an odd sign is a factor -1.
+    A morphism F_M -> P is thus a representation over P with the pinned
+    bases at 1, which is one per rescaling class.  Cached per matroid."""
+    pinned = _gauge(M)[0]
+    free = [i for i in range(len(M.bases)) if i not in pinned]
+    A = free_algebra(named("F1pm"), [f"t{i}" for i in free])
+    g = A.units
+    gens = dict(zip(free, identity_rows(g.ngens)[1:]))
+    t = [gens.get(i, g.identity()) for i in range(len(M.bases))]
+
+    def term(pair):
+        (i, pi), (j, pj) = pair
+        if i is None or j is None:
+            return ZERO
+        v = g.mul(t[i], t[j])
+        return PastureElement(g.mul(g.epsilon, v) if (pi + pj) & 1 else v)
+
+    relations = [tuple(map(term, con)) for bucket in _constraints(M)
+                 for con in bucket]
+    # all-zero relations hold trivially; by basis exchange, no relation has
+    # exactly one nonzero term
+    res = quotient_full(A, [r for r in relations if r != (ZERO,) * 3])
+    return res.pasture, tuple(res.unit_map(v) for v in t)
+
+
 def _least(M: Matroid, P: Pasture, values) -> tuple:
     """The least rescaling of ``values``, a representation normalized at
     B0 = ``M.bases[0]``, in the order of ``P.units.key``.
@@ -300,45 +295,23 @@ def representation_classes(M: Matroid, P: Pasture, *,
     """All rescaling classes of representations of M over P, sorted by
     representative.
 
-    Exhaustive search over unit values for the bases the gauge leaves free
-    (see ``_gauge``), constraints checked as soon as their last basis is
-    assigned.  Each result is one class; its representative is the least
-    member (``_least``), its size |U|^(n - c) by formula; no member is
-    enumerated.  Raises InfinitePasture for infinite P and
-    SearchSpaceExceeded when the gauge-fixed search space is larger than
-    ``cap``.
+    The classes are the morphisms F_M -> P out of the foundation (see
+    ``_foundation``), enumerated by ``morphisms.hom_set``; the basis values
+    of each are read off the images of the basis units.  Each result is one
+    class; its representative is the least member (``_least``), its size
+    |U|^(n - c) by formula; no member is enumerated.  Raises
+    InfinitePasture for infinite P, and SearchSpaceExceeded when the
+    product of the candidate pool sizes of F_M's generators exceeds ``cap``.
     """
     if not P.is_finite:
         raise InfinitePasture(
             "representation search needs a finite pasture")
-    units = [PastureElement(c) for c in
-             sorted(P.units.elements(), key=P.units.key)]
-    B = len(M.bases)
-    pinned, roots = _gauge(M)
-    if len(units) ** (B - len(pinned)) > cap:
-        raise SearchSpaceExceeded(
-            f"{len(units)}^{B - len(pinned)} gauge-fixed assignments exceed "
-            f"the cap of {cap}")
-    buckets = _constraints(M)
-    meps = P.minus_one()
-    one = P.one()
-
-    def extend(k, values, out):
-        if k == B:
-            out.append(tuple(values))
-            return
-        for u in [one] if k in pinned else units:
-            values.append(u)
-            if all(_check_constraint(P, c, values, meps)
-                   for c in buckets[k]):
-                extend(k + 1, values, out)
-            values.pop()
-
-    gauged = []
-    extend(0, [], gauged)
-    size = len(units) ** (M.n - len(roots))
-    classes = [RepresentationClass(Representation(M, P, _least(M, P, vals)),
-                                   size) for vals in gauged]
+    F, basis_units = _foundation(M)
+    size = P.units.size() ** (M.n - len(_gauge(M)[1]))
+    classes = [RepresentationClass(
+        Representation(M, P, _least(M, P, [PastureElement(m.apply_unit(t))
+                                           for t in basis_units])), size)
+        for m in hom_set(F, P, cap=cap)]
     key = P.units.key
     classes.sort(key=lambda c: tuple(key(v.coords)
                                      for v in c.representative.values))

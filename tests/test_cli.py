@@ -37,6 +37,8 @@ EXIT_CASES = [
     (["reps", "--matroid", "MK4", "--pasture", "F5"], 0),
     # one class of 15^7 members, sized by formula
     (["reps", "--matroid", str(DATA / "u18.json"), "--pasture", "F16"], 0),
+    # regular, so one class; the foundation has no free unit to search
+    (["reps", "--matroid", "MK4", "--pasture", "F16"], 0),
     # verified-false answers
     (["iso", "F4", "F5"], 1),
     (["iso", "U", "D"], 1),
@@ -56,6 +58,13 @@ EXIT_CASES = [
     (["reps", "--matroid", str(DATA / "matroid_not_an_object.json"),
       "--pasture", "F3"], 3),
     (["lift", "--kind", "bogus", "F4"], 3),
+    # numeric bounds out of range: no vacuous pass, no tripped guard
+    (["verify", "table1", "--max-q", "1"], 3),
+    (["verify", "table1", "--max-q", "-5"], 3),
+    (["verify", "table1", "--max-q", "x"], 3),
+    (["hom", "H", "F7", "--max-candidates", "0"], 3),
+    (["reps", "--matroid", "U24", "--pasture", "F5",
+      "--max-candidates", "-1"], 3),
     ([], 3),
 ]
 

@@ -10,12 +10,64 @@ from pastures.groups import SearchSpaceExceeded
 from pastures.lifts import binary_lift, ternary_lift, wlum_lift
 from pastures.matroids import (ExchangeAxiomViolation, Matroid,
                                Representation, RepresentationClass,
-                               _check_constraint, _constraints, _gauge,
-                               _least, lift_bijection_check,
-                               matroid_from_json, mk4, plucker_check,
+                               _constraints, _foundation, _gauge, _least,
+                               _sorted_with_parity, lift_bijection_check,
+                               matroid_from_json, mk4,
                                representation_classes, u24, uniform)
-from pastures.pasture import InfinitePasture, PastureElement, ZERO, \
-    finite_field, named, product, unit
+from pastures.morphisms import iso_check
+from pastures.pasture import InfinitePasture, Pasture, PastureElement, \
+    ZERO, finite_field, named, product, unit
+
+
+# -- oracles: the Pluecker check by basis values -------------------------
+
+def is_basis(M, b):
+    return tuple(sorted(b)) in M._index
+
+
+def nonbases(M):
+    return tuple(b for b in itertools.combinations(range(1, M.n + 1), M.rank)
+                 if b not in M._index)
+
+
+def delta(rep, seq) -> PastureElement:
+    """The basis value of the (unordered) index sequence, with the sign of
+    the sorting permutation; zero on repeats and nonbases."""
+    seq = tuple(seq)
+    if len(set(seq)) < len(seq):
+        return ZERO
+    srt, parity = _sorted_with_parity(seq)
+    i = rep.matroid._index.get(srt)
+    if i is None:
+        return ZERO
+    v = rep.values[i]
+    if parity:
+        v = rep.pasture.mul(rep.pasture.minus_one(), v)
+    return v
+
+
+def _check_constraint(P: Pasture, con, values, meps):
+    """Whether one constraint of ``_constraints`` holds for the values."""
+    prods = []
+    for (i, pi), (j, pj) in con:
+        if i is None or j is None:
+            prods.append(ZERO)
+            continue
+        v = P.mul(values[i], values[j])
+        if (pi + pj) & 1:
+            v = P.mul(meps, v)
+        prods.append(v)
+    return P.null_contains(*prods)
+
+
+def plucker_check(rep: Representation):
+    """(ok, witness): whether all 3-term Pluecker relations of the
+    representation land in the nullset; the witness is a failing constraint
+    as basis-position terms."""
+    P, meps = rep.pasture, rep.pasture.minus_one()
+    con = next((con for bucket in _constraints(rep.matroid) for con in bucket
+                if not _check_constraint(P, con, rep.values, meps)), None)
+    return con is None, con
 
 
 def test_constraints_are_cached():
@@ -44,9 +96,9 @@ def test_mk4_is_the_spanning_tree_matroid():
     M = mk4()
     assert M.n == 6 and M.rank == 3
     assert len(M.bases) == 16       # Cayley: 4^2 spanning trees of K4
-    assert not M.is_basis((1, 2, 4))
-    assert M.is_basis((1, 2, 3))
-    assert len(M.nonbases()) == 4
+    assert not is_basis(M, (1, 2, 4))
+    assert is_basis(M, (1, 2, 3))
+    assert len(nonbases(M)) == 4
 
 
 def test_json_roundtrip():
@@ -59,13 +111,13 @@ def test_delta_alternating():
     M = u24()
     values = tuple(unit((k % 4,)) for k in range(6))
     rep = Representation(M, P, values)
-    assert rep.delta((1, 2)) == values[0]
-    assert rep.delta((2, 1)) == P.mul(P.minus_one(), values[0])
-    assert rep.delta((1, 1)).is_zero
+    assert delta(rep, (1, 2)) == values[0]
+    assert delta(rep, (2, 1)) == P.mul(P.minus_one(), values[0])
+    assert delta(rep, (1, 1)).is_zero
     r3 = Representation(mk4(), P, tuple(unit((0,)) for _ in range(16)))
-    assert r3.delta((1, 2, 4)).is_zero          # nonbasis
-    assert r3.delta((2, 1, 3)) == P.minus_one()
-    assert r3.delta((3, 1, 2)) == P.one()
+    assert delta(r3, (1, 2, 4)).is_zero          # nonbasis
+    assert delta(r3, (2, 1, 3)) == P.minus_one()
+    assert delta(r3, (3, 1, 2)) == P.one()
 
 
 def field_det(F, cols):
@@ -170,9 +222,12 @@ def test_relabeling_invariance():
 def test_guards():
     with pytest.raises(InfinitePasture):
         representation_classes(u24(), named("D"))
-    with pytest.raises(SearchSpaceExceeded):
+    # the cap bounds the candidate pools of F_M's generators: 2 * 6 * 6
+    with pytest.raises(SearchSpaceExceeded,
+                       match="^72 candidate homomorphisms exceed the cap "
+                             "of 10$"):
         representation_classes(u24(), finite_field(7), cap=10)
-    # every basis of U(1,8) is pinned, so the search walks one assignment;
+    # every basis of U(1,8) is pinned, so F_M is F1pm with one morphism;
     # its class has 15^7 members, counted by formula, never enumerated
     [c] = representation_classes(uniform(1, 8), finite_field(16))
     assert c.size == 15**7
@@ -180,8 +235,58 @@ def test_guards():
 
 
 def test_mk4_counts():
-    assert len(representation_classes(mk4(), finite_field(3))) == 1
-    assert len(representation_classes(mk4(), finite_field(5))) == 1
+    # a regular matroid has one class over every field
+    for q in (3, 5, 7, 8, 9, 11, 13, 16):
+        assert len(representation_classes(mk4(), finite_field(q))) == 1
+
+
+# -- counts known from theory ------------------------------------------
+
+FANO_LINES = [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (1, 5, 6),
+              (2, 6, 7), (1, 3, 7)]
+
+
+def fano(lines=FANO_LINES):
+    """The matroid of the seven points on the given lines of the plane."""
+    return Matroid.from_bases(
+        7, 3, [b for b in itertools.combinations(range(1, 8), 3)
+               if b not in lines])
+
+
+NON_FANO = fano(FANO_LINES[1:])
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_fano_and_non_fano_counts(q):
+    # the Fano plane is representable exactly in characteristic 2, the
+    # non-Fano plane exactly in any other one, and both uniquely so
+    assert len(representation_classes(fano(), finite_field(q))) == (q % 2 == 0)
+    assert len(representation_classes(NON_FANO, finite_field(q))) == q % 2
+
+
+@pytest.mark.parametrize("n", (5, 6))
+@pytest.mark.parametrize("q", (7, 8, 9))
+def test_uniform_line_counts(n, q):
+    # n distinct points of the projective line up to projectivities: the
+    # first three go to 0, 1 and infinity, the rest are distinct elsewhere
+    classes = representation_classes(uniform(2, n), finite_field(q))
+    assert len(classes) == math.prod(q - k for k in range(2, n - 1))
+
+
+def test_foundations_are_the_known_pastures():
+    # regular: F1pm; Fano: F2; non-Fano: the dyadic D (Baker-Lorscheid)
+    for M, name in ((mk4(), "F1pm"), (fano(), "F2"), (NON_FANO, "D")):
+        assert iso_check(_foundation(M)[0], named(name))
+    # U24: the near-regular U, units C2 x Z^2 and one null orbit
+    F = _foundation(u24())[0]
+    assert (F.units.torsion, F.units.free_rank, len(F.null_orbits)) \
+        == ((2,), 2, 1)
+
+
+def test_foundation_is_cached():
+    M = mk4()
+    assert _foundation(M) is _foundation(M)
+    assert _foundation(M) is _foundation(mk4())
 
 
 def test_lift_bijections():
@@ -261,9 +366,9 @@ def assert_matches_reference(M, P):
 
 def assert_members_are_representations(M, P, classes):
     """Every member passes the Pluecker check, and each class meets the
-    gauge slice (pinned bases at 1) exactly once; those meeting points are
-    the gauge-fixed search's results, all accepted points with the pinned
-    bases at 1."""
+    gauge slice (pinned bases at 1) exactly once; those meeting points,
+    the morphisms out of the foundation, are all accepted points with the
+    pinned bases at 1."""
     pinned, _ = _gauge(M)
     one = P.one()
     accepted = set().union(*(members for _, members in classes))
