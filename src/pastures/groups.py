@@ -186,6 +186,22 @@ class AbelianGroup(Record):
     def is_trivial(self) -> bool:
         return self.ngens == 0
 
+    @property
+    def sign_generator(self):
+        """The index of the canonical generator that ``epsilon`` is, when
+        epsilon is a generator of order 2, else None.  A homomorphism that
+        sends epsilon to epsilon has its image there fixed.
+
+        >>> AbelianGroup((2,), 2, (1, 0, 0)).sign_generator
+        0
+        >>> AbelianGroup((6,), 0, (3,)).sign_generator is None
+        True
+        """
+        for i, d in enumerate(self.torsion):
+            if d == 2 and self.epsilon == identity_rows(self.ngens)[i]:
+                return i
+        return None
+
     def size(self):
         """Group order, or None when infinite."""
         if not self.is_finite:
@@ -364,16 +380,21 @@ def is_surjective(source: AbelianGroup, gmap: GroupMap) -> bool:
 
 def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):
     """The candidate images of each source generator, sorted by
-    ``target.key``: the elements whose order divides the generator's order,
-    or every element for a free generator.
+    ``target.key``: the target's epsilon alone for the generator that is
+    the source's epsilon (see ``sign_generator``), else the elements whose
+    order divides the generator's order, or every element for a free
+    generator.
 
     Raises :class:`InfiniteTargetError` for a free generator with an
     infinite target, and :class:`SearchSpaceExceeded` when the product of
     the pool sizes exceeds ``cap``.
     """
     per_gen = []
+    forced = source.sign_generator
     for i in range(source.ngens):
-        if i < len(source.torsion):
+        if i == forced:
+            pool = [target.epsilon]
+        elif i < len(source.torsion):
             d = source.torsion[i]
             pool = [e for e in target.torsion_elements()
                     if all((d * c) % dt == 0 for c, dt in zip(e, target.torsion))]

@@ -22,7 +22,7 @@ from .groups import (
 )
 from .pasture import Pasture, PastureElement, ZERO, canonical_orbit
 from .hexagons import hexagons as _hexagons
-from .record import Record
+from .record import Record, set_field as _set
 
 
 class GroupHomViolation(ValueError):
@@ -42,7 +42,21 @@ class ChainMismatch(ValueError):
 
 
 class PastureMorphism(Record):
-    _fields = ("source", "target", "unit_map")
+    __slots__ = _fields = ("source", "target", "unit_map")
+
+    def __init__(self, source, target, unit_map):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "unit_map", unit_map)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.unit_map)
+                    == (other.source, other.target, other.unit_map))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.unit_map))
 
     def apply_unit(self, coords):
         return self.unit_map(coords)
@@ -98,20 +112,24 @@ def hom_set(source: Pasture, target: Pasture, *, cap: int = 10**8):
     of ``groups.enumerate_homs`` (``itertools.product`` over the generator
     pools of ``groups.hom_pools``), keeping the candidates ``make`` accepts.
 
-    Finite targets are searched by ``_pruned_images``, which rejects a
-    partial assignment as soon as it breaks -1 -> -1 or a null orbit, and
-    every survivor is still validated by ``make``.  Infinite targets are
+    Finite targets are searched by ``_pruned_images``, whose pools and
+    checks enforce everything ``make`` validates (generator orders, -1 ->
+    -1, every null orbit), so its survivors are built directly; ``make``
+    stays the constructor for generator images from elsewhere and is the
+    oracle the tests compare this search with.  Infinite targets are
     allowed when the source unit group is all-torsion (images then lie in
-    the finite torsion subgroup) and go through ``enumerate_homs``; raises
-    InfiniteTargetError otherwise.  Either way SearchSpaceExceeded is raised
-    when the product of the pool sizes exceeds ``cap``.
+    the finite torsion subgroup): every candidate of ``enumerate_homs`` is
+    validated by ``make``; raises InfiniteTargetError otherwise.  Either way
+    SearchSpaceExceeded is raised when the product of the pool sizes
+    exceeds ``cap``.
     """
     if target.is_finite:
-        candidates = _pruned_images(source, target, cap)
-    else:
-        candidates = enumerate_homs(source.units, target.units, cap=cap)
+        gt, unit = target.units, target.indexed.coords.__getitem__
+        return [PastureMorphism(source, target,
+                                GroupMap(gt, tuple(map(unit, row))))
+                for row in _pruned_images(source, target, cap)]
     out = []
-    for images in candidates:
+    for images in enumerate_homs(source.units, target.units, cap=cap):
         try:
             out.append(make(source, target, images))
         except NullsetViolation:
@@ -119,70 +137,144 @@ def hom_set(source: Pasture, target: Pasture, *, cap: int = 10**8):
     return out
 
 
-def _pruned_images(source: Pasture, target: Pasture, cap: int):
-    """Generator images of the morphisms source -> target, for a finite
-    target, in the order of ``enumerate_homs``.
+def _pruned_images(source: Pasture, target: Pasture, cap: int) -> list:
+    """The generator images of the morphisms source -> target, for a finite
+    target, as tuples of unit indices (``Pasture.indexed``) in the order of
+    ``enumerate_homs``.
 
-    Target units are integers in mixed radix over the invariant factors d:
-    coordinate t of unit i is ``i // stride[t] % d[t]``, so index order is
-    ``key`` order, and coordinate t of a product of powers is the sum of
-    ``c * (i // stride[t])`` mod d[t].  Backtracking over the source
-    generators, -1 -> -1 and each null orbit (x, y, z) are checked once
-    their last generator has an image; the orbit maps to a null triple
-    exactly when the images of x/z and y/z are -1 times a fundamental pair.
+    The pools are those of ``hom_pools``.  The checks are -1 -> -1 and, for
+    each null orbit (x, y, z), that the images of x/z and y/z are -1 times
+    a fundamental pair; a check is tested once all its generators have
+    images.  Generators are assigned in a greedy order, fixed before the
+    search: next comes the generator that closes the most checks (the
+    first such).  Forward solve: when a check closes at generator k with
+    coefficient +-1 on k (modulo the orders k's image can have) in one
+    source vector and 0 in the others, k's candidates are solved from the
+    allowed tuples that agree with the images already known, and only
+    those in k's pool are kept, in pool order; for a field that is at most
+    one candidate, where a scan would try all q - 1 units.  Other checks
+    filter the candidates, and a generator that no check solves tries its
+    whole pool.  The survivors are sorted back into the order of
+    ``itertools.product`` over the pools, which is index order.
     """
-    gs, gt = source.units, target.units
-    radix = gt.torsion
-    strides = [math.prod(radix[t + 1:]) for t in range(len(radix))]
-
-    def index(coords):
-        return sum(c * s for c, s in zip(coords, strides))
-
-    pools = [[index(e) for e in pool] for pool in hom_pools(gs, gt, cap=cap)]
-    eps = gt.epsilon
-    pairs = {(index(gt.mul(eps, a)), index(gt.mul(eps, b)))
-             for a, b in target.null_pairs}
-    # a check: source vectors and the allowed tuples of their images,
-    # filed under its last generator (0 for none, else the generator + 1)
-    checks = [((gs.epsilon,), {(index(eps),)})]
+    gs, form = source.units, target.indexed
+    dims = tuple(zip(form.radix, form.strides))
+    exponent = form.radix[-1] if form.radix else 1
+    pools = [[form.index[e] for e in pool]
+             for pool in hom_pools(gs, target.units, cap=cap)]
+    # c times generator k's image depends on c modulo orders[k] only
+    orders = [math.gcd(d, exponent) for d in gs.torsion] + \
+        [exponent] * gs.free_rank
+    # a check: source vectors, the allowed tuples of their images, and the
+    # last component of those tuples filed by the others (the pairs are
+    # symmetric, so that filing serves for either component)
+    checks = [((gs.epsilon,), {(form.eps,)}, {(): [form.eps]})]
     for x, y, z in source.null_orbits:
         vecs = tuple(tuple(a - c for a, c in zip(w, z)) for w in (x, y))
-        checks.append((vecs, pairs))
-    buckets = [[] for _ in range(gs.ngens + 1)]
-    for vecs, allowed in checks:
-        last = max((k for w in vecs for k, c in enumerate(w) if c),
-                   default=-1)
-        buckets[last + 1].append((vecs, allowed))
-    images = []
+        checks.append((vecs, form.pairs, form.partners))
+    order, plan = _greedy_plan(checks, orders)
+    if plan is None:
+        return []
+    members = [set(p) for p in pools]
+    images = [0] * gs.ngens
+    found = []
 
-    def column(w, k, pool):
-        """The image of source vector w for each candidate i in ``pool`` as
-        generator k's image, the generators before k mapped to ``images``."""
-        col = [0] * len(pool)
-        for d, s in zip(radix, strides):
-            b = sum(c * (i // s) for c, i in zip(w, images))
-            col = [v + (b + w[k] * (i // s)) % d * s for v, i in zip(col, pool)]
+    def image(terms):
+        out = 0
+        for d, s in dims:
+            out += sum([c * (images[g] // s) for g, c in terms]) % d * s
+        return out
+
+    def column(b, c, cands):
+        """The image of a source vector for each candidate in ``cands`` as
+        the next generator's image, ``b`` the image of its other terms and
+        ``c`` its coefficient on that generator."""
+        if len(dims) == 1:   # cyclic units, as a field's are
+            (d, _), = dims
+            return [(b + c * i) % d for i in cands]
+        col = [0] * len(cands)
+        for d, s in dims:
+            bs = b // s
+            col = [v + (bs + c * (i // s)) % d * s
+                   for v, i in zip(col, cands)]
         return col
 
-    def extend(k):
-        if k == len(pools):
-            yield tuple(tuple(i // s % d for d, s in zip(radix, strides))
-                        for i in images)
+    def extend(p):
+        if p == len(order):
+            found.append(tuple(images))
             return
-        pool = pools[k]
-        keep = [True] * len(pool)
-        for vecs, allowed in buckets[k + 1]:
-            cols = zip(*(column(w, k, pool) for w in vecs))
-            keep = [ok and t in allowed for ok, t in zip(keep, cols)]
-        for i, ok in zip(pool, keep):
-            if ok:
-                images.append(i)
-                yield from extend(k + 1)
-                images.pop()
+        k = order[p]
+        solver, tests = plan[p]
+        if solver is None:
+            cands = pools[k]
+        else:
+            terms, j, sign, table = solver
+            known = [image(t) for t in terms]
+            b = known.pop(j)
+            solved = {sum([sign * (a // s - b // s) % d * s for d, s in dims])
+                      for a in table.get(tuple(known), ())}
+            cands = sorted(solved & members[k])
+        for terms, coefs, allowed in tests:
+            if not cands:
+                break
+            cols = zip(*[column(image(t), c, cands)
+                         for t, c in zip(terms, coefs)])
+            cands = [i for i, t in zip(cands, cols) if t in allowed]
+        for i in cands:
+            images[k] = i
+            extend(p + 1)
 
-    # a check with no generator compares identities
-    if all((0,) * len(vecs) in allowed for vecs, allowed in buckets[0]):
-        yield from extend(0)
+    extend(0)
+    found.sort()
+    return found
+
+
+def _greedy_plan(checks, orders):
+    """The generator order of ``_pruned_images`` and, for each generator in
+    it, the checks that close there: ``(solver, tests)``, where ``solver``
+    is ``(terms, j, sign, table)`` for the first check that solves the
+    generator's image from vector j (else None) and ``tests`` lists the
+    others as ``(terms, coefs, allowed)``.  ``terms`` gives each vector's
+    (generator, coefficient) pairs over earlier generators.  Returns
+    ``(order, None)`` when a check on no generator fails.
+    """
+    n = len(orders)
+    left = []
+    for vecs, allowed, table in checks:
+        gens = {g for w in vecs for g, c in enumerate(w) if c % orders[g]}
+        if not gens and (0,) * len(vecs) not in allowed:
+            return [], None
+        if gens:
+            left.append((gens, vecs, allowed, table))
+    order, plan = [], []
+    while len(order) < n:
+        closes = [0] * n
+        for gens, *_ in left:
+            if len(gens) == 1:
+                closes[next(iter(gens))] += 1
+        k = max((g for g in range(n) if g not in order),
+                key=lambda g: (closes[g], -g))
+        solver, tests = None, []
+        rest = []
+        for gens, vecs, allowed, table in left:
+            gens.discard(k)
+            if gens:
+                rest.append((gens, vecs, allowed, table))
+                continue
+            terms = tuple(tuple((g, w[g] % orders[g]) for g in order
+                                if w[g] % orders[g]) for w in vecs)
+            coefs = tuple(w[k] % orders[k] for w in vecs)
+            on_k = [j for j, c in enumerate(coefs) if c]
+            if (solver is None and len(on_k) == 1
+                    and coefs[on_k[0]] in (1, orders[k] - 1)):
+                j = on_k[0]
+                solver = (terms, j, 1 if coefs[j] == 1 else -1, table)
+            else:
+                tests.append((terms, coefs, allowed))
+        left = rest
+        order.append(k)
+        plan.append((solver, tests))
+    return order, plan
 
 
 # -- isomorphism checking ----------------------------------------------------

@@ -19,12 +19,13 @@ Membership is answered by the fundamental pairs instead: an all-unit triple
 the cached set ``Pasture.null_pairs`` (at most six pairs per orbit, so finite
 for infinite pastures too), and a null test is one set lookup.  The hom search
 for finite targets (``morphisms.hom_set``) uses the same pairs with the units
-indexed as integers.
+indexed as integers, cached once per pasture as ``Pasture.indexed``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property, lru_cache
 
 from . import gf as gf_mod
@@ -197,6 +198,15 @@ class Pasture(Record):
                 pairs.add((g.mul(x, s), g.mul(y, s)))
         return frozenset(pairs)
 
+    @cached_property
+    def indexed(self) -> "IndexedUnits":
+        """The units as integers, for the hom search into this pasture;
+        finite pastures only."""
+        if not self.is_finite:
+            raise InfinitePasture("cannot index the units of an infinite "
+                                  "pasture")
+        return IndexedUnits(self)
+
     def sorted_orbits(self):
         g = self.units
         return sorted(self.null_orbits,
@@ -241,6 +251,38 @@ class Pasture(Record):
             if canonical_orbit(g, o) != o:
                 problems.append(f"orbit {o} is not in canonical form")
         return problems
+
+
+class IndexedUnits:
+    """The units of a finite pasture as the integers 0 .. n-1.
+
+    Unit i has coordinate t equal to ``i // strides[t] % radix[t]``, over
+    the invariant factors ``radix``, so index order is ``key`` order, and
+    coordinate t of a product of powers is the sum of ``c * (i //
+    strides[t])`` mod radix[t].  ``coords`` lists the units in index order,
+    ``index`` maps them back, and ``eps`` is the index of -1.  ``pairs``
+    holds the fundamental pairs times -1, the (a, b) with ``x/z = a`` and
+    ``y/z = b`` for some null triple x + y + z = 0; the set is symmetric,
+    and ``partners[(a,)]`` lists ascending the b with (a, b) in it.
+    """
+
+    __slots__ = ("radix", "strides", "coords", "index", "eps", "pairs",
+                 "partners")
+
+    def __init__(self, P: Pasture):
+        g = P.units
+        self.radix = radix = g.torsion
+        self.strides = tuple(math.prod(radix[t + 1:])
+                             for t in range(len(radix)))
+        self.coords = list(itertools.product(*map(range, radix)))
+        self.index = index = {c: i for i, c in enumerate(self.coords)}
+        self.eps = index[g.epsilon]
+        self.pairs = {(index[g.mul(g.epsilon, a)], index[g.mul(g.epsilon, b)])
+                      for a, b in P.null_pairs}
+        partners = {}
+        for a, b in sorted(self.pairs):
+            partners.setdefault((a,), []).append(b)
+        self.partners = partners
 
 
 # -- construction results ----------------------------------------------------

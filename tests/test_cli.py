@@ -39,6 +39,8 @@ EXIT_CASES = [
     (["reps", "--matroid", str(DATA / "u18.json"), "--pasture", "F16"], 0),
     # regular, so one class; the foundation has no free unit to search
     (["reps", "--matroid", "MK4", "--pasture", "F16"], 0),
+    # 504 classes at the default cap: F_M's -1 is counted once
+    (["reps", "--matroid", str(DATA / "u26.json"), "--pasture", "F11"], 0),
     # verified-false answers
     (["iso", "F4", "F5"], 1),
     (["iso", "U", "D"], 1),
@@ -174,7 +176,7 @@ def test_hom_guard_message(capsys):
     code, out, err = run(capsys, ["hom", "U", "F7", "--max-candidates", "10"])
     assert code == 2
     assert out == ""
-    assert err == ("guard tripped: 72 candidate homomorphisms exceed the "
+    assert err == ("guard tripped: 36 candidate homomorphisms exceed the "
                    "cap of 10\n")
 
 

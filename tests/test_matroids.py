@@ -222,9 +222,10 @@ def test_relabeling_invariance():
 def test_guards():
     with pytest.raises(InfinitePasture):
         representation_classes(u24(), named("D"))
-    # the cap bounds the candidate pools of F_M's generators: 2 * 6 * 6
+    # the cap bounds the candidate pools of F_M's generators: 1 * 6 * 6, as
+    # -1 -> -1 fixes the image of its C2 generator
     with pytest.raises(SearchSpaceExceeded,
-                       match="^72 candidate homomorphisms exceed the cap "
+                       match="^36 candidate homomorphisms exceed the cap "
                              "of 10$"):
         representation_classes(u24(), finite_field(7), cap=10)
     # every basis of U(1,8) is pinned, so F_M is F1pm with one morphism;
@@ -270,6 +271,15 @@ def test_uniform_line_counts(n, q):
     # n distinct points of the projective line up to projectivities: the
     # first three go to 0, 1 and infinity, the rest are distinct elsewhere
     classes = representation_classes(uniform(2, n), finite_field(q))
+    assert len(classes) == math.prod(q - k for k in range(2, n - 1))
+
+
+@pytest.mark.parametrize("r, n, q", [(2, 6, 11), (2, 5, 59), (3, 5, 59)])
+def test_uniform_counts_at_the_default_cap(r, n, q):
+    # as above, (q - 2) ... (q - n + 2) classes of U(2, n); U(3, 5) is dual
+    # to U(2, 5), and duality is a bijection of classes.  Each was refused
+    # at the default cap while the guard counted 2 images for F_M's -1.
+    classes = representation_classes(uniform(r, n), finite_field(q))
     assert len(classes) == math.prod(q - k for k in range(2, n - 1))
 
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pastures.expr import pasture_of
 from pastures.groups import (GroupMap, InfiniteTargetError,
                              SearchSpaceExceeded, enumerate_homs,
                              is_surjective)
@@ -8,6 +9,7 @@ from pastures.morphisms import (EpsilonViolation, GroupHomViolation, Iso,
                                 NotIso, NullsetViolation, PastureMorphism,
                                 Unknown, compose, hom_set, identity_morphism,
                                 is_isomorphism, iso_check, make)
+from pastures.matroids import _foundation, mk4, uniform
 from pastures.pasture import NAMED, ZERO, Pasture, canonical_orbit, \
     finite_field, free_algebra, named, product, quotient, tensor, unit
 
@@ -159,17 +161,81 @@ def test_hom_set_matches_unpruned_search(P, Q):
         with pytest.raises(InfiniteTargetError):
             reference_hom_rows(P, Q)
         return
-    assert [m.unit_map.rows for m in hom_set(P, Q)] == \
-        reference_hom_rows(P, Q)
+    homs = hom_set(P, Q)
+    assert [m.unit_map.rows for m in homs] == reference_hom_rows(P, Q)
+    # the finite search builds its morphisms without make: make agrees
+    for m in homs:
+        assert make(P, Q, m.unit_map.rows) == m
+
+
+# foundations of matroids, into targets small enough for the unpruned
+# search: it tries every product of the pools, up to 19683 here
+@pytest.mark.parametrize("M, Q", [
+    ("U25", "F4"), ("U25", "F5"), ("U25", "F7"), ("U25", "S"), ("U25", "H"),
+    ("U25", "F3 x F3"), ("U26", "F3"), ("U26", "F4"), ("U26", "S"),
+    ("U36", "F2"), ("U36", "F3"), ("MK4", "F3"), ("MK4", "F9"), ("MK4", "H"),
+    ("MK4", "S"), ("MK4", "F3 x F4")])
+def test_hom_set_on_foundations_matches_unpruned_search(M, Q):
+    matroid = {"U25": uniform(2, 5), "U26": uniform(2, 6),
+               "U36": uniform(3, 6), "MK4": mk4()}[M]
+    P, Q = _foundation(matroid)[0], pasture_of(Q)
+    homs = hom_set(P, Q)
+    assert [m.unit_map.rows for m in homs] == reference_hom_rows(P, Q)
+    for m in homs:
+        assert make(P, Q, m.unit_map.rows) == m
+
+
+@pytest.mark.parametrize("P", ["F1pm<a,b>//(a+b^-1-1)",
+                               "F1pm<a,b>//(a^-1-b^-1-1)"])
+@pytest.mark.parametrize("Q", ["F7", "F8", "F9", "F3 x F5"])
+def test_hom_set_solves_through_an_inverse(P, Q):
+    # the relation's last generator enters with exponent -1, so the search
+    # solves its image with the sign flipped; in a field, a -> u and
+    # b -> v for each of the q - 2 solutions of u + 1/v = 1 (or 1/u - 1/v
+    # = 1) in units
+    P, Q = pasture_of(P), pasture_of(Q)
+    homs = [m.unit_map.rows for m in hom_set(P, Q)]
+    assert homs == reference_hom_rows(P, Q)
+    if len(Q.units.torsion) == 1:
+        assert len(homs) == Q.units.size() - 1
+
+
+def is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+PRIME_POWERS = [q for q in range(2, 129) if is_prime_power(q)] + [256]
+
+
+def test_hom_set_from_u_and_h_into_every_small_field():
+    """Hom(U, P) is the set of fundamental pairs of P: x -> a, y -> b for
+    a + b = 1, in index order; Hom(H, P) against the unpruned search, whose
+    pool holds at most 6 candidates."""
+    U, H = named("U"), named("H")
+    for q in PRIME_POWERS:
+        P = finite_field(q)
+        eps = P.units.epsilon
+        homs = hom_set(U, P)
+        assert [m.unit_map.rows for m in homs] == \
+            [(eps, a, b) for a, b in sorted(P.null_pairs)]
+        assert len(homs) == q - 2
+        assert [m.unit_map.rows for m in hom_set(H, P)] == \
+            reference_hom_rows(H, P)
+        for m in homs[:3]:
+            assert make(U, P, m.unit_map.rows) == m
 
 
 def test_hom_set_guard_counts_every_candidate():
-    # U -> F7: 2 * 6 * 6 candidates, as enumerate_homs counts them
+    # U -> F7: 1 * 6 * 6 candidates, as enumerate_homs counts them: U's -1
+    # is its C2 generator, whose image -1 -> -1 fixes
     with pytest.raises(SearchSpaceExceeded,
-                       match="^72 candidate homomorphisms exceed the cap "
-                             "of 71$"):
-        hom_set(named("U"), finite_field(7), cap=71)
-    assert len(hom_set(named("U"), finite_field(7), cap=72)) == 5
+                       match="^36 candidate homomorphisms exceed the cap "
+                             "of 35$"):
+        hom_set(named("U"), finite_field(7), cap=35)
+    assert len(hom_set(named("U"), finite_field(7), cap=36)) == 5
 
 
 def reference_iso(P, Q):

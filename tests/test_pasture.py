@@ -109,6 +109,28 @@ def test_null_pairs_are_cached():
     assert ((0, 1, 0), (0, 0, 1)) in P.null_pairs
 
 
+@pytest.mark.parametrize("P", [finite_field(9), named("H"), named("S"),
+                               product(finite_field(3), finite_field(5))],
+                         ids=["F9", "H", "S", "F3 x F5"])
+def test_indexed_units(P):
+    form = P.indexed
+    assert form is P.indexed
+    g = P.units
+    assert form.coords == sorted(g.elements(), key=g.key)
+    assert form.coords[form.eps] == g.epsilon
+    # (a, b) is allowed exactly when a + b + 1 = 0, i.e. (-a, -b) is a
+    # fundamental pair; partners files the same pairs by a
+    units = form.coords
+    assert form.pairs == {(a, b) for a in range(len(units))
+                          for b in range(len(units))
+                          if P._null3(units[a], units[b], g.identity())}
+    assert {(a, b) for (a,), bs in form.partners.items() for b in bs} == \
+        form.pairs
+    assert all(bs == sorted(bs) for bs in form.partners.values())
+    with pytest.raises(InfinitePasture):
+        named("U").indexed
+
+
 def test_zero_rules():
     F5 = finite_field(5)
     one = F5.one()
