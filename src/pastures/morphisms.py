@@ -189,9 +189,6 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int) -> list:
         """The image of a source vector for each candidate in ``cands`` as
         the next generator's image, ``b`` the image of its other terms and
         ``c`` its coefficient on that generator."""
-        if len(dims) == 1:   # cyclic units, as a field's are
-            (d, _), = dims
-            return [(b + c * i) % d for i in cands]
         col = [0] * len(cands)
         for d, s in dims:
             bs = b // s

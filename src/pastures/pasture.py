@@ -274,7 +274,7 @@ class IndexedUnits:
         self.radix = radix = g.torsion
         self.strides = tuple(math.prod(radix[t + 1:])
                              for t in range(len(radix)))
-        self.coords = list(itertools.product(*map(range, radix)))
+        self.coords = g.elements()
         self.index = index = {c: i for i, c in enumerate(self.coords)}
         self.eps = index[g.epsilon]
         self.pairs = {(index[g.mul(g.epsilon, a)], index[g.mul(g.epsilon, b)])
