@@ -81,14 +81,7 @@ class GF:
             if x:
                 for j, y in enumerate(b):
                     res[i + j] = (res[i + j] + x * y) % self.p
-        deg = len(mod) - 1
-        for i in range(len(res) - 1, deg - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(deg):
-                    res[i - deg + j] = (res[i - deg + j] - c * mod[j]) % self.p
-        return res[:deg] + [0] * max(0, deg - len(res))
+        return self._polyrem(res, mod)
 
     def _least_irreducible(self):
         p, k = self.p, self.k

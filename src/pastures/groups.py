@@ -381,29 +381,26 @@ def is_surjective(source: AbelianGroup, gmap: GroupMap) -> bool:
 def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):
     """The candidate images of each source generator, sorted by
     ``target.key``: the target's epsilon alone for the generator that is
-    the source's epsilon (see ``sign_generator``), else the elements whose
-    order divides the generator's order, or every element for a free
-    generator.
+    the source's epsilon (see ``sign_generator``), else the torsion elements
+    whose order divides the generator's order, or every torsion element for
+    a free generator (its free part is chosen by the caller; for a finite
+    target these are all the elements).
 
-    Raises :class:`InfiniteTargetError` for a free generator with an
-    infinite target, and :class:`SearchSpaceExceeded` when the product of
-    the pool sizes exceeds ``cap``.
+    Raises :class:`SearchSpaceExceeded` when the product of the pool sizes
+    exceeds ``cap``.
     """
     per_gen = []
     forced = source.sign_generator
+    torsion = target.torsion_elements()
     for i in range(source.ngens):
         if i == forced:
             pool = [target.epsilon]
         elif i < len(source.torsion):
             d = source.torsion[i]
-            pool = [e for e in target.torsion_elements()
+            pool = [e for e in torsion
                     if all((d * c) % dt == 0 for c, dt in zip(e, target.torsion))]
         else:
-            if not target.is_finite:
-                raise InfiniteTargetError(
-                    "free source generator with infinite target")
-            pool = list(target.elements())
-        pool.sort(key=target.key)
+            pool = torsion
         per_gen.append(pool)
     total = math.prod(len(p) for p in per_gen)
     if total > cap:
@@ -416,7 +413,9 @@ def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
                    cap: int = 10**8):
     """All homomorphisms source -> target that send epsilon to epsilon, as
     image tuples, in a deterministic order: ``itertools.product`` over
-    :func:`hom_pools`.
+    :func:`hom_pools`.  ``morphisms.hom_set`` finds the same morphisms
+    without listing every candidate; this enumeration is the oracle the
+    tests compare it with.
 
     The target may be infinite provided the source is all-torsion (every
     generator image is then confined to the finite torsion subgroup).  When a
@@ -424,6 +423,8 @@ def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
     enumeration and :class:`InfiniteTargetError` is raised.  Candidate counts
     above ``cap`` raise :class:`SearchSpaceExceeded`.
     """
+    if source.free_rank and not target.is_finite:
+        raise InfiniteTargetError("free source generator with infinite target")
     out = []
     for images in itertools.product(*hom_pools(source, target, cap=cap)):
         if evaluate_word(target, images, source.epsilon) == target.epsilon:

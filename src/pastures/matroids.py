@@ -20,7 +20,7 @@ import itertools
 import math
 
 from .groups import identity_rows
-from .morphisms import hom_set
+from .morphisms import compose, hom_set
 from .pasture import (InfinitePasture, Pasture, PastureElement, ZERO,
                       free_algebra, named, quotient_full)
 from .record import Record, set_field as _set
@@ -28,10 +28,6 @@ from .record import Record, set_field as _set
 
 class ExchangeAxiomViolation(ValueError):
     """The given collection of bases fails the basis exchange axiom."""
-
-
-class InconsistentClasses(RuntimeError):
-    """A pushed-forward class lands in no target class."""
 
 
 class Matroid(Record):
@@ -303,19 +299,25 @@ def representation_classes(M: Matroid, P: Pasture, *,
     InfinitePasture for infinite P, and SearchSpaceExceeded when the
     product of the candidate pool sizes of F_M's generators exceeds ``cap``.
     """
+    return [c for c, _ in _classes(M, P, cap)]
+
+
+def _classes(M: Matroid, P: Pasture, cap: int) -> list:
+    """The pairs (class, morphism F_M -> P) of ``representation_classes``,
+    in its order."""
     if not P.is_finite:
         raise InfinitePasture(
             "representation search needs a finite pasture")
     F, basis_units = _foundation(M)
     size = P.units.size() ** (M.n - len(_gauge(M)[1]))
-    classes = [RepresentationClass(
+    pairs = [(RepresentationClass(
         Representation(M, P, _least(M, P, [PastureElement(m.apply_unit(t))
-                                           for t in basis_units])), size)
+                                           for t in basis_units])), size), m)
         for m in hom_set(F, P, cap=cap)]
     key = P.units.key
-    classes.sort(key=lambda c: tuple(key(v.coords)
-                                     for v in c.representative.values))
-    return classes
+    pairs.sort(key=lambda cm: tuple(key(v.coords)
+                                    for v in cm[0].representative.values))
+    return pairs
 
 
 class LiftBijectionReport(Record):
@@ -325,20 +327,17 @@ class LiftBijectionReport(Record):
 
 def lift_bijection_check(M: Matroid, lift_result, *,
                          cap: int = 10**9) -> LiftBijectionReport:
-    """Push every representation class over the lift through lambda and
-    check the induced map on classes is a bijection."""
+    """Check that pushing forward through lambda is a bijection from the
+    representation classes over the lift to those over the base.  A class
+    over the lift L is a morphism m: F_M -> L, and its pushforward is the
+    morphism lambda after m, which Hom(F_M, P) holds, since it is complete.
+    """
     lam = lift_result.lam
-    cl_L = representation_classes(M, lift_result.lift, cap=cap)
-    cl_P = representation_classes(M, lam.target, cap=cap)
-    index = {c.representative.values: j for j, c in enumerate(cl_P)}
-    pairs = []
-    for i, cls in enumerate(cl_L):
-        image = tuple(lam.apply(v) for v in cls.representative.values)
-        j = index.get(_least(M, lam.target, image))
-        if j is None:
-            raise InconsistentClasses(
-                f"pushforward of lift class {i} lands in no target class")
-        pairs.append((i, j))
+    cl_L = _classes(M, lift_result.lift, cap)
+    cl_P = _classes(M, lam.target, cap)
+    index = {m.unit_map: j for j, (_, m) in enumerate(cl_P)}
+    pairs = tuple((i, index[compose(lam, m).unit_map])
+                  for i, (_, m) in enumerate(cl_L))
     ok = (len({j for _, j in pairs}) == len(cl_P)
           and len(cl_L) == len(cl_P))
-    return LiftBijectionReport(ok, tuple(pairs), len(cl_L), len(cl_P))
+    return LiftBijectionReport(ok, pairs, len(cl_L), len(cl_P))

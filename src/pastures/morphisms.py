@@ -9,13 +9,12 @@ triple of the target.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .groups import (
     GroupMap,
+    InfiniteTargetError,
     SearchSpaceExceeded,
-    enumerate_homs,
     hom_pools,
     identity_rows,
     is_surjective,
@@ -112,72 +111,63 @@ def hom_set(source: Pasture, target: Pasture, *, cap: int = 10**8):
     of ``groups.enumerate_homs`` (``itertools.product`` over the generator
     pools of ``groups.hom_pools``), keeping the candidates ``make`` accepts.
 
-    Finite targets are searched by ``_pruned_images``, whose pools and
-    checks enforce everything ``make`` validates (generator orders, -1 ->
-    -1, every null orbit), so its survivors are built directly; ``make``
-    stays the constructor for generator images from elsewhere and is the
-    oracle the tests compare this search with.  Infinite targets are
-    allowed when the source unit group is all-torsion (images then lie in
-    the finite torsion subgroup): every candidate of ``enumerate_homs`` is
-    validated by ``make``; raises InfiniteTargetError otherwise.  Either way
+    One search, ``_pruned_images``, serves every target: a free source
+    generator's image has a free part, which a morphism into a finite target
+    has empty, and a torsion part, which the search finds.  Into an infinite
+    target the source must be all-torsion, and the images lie in the
+    finite torsion subgroup; a free source generator raises
+    InfiniteTargetError.  The search enforces everything ``make`` validates
+    (generator orders, -1 -> -1, every null orbit), so its survivors are
+    built directly; ``make`` stays the constructor for generator images from
+    elsewhere and is the oracle the tests compare this search with.
     SearchSpaceExceeded is raised when the product of the pool sizes
     exceeds ``cap``.
     """
-    if target.is_finite:
-        gt, unit = target.units, target.indexed.coords.__getitem__
-        return [PastureMorphism(source, target,
-                                GroupMap(gt, tuple(map(unit, row))))
-                for row in _pruned_images(source, target, cap)]
-    out = []
-    for images in enumerate_homs(source.units, target.units, cap=cap):
-        try:
-            out.append(make(source, target, images))
-        except NullsetViolation:
-            continue
-    return out
+    gs, gt = source.units, target.units
+    if gs.free_rank and not gt.is_finite:
+        raise InfiniteTargetError("free source generator with infinite target")
+    return _pruned_images(source, target, cap,
+                          [((0,) * gt.free_rank,) * gs.free_rank])
 
 
-def _pruned_images(source: Pasture, target: Pasture, cap: int) -> list:
-    """The generator images of the morphisms source -> target, for a finite
-    target, as tuples of unit indices (``Pasture.indexed``) in the order of
-    ``enumerate_homs``.
+def _pruned_images(source: Pasture, target: Pasture, cap: int,
+                   free_parts) -> list:
+    """The morphisms source -> target whose free source generators have the
+    free parts of their images given by an entry of ``free_parts``: one row
+    of target free coordinates per free source generator.  The torsion parts
+    are searched, over the torsion units indexed by ``Pasture.indexed``;
+    the morphisms come sorted within each entry, in the order of
+    ``itertools.product`` over the pools, and the entries in the order
+    given.
 
     The pools are those of ``hom_pools``.  The checks are -1 -> -1 and, for
     each null orbit (x, y, z), that the images of x/z and y/z are -1 times
-    a fundamental pair; a check is tested once all its generators have
-    images.  Generators are assigned in a greedy order, fixed before the
-    search: next comes the generator that closes the most checks (the
-    first such).  Forward solve: when a check closes at generator k with
-    coefficient +-1 on k (modulo the orders k's image can have) in one
-    source vector and 0 in the others, k's candidates are solved from the
-    allowed tuples that agree with the images already known, and only
-    those in k's pool are kept, in pool order; for a field that is at most
-    one candidate, where a scan would try all q - 1 units.  Other checks
-    filter the candidates, and a generator that no check solves tries its
-    whole pool.  The survivors are sorted back into the order of
-    ``itertools.product`` over the pools, which is index order.
+    a fundamental pair; the entry fixes the free parts of those images, so
+    only the pairs filed under them are allowed.  A check is tested once all
+    its generators have images.  Generators are assigned in a greedy order,
+    fixed before the search: next comes the generator that closes the most
+    checks (the first such).  Forward solve: when a check closes at
+    generator k with coefficient +-1 on k (modulo the orders k's torsion
+    part can have) in one source vector and 0 in the others, k's candidates
+    are solved from the allowed tuples that agree with the images already
+    known, and only those in k's pool are kept, in pool order; for a field
+    that is at most one candidate, where a scan would try all q - 1 units.
+    Other checks filter the candidates, and a generator that no check
+    solves tries its whole pool.
     """
-    gs, form = source.units, target.indexed
+    gs, gt, form = source.units, target.units, target.indexed
     dims = tuple(zip(form.radix, form.strides))
     exponent = form.radix[-1] if form.radix else 1
     pools = [[form.index[e] for e in pool]
-             for pool in hom_pools(gs, target.units, cap=cap)]
+             for pool in hom_pools(gs, gt, cap=cap)]
     # c times generator k's image depends on c modulo orders[k] only
     orders = [math.gcd(d, exponent) for d in gs.torsion] + \
         [exponent] * gs.free_rank
-    # a check: source vectors, the allowed tuples of their images, and the
-    # last component of those tuples filed by the others (the pairs are
-    # symmetric, so that filing serves for either component)
-    checks = [((gs.epsilon,), {(form.eps,)}, {(): [form.eps]})]
-    for x, y, z in source.null_orbits:
-        vecs = tuple(tuple(a - c for a, c in zip(w, z)) for w in (x, y))
-        checks.append((vecs, form.pairs, form.partners))
-    order, plan = _greedy_plan(checks, orders)
-    if plan is None:
-        return []
+    orbits = [tuple(tuple(a - c for a, c in zip(w, z)) for w in (x, y))
+              for x, y, z in source.null_orbits]
     members = [set(p) for p in pools]
     images = [0] * gs.ngens
-    found = []
+    n, homs = len(gt.torsion), []
 
     def image(terms):
         out = 0
@@ -221,9 +211,28 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int) -> list:
             images[k] = i
             extend(p + 1)
 
-    extend(0)
-    found.sort()
-    return found
+    for part in free_parts:
+        # the free part of each generator's image, and the map it induces
+        shift = [(0,) * gt.free_rank] * len(gs.torsion) + list(part)
+        free = GroupMap(gt, [(0,) * n + f for f in shift])
+        # a check: source vectors, the allowed tuples of their images, and
+        # for each vector j the table solving its image from the others'
+        # (for vector 0 the pairs filed under the swapped free parts)
+        checks = [((gs.epsilon,), {(form.eps,)}, ({(): [form.eps]},))]
+        for vecs in orbits:
+            key = tuple(free(w)[n:] for w in vecs)
+            checks.append((vecs, form.pairs.get(key, ()),
+                           (form.partners.get(key[::-1], {}),
+                            form.partners.get(key, {}))))
+        order, plan = _greedy_plan(checks, orders)
+        found = []
+        if plan is not None:
+            extend(0)
+        found.sort()
+        homs += [PastureMorphism(source, target, GroupMap(gt, tuple(
+            form.coords[i][:n] + f for i, f in zip(row, shift))))
+            for row in found]
+    return homs
 
 
 def _greedy_plan(checks, orders):
@@ -237,12 +246,12 @@ def _greedy_plan(checks, orders):
     """
     n = len(orders)
     left = []
-    for vecs, allowed, table in checks:
+    for vecs, allowed, tables in checks:
         gens = {g for w in vecs for g, c in enumerate(w) if c % orders[g]}
         if not gens and (0,) * len(vecs) not in allowed:
             return [], None
         if gens:
-            left.append((gens, vecs, allowed, table))
+            left.append((gens, vecs, allowed, tables))
     order, plan = [], []
     while len(order) < n:
         closes = [0] * n
@@ -253,10 +262,10 @@ def _greedy_plan(checks, orders):
                 key=lambda g: (closes[g], -g))
         solver, tests = None, []
         rest = []
-        for gens, vecs, allowed, table in left:
+        for gens, vecs, allowed, tables in left:
             gens.discard(k)
             if gens:
-                rest.append((gens, vecs, allowed, table))
+                rest.append((gens, vecs, allowed, tables))
                 continue
             terms = tuple(tuple((g, w[g] % orders[g]) for g in order
                                 if w[g] % orders[g]) for w in vecs)
@@ -265,7 +274,7 @@ def _greedy_plan(checks, orders):
             if (solver is None and len(on_k) == 1
                     and coefs[on_k[0]] in (1, orders[k] - 1)):
                 j = on_k[0]
-                solver = (terms, j, 1 if coefs[j] == 1 else -1, table)
+                solver = (terms, j, 1 if coefs[j] == 1 else -1, tables[j])
             else:
                 tests.append((terms, coefs, allowed))
         left = rest
@@ -317,36 +326,6 @@ def is_isomorphism(m: PastureMorphism) -> bool:
             and len(m.source.null_orbits) == len(m.target.null_orbits))
 
 
-def _unit_iso_candidates(P: Pasture, Q: Pasture, cap):
-    """Candidate unit isomorphisms P -> Q sending -1 to -1, for unit groups
-    of free rank one: complete, since a free generator must map to a
-    torsion element times the free generator or its inverse."""
-    gs, gt = P.units, Q.units
-    torsion_pool = gt.torsion_elements()
-    per_gen = []
-    for i, d in enumerate(gs.torsion):
-        per_gen.append([e for e in torsion_pool
-                        if all((d * c) % dd == 0
-                               for c, dd in zip(e, gt.torsion))])
-    free_images = []
-    for sign in (1, -1):
-        for t in torsion_pool:
-            img = list(t)
-            img[-1] = sign
-            free_images.append(gt.reduce(img))
-    per_gen.append(free_images)
-    total = 1
-    for p in per_gen:
-        total *= len(p)
-    if total > cap:
-        raise SearchSpaceExceeded(
-            f"{total} unit iso candidates exceed the cap of {cap}")
-    for images in itertools.product(*per_gen):
-        gmap = GroupMap(gt, tuple(images))
-        if gmap(gs.epsilon) == gt.epsilon:
-            yield PastureMorphism(P, Q, gmap)
-
-
 def iso_check(P: Pasture, Q: Pasture, *, cap: int = 10**8):
     """Decide isomorphism.  Returns Iso(morphism), NotIso(reason) or
     Unknown(reason).
@@ -355,8 +334,10 @@ def iso_check(P: Pasture, Q: Pasture, *, cap: int = 10**8):
     shapes fall back to invariant screening and report Unknown when the
     screen passes.  Unknown is first-class: an exhausted search of a
     complete candidate set returns NotIso, anything short of that does not.
-    Finite pastures are searched through ``hom_set``, since every
-    isomorphism is a morphism.
+    Every isomorphism is a morphism, and at free rank one it sends the free
+    generator z to t*z or t/z for a torsion unit t: the candidates are the
+    morphisms of ``_pruned_images`` with those free parts, in that order,
+    and the first that ``is_isomorphism`` accepts is returned.
     """
     gs, gt = P.units, Q.units
     if gs.torsion != gt.torsion or gs.free_rank != gt.free_rank:
@@ -365,17 +346,16 @@ def iso_check(P: Pasture, Q: Pasture, *, cap: int = 10**8):
         return NotIso("null orbit counts differ")
     if P == Q:
         return Iso(identity_morphism(P))
-    if P.is_finite or gs.free_rank == 1:
-        kinds = lambda X: sorted(h.kind for h in _hexagons(X))
-        if kinds(P) != kinds(Q):
-            return NotIso("hexagon type multisets differ")
-        try:
-            candidates = (hom_set(P, Q, cap=cap) if P.is_finite
-                          else _unit_iso_candidates(P, Q, cap))
-            for m in candidates:
-                if is_isomorphism(m):
-                    return Iso(m)
-        except SearchSpaceExceeded as e:
-            return Unknown(str(e))
-        return NotIso("exhausted all unit group isomorphisms")
-    return Unknown("unit groups of free rank >= 2: search not attempted")
+    if gs.free_rank > 1:
+        return Unknown("unit groups of free rank >= 2: search not attempted")
+    kinds = lambda X: sorted(h.kind for h in _hexagons(X))
+    if kinds(P) != kinds(Q):
+        return NotIso("hexagon type multisets differ")
+    try:
+        for m in _pruned_images(P, Q, cap, [((1,),), ((-1,),)]
+                                if gs.free_rank else [()]):
+            if is_isomorphism(m):
+                return Iso(m)
+    except SearchSpaceExceeded as e:
+        return Unknown(str(e))
+    return NotIso("exhausted all unit group isomorphisms")

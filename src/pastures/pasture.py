@@ -18,8 +18,8 @@ Membership is answered by the fundamental pairs instead: an all-unit triple
 (``x + y - 1 = 0``).  Each pasture reads these pairs off its orbits once, into
 the cached set ``Pasture.null_pairs`` (at most six pairs per orbit, so finite
 for infinite pastures too), and a null test is one set lookup.  The hom search
-for finite targets (``morphisms.hom_set``) uses the same pairs with the units
-indexed as integers, cached once per pasture as ``Pasture.indexed``.
+(``morphisms.hom_set``) uses the same pairs with the torsion units indexed as
+integers, cached once per pasture as ``Pasture.indexed``.
 """
 
 from __future__ import annotations
@@ -200,11 +200,8 @@ class Pasture(Record):
 
     @cached_property
     def indexed(self) -> "IndexedUnits":
-        """The units as integers, for the hom search into this pasture;
-        finite pastures only."""
-        if not self.is_finite:
-            raise InfinitePasture("cannot index the units of an infinite "
-                                  "pasture")
+        """The torsion units as integers, for the hom search into this
+        pasture."""
         return IndexedUnits(self)
 
     def sorted_orbits(self):
@@ -254,16 +251,20 @@ class Pasture(Record):
 
 
 class IndexedUnits:
-    """The units of a finite pasture as the integers 0 .. n-1.
+    """The torsion units of a pasture as the integers 0 .. n-1.
 
     Unit i has coordinate t equal to ``i // strides[t] % radix[t]``, over
-    the invariant factors ``radix``, so index order is ``key`` order, and
-    coordinate t of a product of powers is the sum of ``c * (i //
-    strides[t])`` mod radix[t].  ``coords`` lists the units in index order,
-    ``index`` maps them back, and ``eps`` is the index of -1.  ``pairs``
-    holds the fundamental pairs times -1, the (a, b) with ``x/z = a`` and
-    ``y/z = b`` for some null triple x + y + z = 0; the set is symmetric,
-    and ``partners[(a,)]`` lists ascending the b with (a, b) in it.
+    the invariant factors ``radix``, and free coordinates 0, so index order
+    is ``key`` order, and coordinate t of a product of powers is the sum of
+    ``c * (i // strides[t])`` mod radix[t].  ``coords`` lists the torsion
+    units in index order, ``index`` maps them back, and ``eps`` is the index
+    of -1.  ``pairs`` files the fundamental pairs times -1, the (a, b) with
+    ``x/z = a`` and ``y/z = b`` for some null triple x + y + z = 0, by the
+    free parts of a and b: ``pairs[(fa, fb)]`` holds the index pairs of the
+    torsion parts of those with free parts fa and fb, and
+    ``partners[(fa, fb)][(a,)]`` lists ascending the b with (a, b) in it.
+    The pair set is symmetric, so ``pairs[(fb, fa)]`` holds the same pairs
+    swapped.  A finite pasture files all its pairs under ``((), ())``.
     """
 
     __slots__ = ("radix", "strides", "coords", "index", "eps", "pairs",
@@ -272,17 +273,22 @@ class IndexedUnits:
     def __init__(self, P: Pasture):
         g = P.units
         self.radix = radix = g.torsion
-        self.strides = tuple(math.prod(radix[t + 1:])
-                             for t in range(len(radix)))
-        self.coords = g.elements()
+        n = len(radix)
+        self.strides = tuple(math.prod(radix[t + 1:]) for t in range(n))
+        self.coords = g.torsion_elements()
         self.index = index = {c: i for i, c in enumerate(self.coords)}
         self.eps = index[g.epsilon]
-        self.pairs = {(index[g.mul(g.epsilon, a)], index[g.mul(g.epsilon, b)])
-                      for a, b in P.null_pairs}
-        partners = {}
-        for a, b in sorted(self.pairs):
-            partners.setdefault((a,), []).append(b)
-        self.partners = partners
+        pad = (0,) * g.free_rank
+        pairs, partners = {}, {}
+        for a, b in P.null_pairs:
+            a, b = g.mul(g.epsilon, a), g.mul(g.epsilon, b)
+            pairs.setdefault((a[n:], b[n:]), set()).add(
+                (index[a[:n] + pad], index[b[:n] + pad]))
+        for key, filed in pairs.items():
+            table = partners[key] = {}
+            for a, b in sorted(filed):
+                table.setdefault((a,), []).append(b)
+        self.pairs, self.partners = pairs, partners
 
 
 # -- construction results ----------------------------------------------------

@@ -180,6 +180,18 @@ def test_hom_guard_message(capsys):
                    "cap of 10\n")
 
 
+def test_iso_guard_counts_the_hom_pools(capsys):
+    # D's -1 is forced and its free generator z takes D's torsion units
+    # 1 and -1 as its torsion part: 1 * 2 candidates, each searched with
+    # z -> t*z and z -> t/z
+    argv = ["iso", "D", "F1pm<z>//(z^-1+z^-1-1)", "--max-candidates"]
+    assert run(capsys, argv + ["1"]) == (
+        2, "unknown: 2 candidate homomorphisms exceed the cap of 1\n", "")
+    code, out, err = run(capsys, argv + ["2"])
+    assert (code, err) == (0, "")
+    assert out.endswith(" are isomorphic\n")
+
+
 def test_guard_message_goes_to_stderr(capsys):
     code, out, err = run(capsys, ["reps", "--matroid", "U24",
                                   "--pasture", "F9",

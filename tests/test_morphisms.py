@@ -1,5 +1,8 @@
+import itertools
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pastures.expr import pasture_of
 from pastures.groups import (GroupMap, InfiniteTargetError,
@@ -137,7 +140,10 @@ SOURCES = [named(n) for n in NAMED] + list(F.values())
 FINITE_TARGETS = list(F.values()) + [
     named("K"), named("S"), named("W"), named("H"),
     product(F[3], F[5]), product(F[5], F[5]), product(F[4], F[4])]
-INFINITE_TARGETS = [named("U"), named("D"), named("G")]
+# units C2 x C2 x Z for the products, C2 x Z^2 for the tensor
+INFINITE_TARGETS = [named("U"), named("D"), named("G"),
+                    pasture_of("D x F3"), pasture_of("G x F3"),
+                    pasture_of("U ox F3")]
 
 
 @st.composite
@@ -154,6 +160,11 @@ def free_quotients(draw):
 @given(st.one_of(st.sampled_from(SOURCES), free_quotients()),
        st.sampled_from(FINITE_TARGETS + INFINITE_TARGETS))
 @settings(max_examples=150, deadline=None)
+# each null orbit of the source may only meet the target's pairs with free
+# parts 0: here no such pair fits, and the others' torsion parts would
+@example(named("S"), named("U"))
+@example(named("W"), pasture_of("U ox F3"))
+@example(F[7], pasture_of("U ox F3"))
 def test_hom_set_matches_unpruned_search(P, Q):
     if not Q.is_finite and not P.is_finite:
         with pytest.raises(InfiniteTargetError):
@@ -270,3 +281,75 @@ def test_iso_check_finite_matches_reference(P, k):
     res = iso_check(P, Q)
     assert isinstance(res, Iso)
     assert res.morphism == reference_iso(P, Q)
+
+
+def reference_unit_isos(P, Q):
+    """The free-rank-one iso search ``iso_check`` replaced, kept as its
+    oracle: the unit maps sending -1 to -1 and the free generator z to t*z
+    for each torsion unit t, then to t/z, in ``itertools.product`` order
+    over the generators; complete, since an isomorphism sends z to t*z or
+    t/z."""
+    gs, gt = P.units, Q.units
+    torsion_pool = gt.torsion_elements()
+    per_gen = [[e for e in torsion_pool
+                if all((d * c) % dd == 0 for c, dd in zip(e, gt.torsion))]
+               for d in gs.torsion]
+    per_gen.append([t[:-1] + (sign,) for sign in (1, -1)
+                    for t in torsion_pool])
+    for images in itertools.product(*per_gen):
+        gmap = GroupMap(gt, tuple(images))
+        if gmap(gs.epsilon) == gt.epsilon:
+            yield PastureMorphism(P, Q, gmap)
+
+
+def flip(P):
+    """P with its nullset moved by z -> 1/z on the free coordinates: an
+    isomorphic pasture, usually not equal to P."""
+    g = P.units
+    n = len(g.torsion)
+    orbits = frozenset(
+        canonical_orbit(g, tuple(x[:n] + tuple(-c for c in x[n:])
+                                 for x in o))
+        for o in P.null_orbits)
+    return Pasture(g, orbits, f"flip({P.label})")
+
+
+def rank_one_quotients(seed, count):
+    """F1pm<z> modulo one or two random 3-term relations of terms +-z^i,
+    |i| <= 3, keeping those with a nullset: free rank one."""
+    rng = random.Random(seed)
+    A = free_algebra(named("F1pm"), ("z",))
+    out = []
+    while len(out) < count:
+        relations = [tuple(unit((rng.randint(0, 1), rng.randint(-3, 3)))
+                           for _ in range(3))
+                     for _ in range(rng.randint(1, 2))]
+        P = quotient(A, relations)
+        if P.null_orbits:
+            out.append(P.with_label(f"Q{len(out)}"))
+    return out
+
+
+RANK_ONE = [named("D"), named("G")] + rank_one_quotients(1, 6)
+F3 = named("F3")
+RANK_ONE_PAIRS = [(P, Q) for P, Q in (
+    [(P, flip(P)) for P in RANK_ONE]
+    + [(P, Q) for P, Q in itertools.combinations(RANK_ONE, 2)
+       if len(P.null_orbits) == len(Q.null_orbits)]
+    + [(product(P, F3), product(F3, Q)) for P in RANK_ONE[:4]
+       for Q in (P, flip(P))]
+    + [(tensor(P, named("H")), tensor(flip(P), named("H")))
+       for P in RANK_ONE[:4]]) if P != Q]
+
+
+@pytest.mark.parametrize("P, Q", RANK_ONE_PAIRS,
+                         ids=[f"{P.label} / {Q.label}"
+                              for P, Q in RANK_ONE_PAIRS])
+def test_iso_check_rank_one_matches_reference(P, Q):
+    assert P.units.free_rank == 1
+    res = iso_check(P, Q)
+    first = next((m for m in reference_unit_isos(P, Q)
+                  if is_isomorphism(m)), None)
+    assert isinstance(res, NotIso if first is None else Iso)
+    if first is not None:
+        assert res.morphism == first

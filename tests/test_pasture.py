@@ -109,26 +109,43 @@ def test_null_pairs_are_cached():
     assert ((0, 1, 0), (0, 0, 1)) in P.null_pairs
 
 
-@pytest.mark.parametrize("P", [finite_field(9), named("H"), named("S"),
-                               product(finite_field(3), finite_field(5))],
-                         ids=["F9", "H", "S", "F3 x F5"])
+@pytest.mark.parametrize("P", [
+    finite_field(9), named("H"), named("S"),
+    product(finite_field(3), finite_field(5)), named("U"), named("D"),
+    named("G"), product(named("D"), finite_field(3))],
+    ids=["F9", "H", "S", "F3 x F5", "U", "D", "G", "D x F3"])
 def test_indexed_units(P):
     form = P.indexed
     assert form is P.indexed
     g = P.units
-    assert form.coords == sorted(g.elements(), key=g.key)
-    assert form.coords[form.eps] == g.epsilon
-    # (a, b) is allowed exactly when a + b + 1 = 0, i.e. (-a, -b) is a
-    # fundamental pair; partners files the same pairs by a
+    n = len(g.torsion)
+    # the torsion units, in key order: U's are 1 and -1
     units = form.coords
-    assert form.pairs == {(a, b) for a in range(len(units))
-                          for b in range(len(units))
-                          if P._null3(units[a], units[b], g.identity())}
-    assert {(a, b) for (a,), bs in form.partners.items() for b in bs} == \
-        form.pairs
-    assert all(bs == sorted(bs) for bs in form.partners.values())
-    with pytest.raises(InfinitePasture):
-        named("U").indexed
+    assert units == sorted(g.torsion_elements(), key=g.key)
+    assert all(g.element_order(u) for u in units)
+    assert units[form.eps] == g.epsilon
+    # (a, b) is filed under (fa, fb) exactly when x + y + 1 = 0 for the
+    # units x, y with torsion parts a, b and free parts fa, fb
+    filed = {(units[a][:n] + fa, units[b][:n] + fb)
+             for (fa, fb), pairs in form.pairs.items() for a, b in pairs}
+    assert sum(map(len, form.pairs.values())) == len(filed)
+    assert filed == {(g.mul(g.epsilon, x), g.mul(g.epsilon, y))
+                     for x, y in P.null_pairs}
+    assert all(P._null3(x, y, g.identity()) for x, y in filed)
+    if P.is_finite:
+        assert set(form.pairs) <= {((), ())}
+        assert filed == {(x, y) for x in units for y in units
+                         if P._null3(x, y, g.identity())}
+    # the files are symmetric, and partners files each by its first entry
+    for (fa, fb), pairs in form.pairs.items():
+        assert form.pairs[(fb, fa)] == {(b, a) for a, b in pairs}
+        partners = form.partners[(fa, fb)]
+        assert {(a, b) for (a,), bs in partners.items() for b in bs} == \
+            pairs
+        assert all(bs == sorted(bs) for bs in partners.values())
+    assert set(form.partners) == set(form.pairs)
+    if P == named("U"):
+        assert units == [(0, 0, 0), (1, 0, 0)]
 
 
 def test_zero_rules():
