@@ -52,11 +52,7 @@ class GF:
         self.p, self.k = prime_power(q)
         self.q = q
         self.modulus = self._least_irreducible() if self.k > 1 else None
-        self._mul_cache = {}
-        self.generator = self._least_generator()
-        self.exp = [1]
-        for _ in range(q - 2):
-            self.exp.append(self.mul(self.exp[-1], self.generator))
+        self.generator, self.exp = self._least_generator()
         self.dlog = {e: i for i, e in enumerate(self.exp)}
 
     # -- polynomial plumbing ------------------------------------------------
@@ -134,13 +130,8 @@ class GF:
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        key = (a, b)
-        got = self._mul_cache.get(key)
-        if got is None:
-            got = self._undigits(
-                self._polymulmod(self._digits(a), self._digits(b), self.modulus))
-            self._mul_cache[key] = got
-        return got
+        return self._undigits(
+            self._polymulmod(self._digits(a), self._digits(b), self.modulus))
 
     def power(self, a, n):
         out = 1
@@ -157,21 +148,16 @@ class GF:
             raise ZeroDivisionError("0 has no inverse")
         return self.exp[(-self.dlog[a]) % (self.q - 1)]
 
-    def _order(self, a):
-        n, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            n += 1
-            if n > self.q:
-                raise FieldConstructionFailed("order computation ran away")
-        return n
-
     def _least_generator(self):
-        if self.q == 2:
-            return 1
-        for a in range(2, self.q):
-            if self._order(a) == self.q - 1:
-                return a
+        """The least a whose powers 1, a, a^2, ... reach q - 1 elements
+        before returning to 1, and those powers."""
+        for a in range(1, self.q):
+            powers, x = [1], a
+            while x != 1 and len(powers) < self.q - 1:
+                powers.append(x)
+                x = self.mul(x, a)
+            if x == 1 and len(powers) == self.q - 1:
+                return a, powers
         raise FieldConstructionFailed("no generator found")
 
     @property

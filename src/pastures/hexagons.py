@@ -5,8 +5,10 @@ a + b - 1 = 0.  The six-element dihedral group D3 acts on pairs by
 
     sigma(a, b) = (b, a)          rho(a, b) = (1/b, -a/b)
 
-and a *hexagon* is an orbit of this action.  Orbit sizes divide 6 and
-classify the hexagon:
+and a *hexagon* is an orbit of this action.  The orderings of a null triple
+x + y + z = 0 act on its pairs (-x/z, -y/z) as this D3, so the hexagons are
+the null orbits, and they are read off ``Pasture.orbit_pairs`` rather than
+walked.  Orbit sizes divide 6 and classify the hexagon:
 
     mu = 1  ternary       single pair (-1, -1)
     mu = 2  hexagonal     pairs (a, 1/a) with a^3 = -1
@@ -52,30 +54,20 @@ def sigma(P: Pasture, pair):
     a, b = _check(P, pair)
     return (b, a)
 
-def _rotate(g, pair):
-    a, b = pair
+
+def rho(P: Pasture, pair):
+    """Rotate a fundamental pair: (a, b) -> (1/b, -a/b)."""
+    g = P.units
+    a, b = _check(P, pair)
     binv = g.inv(b)
     return (binv, g.mul(g.epsilon, g.mul(a, binv)))
 
 
-def rho(P: Pasture, pair):
-    """Rotate a fundamental pair: (a, b) -> (1/b, -a/b)."""
-    return _rotate(P.units, _check(P, pair))
-
-
 def pair_orbit(P: Pasture, pair):
-    """The D3 orbit of a fundamental pair, as a set.  Only the start pair is
-    checked, as D3 maps fundamental pairs to fundamental pairs."""
-    seen = set()
-    frontier = [_check(P, pair)]
-    while frontier:
-        p = frontier.pop()
-        if p in seen:
-            continue
-        seen.add(p)
-        frontier.append((p[1], p[0]))
-        frontier.append(_rotate(P.units, p))
-    return frozenset(seen)
+    """The D3 orbit of a fundamental pair, as a set: the entry of
+    ``P.orbit_pairs`` that holds it, the pairs of its null orbit."""
+    pair = _check(P, pair)
+    return next(o for o in P.orbit_pairs if pair in o)
 
 
 def fundamental_pairs(P: Pasture):
@@ -123,15 +115,9 @@ def _mk_hexagon(P: Pasture, orbit) -> Hexagon:
 
 
 def hexagons(P: Pasture):
-    """All hexagons of P, sorted by canonical pair."""
+    """All hexagons of P, one per null orbit, sorted by canonical pair."""
     g = P.units
-    remaining = set(fundamental_pairs(P))
-    out = []
-    while remaining:
-        p = next(iter(remaining))
-        orbit = pair_orbit(P, p)
-        remaining -= orbit
-        out.append(_mk_hexagon(P, orbit))
+    out = [_mk_hexagon(P, o) for o in P.orbit_pairs]
     out.sort(key=lambda h: (g.key(h.canonical_pair[0]),
                             g.key(h.canonical_pair[1])))
     return tuple(out)
@@ -198,18 +184,16 @@ def psi_product(P1: Pasture, P2: Pasture) -> PsiData:
     h1 = hexagons(P1)
     h2 = hexagons(P2)
     hr = hexagons(R)
-
-    def locate(hs, pair):
-        for i, h in enumerate(hs):
-            if pair in h.pairs:
-                return i
-        raise HexagonsInconsistent(f"pair {pair} not in any hexagon")
-
+    # each factor pair's hexagon index
+    where = [{p: i for i, h in enumerate(hs) for p in h.pairs}
+             for hs in (h1, h2)]
     fibers = {}
     for idx, h in enumerate(hr):
-        a, b = h.canonical_pair
-        p1 = (res.proj1(a), res.proj1(b))
-        p2 = (res.proj2(a), res.proj2(b))
-        key = (locate(h1, p1), locate(h2, p2))
-        fibers.setdefault(key, []).append(idx)
+        key = []
+        for proj, index in zip((res.proj1, res.proj2), where):
+            pair = tuple(proj(x) for x in h.canonical_pair)
+            if pair not in index:
+                raise HexagonsInconsistent(f"pair {pair} not in any hexagon")
+            key.append(index[pair])
+        fibers.setdefault(tuple(key), []).append(idx)
     return PsiData(R, hr, (h1, h2), {k: tuple(v) for k, v in fibers.items()})

@@ -26,7 +26,7 @@ from .record import Record
 
 
 class HexagonNotOfPasture(ValueError):
-    """The hexagon's pairs are not fundamental pairs of the pasture."""
+    """The hexagon's pairs are not one of the pasture's hexagons."""
 
 
 class KindMismatch(ValueError):
@@ -95,14 +95,9 @@ _MODEL_KEYS = {"ternary": "F3", "dyadic": "D", "hexagonal": "H",
 
 
 def _check_hexagon(P: Pasture, h: Hexagon):
-    try:
-        ok = all(len(a) == P.units.ngens and len(b) == P.units.ngens
-                 and P._null3(a, b, P.eps) for a, b in h.pairs)
-    except (TypeError, IndexError):
-        ok = False
-    if not ok:
+    if frozenset(h.pairs) not in P.orbit_pairs:
         raise HexagonNotOfPasture(
-            f"pairs {h.pairs} are not fundamental pairs of this pasture")
+            f"pairs {h.pairs} are not a hexagon of this pasture")
 
 
 def hexagon_lift(P: Pasture, h: Hexagon) -> LiftResult:

@@ -23,7 +23,7 @@ from .groups import identity_rows
 from .morphisms import compose, hom_set
 from .pasture import (InfinitePasture, Pasture, PastureElement, ZERO,
                       free_algebra, named, quotient_full)
-from .record import Record, set_field as _set
+from .record import Record
 
 
 class ExchangeAxiomViolation(ValueError):
@@ -114,21 +114,7 @@ def _sorted_with_parity(seq):
 class Representation(Record):
     """One unit in ``values`` per basis, aligned with ``matroid.bases``."""
 
-    __slots__ = _fields = ("matroid", "pasture", "values")
-
-    def __init__(self, matroid, pasture, values):
-        _set(self, "matroid", matroid)
-        _set(self, "pasture", pasture)
-        _set(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.matroid, self.pasture, self.values)
-                    == (other.matroid, other.pasture, other.values))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.matroid, self.pasture, self.values))
+    _fields = ("matroid", "pasture", "values")
 
     def record(self):
         return {"values": {"".join(map(str, b)) if self.matroid.n < 10

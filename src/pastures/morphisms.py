@@ -10,6 +10,7 @@ triple of the target.
 from __future__ import annotations
 
 import math
+from operator import concat, mul
 
 from .groups import (
     GroupMap,
@@ -20,7 +21,6 @@ from .groups import (
     is_surjective,
 )
 from .pasture import Pasture, PastureElement, ZERO, canonical_orbit
-from .hexagons import hexagons as _hexagons
 from .record import Record, set_field as _set
 
 
@@ -158,7 +158,8 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
     gs, gt, form = source.units, target.units, target.indexed
     dims = tuple(zip(form.radix, form.strides))
     exponent = form.radix[-1] if form.radix else 1
-    pools = [[form.index[e] for e in pool]
+    n, nt, homs = len(gt.torsion), len(gs.torsion), []
+    pools = [[form.index[e[:n]] for e in pool]
              for pool in hom_pools(gs, gt, cap=cap)]
     # c times generator k's image depends on c modulo orders[k] only
     orders = [math.gcd(d, exponent) for d in gs.torsion] + \
@@ -167,7 +168,6 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
               for x, y, z in source.null_orbits]
     members = [set(p) for p in pools]
     images = [0] * gs.ngens
-    n, homs = len(gt.torsion), []
 
     def image(terms):
         out = 0
@@ -212,15 +212,17 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
             extend(p + 1)
 
     for part in free_parts:
-        # the free part of each generator's image, and the map it induces
-        shift = [(0,) * gt.free_rank] * len(gs.torsion) + list(part)
-        free = GroupMap(gt, [(0,) * n + f for f in shift])
+        # the free part of each generator's image, and the columns that give
+        # the free part of a source vector's image from its free coordinates
+        shift = [(0,) * gt.free_rank] * nt + list(part)
+        cols = [tuple(f[t] for f in part) for t in range(gt.free_rank)]
         # a check: source vectors, the allowed tuples of their images, and
         # for each vector j the table solving its image from the others'
         # (for vector 0 the pairs filed under the swapped free parts)
         checks = [((gs.epsilon,), {(form.eps,)}, ({(): [form.eps]},))]
         for vecs in orbits:
-            key = tuple(free(w)[n:] for w in vecs)
+            key = tuple(tuple(sum(map(mul, w[nt:], c)) for c in cols)
+                        for w in vecs)
             checks.append((vecs, form.pairs.get(key, ()),
                            (form.partners.get(key[::-1], {}),
                             form.partners.get(key, {}))))
@@ -230,7 +232,7 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
             extend(0)
         found.sort()
         homs += [PastureMorphism(source, target, GroupMap(gt, tuple(
-            form.coords[i][:n] + f for i, f in zip(row, shift))))
+            map(concat, map(form.torsion.__getitem__, row), shift))))
             for row in found]
     return homs
 
@@ -348,8 +350,9 @@ def iso_check(P: Pasture, Q: Pasture, *, cap: int = 10**8):
         return Iso(identity_morphism(P))
     if gs.free_rank > 1:
         return Unknown("unit groups of free rank >= 2: search not attempted")
-    kinds = lambda X: sorted(h.kind for h in _hexagons(X))
-    if kinds(P) != kinds(Q):
+    # a hexagon's size fixes its kind (hexagons.KIND_BY_MU)
+    mus = lambda X: sorted(map(len, X.orbit_pairs))
+    if mus(P) != mus(Q):
         return NotIso("hexagon type multisets differ")
     try:
         for m in _pruned_images(P, Q, cap, [((1,),), ((-1,),)]

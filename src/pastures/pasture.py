@@ -16,10 +16,11 @@ representative does not depend on the member we start from.
 Membership is answered by the fundamental pairs instead: an all-unit triple
 ``a + b + c = 0`` holds exactly when ``(-a/c, -b/c)`` is a fundamental pair
 (``x + y - 1 = 0``).  Each pasture reads these pairs off its orbits once, into
-the cached set ``Pasture.null_pairs`` (at most six pairs per orbit, so finite
-for infinite pastures too), and a null test is one set lookup.  The hom search
-(``morphisms.hom_set``) uses the same pairs with the torsion units indexed as
-integers, cached once per pasture as ``Pasture.indexed``.
+the cached ``Pasture.orbit_pairs``, one set (a hexagon) of at most six pairs
+per orbit, and their union ``Pasture.null_pairs`` makes a null test one set
+lookup.  The hom search (``morphisms.hom_set``) uses the same pairs with the
+torsion units indexed as integers, cached once per pasture as
+``Pasture.indexed``.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def canonical_orbit(group: AbelianGroup, triple):
 
 class Pasture(Record):
     """Unit group, null orbits and an optional ``label``, which equality and
-    hash ignore; the ``__dict__`` holds the cached ``null_pairs``."""
+    hash ignore; the ``__dict__`` holds the cached ``orbit_pairs``,
+    ``null_pairs`` and ``indexed``."""
 
     __slots__ = ("units", "null_orbits", "label", "__dict__")
     _fields = __slots__[:3]
@@ -183,20 +185,30 @@ class Pasture(Record):
         return (g.mul(x, s), g.mul(y, s)) in self.null_pairs
 
     @cached_property
-    def null_pairs(self) -> frozenset:
-        """The fundamental pairs: units (a, b) with a + b - 1 = 0.
+    def orbit_pairs(self) -> frozenset:
+        """The fundamental pairs, units (a, b) with a + b - 1 = 0, as one
+        frozenset per null orbit: the hexagons.
 
         A null triple x + y + z = 0 gives the pair (-x/z, -y/z) for each
-        ordering of its entries; unit scalings of the triple give the same
-        pairs, so one representative per orbit suffices.
+        ordering of its entries, on which the orderings act as the D3 of
+        ``hexagons``, and the pair (a, b) fixes the orbit of (a, b, -1), so
+        the hexagons are exactly these sets.  Unit scalings of the triple
+        give the same pairs, so one representative per orbit suffices.
         """
         g = self.units
-        pairs = set()
+        orbits = set()
         for o in self.null_orbits:
+            pairs = set()
             for x, y, z in itertools.permutations(o):
                 s = g.mul(self.eps, g.inv(z))
                 pairs.add((g.mul(x, s), g.mul(y, s)))
-        return frozenset(pairs)
+            orbits.add(frozenset(pairs))
+        return frozenset(orbits)
+
+    @cached_property
+    def null_pairs(self) -> frozenset:
+        """All fundamental pairs: the union of ``orbit_pairs``."""
+        return frozenset().union(*self.orbit_pairs)
 
     @cached_property
     def indexed(self) -> "IndexedUnits":
@@ -257,18 +269,19 @@ class IndexedUnits:
     the invariant factors ``radix``, and free coordinates 0, so index order
     is ``key`` order, and coordinate t of a product of powers is the sum of
     ``c * (i // strides[t])`` mod radix[t].  ``coords`` lists the torsion
-    units in index order, ``index`` maps them back, and ``eps`` is the index
-    of -1.  ``pairs`` files the fundamental pairs times -1, the (a, b) with
-    ``x/z = a`` and ``y/z = b`` for some null triple x + y + z = 0, by the
-    free parts of a and b: ``pairs[(fa, fb)]`` holds the index pairs of the
-    torsion parts of those with free parts fa and fb, and
-    ``partners[(fa, fb)][(a,)]`` lists ascending the b with (a, b) in it.
-    The pair set is symmetric, so ``pairs[(fb, fa)]`` holds the same pairs
-    swapped.  A finite pasture files all its pairs under ``((), ())``.
+    units in index order, ``torsion`` their torsion parts, which ``index``
+    maps back, and ``eps`` is the index of -1.  ``pairs`` files the
+    fundamental pairs times -1, the (a, b) with ``x/z = a`` and ``y/z = b``
+    for some null triple x + y + z = 0, by the free parts of a and b:
+    ``pairs[(fa, fb)]`` holds the index pairs of the torsion parts of those
+    with free parts fa and fb, and ``partners[(fa, fb)][(a,)]`` lists
+    ascending the b with (a, b) in it.  The pair set is symmetric, so
+    ``pairs[(fb, fa)]`` holds the same pairs swapped.  A finite pasture
+    files all its pairs under ``((), ())``.
     """
 
-    __slots__ = ("radix", "strides", "coords", "index", "eps", "pairs",
-                 "partners")
+    __slots__ = ("radix", "strides", "coords", "torsion", "index", "eps",
+                 "pairs", "partners")
 
     def __init__(self, P: Pasture):
         g = P.units
@@ -276,14 +289,15 @@ class IndexedUnits:
         n = len(radix)
         self.strides = tuple(math.prod(radix[t + 1:]) for t in range(n))
         self.coords = g.torsion_elements()
-        self.index = index = {c: i for i, c in enumerate(self.coords)}
-        self.eps = index[g.epsilon]
-        pad = (0,) * g.free_rank
+        self.torsion = [c[:n] for c in self.coords]
+        self.index = index = {t: i for i, t in enumerate(self.torsion)}
+        self.eps = index[g.epsilon[:n]]
+        # the index of -u for each unit u; -1 has free part 0
+        neg = [index[g.mul(g.epsilon, c)[:n]] for c in self.coords]
         pairs, partners = {}, {}
         for a, b in P.null_pairs:
-            a, b = g.mul(g.epsilon, a), g.mul(g.epsilon, b)
             pairs.setdefault((a[n:], b[n:]), set()).add(
-                (index[a[:n] + pad], index[b[:n] + pad]))
+                (neg[index[a[:n]]], neg[index[b[:n]]]))
         for key, filed in pairs.items():
             table = partners[key] = {}
             for a, b in sorted(filed):

@@ -15,8 +15,12 @@ from pastures.hexagons import fundamental_pairs, hexagons
 from pastures.lifts import ternary_lift, wlum_lift
 from pastures.morphisms import compose, hom_set
 from pastures.pasture import finite_field, named
+from test_hexagons import reference_pair_orbit
 
 NAMED = ("F1pm", "K", "S", "W", "U", "D", "H", "G", "F3", "F2")
+# products, tensors and lifts, whose unit groups have several factors
+WIDER = ("S x S", "F4 x F5", "D x F3", "U ox F3", "Lt(F9)", "Lw(F4)",
+         "Lg(F5)", "Lg(K)")
 
 
 def _prime_powers(bound):
@@ -41,12 +45,20 @@ def test_criterion_2_hexagon_census_up_to_q_64():
 
 
 def test_criterion_3_hexagons_biject_with_null_orbits():
+    """The hexagons, read off the null orbits, are the D3 orbits of the
+    fundamental pairs walked with sigma and rho, one per null orbit."""
     corpus = [finite_field(q) for q in _prime_powers(64)]
     corpus += [named(n) for n in NAMED]
+    corpus += [pasture_of(e) for e in WIDER]
     for P in corpus:
-        hexes = hexagons(P)
+        walked, left = set(), set(fundamental_pairs(P))
+        while left:
+            orbit = reference_pair_orbit(P, next(iter(left)))
+            walked.add(orbit)
+            left -= orbit
+        hexes = [frozenset(h.pairs) for h in hexagons(P)]
         assert len(hexes) == len(P.null_orbits), P.label
-        assert sum(h.mu for h in hexes) == len(fundamental_pairs(P)), P.label
+        assert set(hexes) == walked, P.label
 
 
 def test_criterion_4_fundamental_pair_witnesses():

@@ -134,6 +134,6 @@ def test_import_does_not_load_sympy():
 
 def test_construction_failure_is_a_typed_error(monkeypatch):
     # no element of full order: a typed error, not an assert, under -O too
-    monkeypatch.setattr(GF, "_order", lambda self, a: 1)
+    monkeypatch.setattr(GF, "mul", lambda self, a, b: 1)
     with pytest.raises(FieldConstructionFailed):
         GF(5)

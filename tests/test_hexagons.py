@@ -9,6 +9,7 @@ from pastures.hexagons import (HexagonsInconsistent, KIND_BY_MU,
                                hexagon_of_pair, hexagons, is_fundamental,
                                pair_orbit, partition_check, psi_product, rho,
                                sigma)
+from pastures.expr import pasture_of
 from pastures.pasture import finite_field, named, product, unit
 from pastures.tables import expected_census, fiber_shape
 
@@ -111,7 +112,9 @@ def test_pair_orbit_matches_checked_walk():
     fields = [finite_field(q) for q in range(2, 33) if len(factorint(q)) == 1]
     named_ones = [named(n) for n in ("F1pm", "F2", "F3", "K", "S", "W", "U",
                                      "D", "H", "G")]
-    for P in fields + named_ones:
+    wider = [pasture_of(e) for e in ("S x S", "F4 x F5", "D x F3", "U ox F3",
+                                     "Lt(F9)", "Lw(F4)", "Lg(F5)", "Lg(K)")]
+    for P in fields + named_ones + wider:
         for pair in fundamental_pairs(P):
             assert pair_orbit(P, pair) == reference_pair_orbit(P, pair)
         one = P.units.identity()

@@ -4,7 +4,7 @@ import pytest
 from sympy import factorint
 
 from pastures import lifts
-from pastures.hexagons import fundamental_pairs, hexagons
+from pastures.hexagons import Hexagon, fundamental_pairs, hexagons
 from pastures.lifts import (HexagonNotOfPasture, KindMismatch,
                             LiftCheckFailed, NotFinitary,
                             _check_pair_bijection, binary_lift, grs_lift,
@@ -45,6 +45,19 @@ def test_hexagon_lift_rejects_foreign_hexagon():
     h = hexagons(F7)[0]
     with pytest.raises(HexagonNotOfPasture):
         hexagon_lift(F13, h)
+
+
+def test_hexagon_lift_rejects_partial_hexagon():
+    # every pair is fundamental, but the pairs are not a whole hexagon
+    F13 = finite_field(13)
+    hexes = hexagons(F13)
+    (h,) = [h for h in hexes if h.kind == "near-regular"]
+    other = next(g for g in hexes if g is not h)
+    for pairs in (h.pairs[:-1], h.pairs + other.pairs[:1]):
+        bad = Hexagon(pairs, h.canonical_pair, h.mu, h.kind, h.support)
+        with pytest.raises(HexagonNotOfPasture):
+            hexagon_lift(F13, bad)
+    assert hexagon_lift(F13, h).factor_descriptor["U"] == 1
 
 
 def test_ternary_descriptors_match_table():
