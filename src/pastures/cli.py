@@ -13,6 +13,7 @@ import os
 import sys
 
 from .expr import ExprError, pasture_of
+from .gf import FieldTooLarge
 from .groups import InfiniteTargetError, SearchSpaceExceeded
 from .hexagons import hexagons
 from .lifts import LIFTS, NotFinitary
@@ -297,7 +298,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (InfiniteTargetError, InfinitePasture, NotFinitary,
+    except (FieldTooLarge, InfiniteTargetError, InfinitePasture, NotFinitary,
             SearchSpaceExceeded) as e:
         print(f"guard tripped: {e}", file=sys.stderr)
         return EXIT_UNKNOWN

@@ -22,17 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .pasture import (
-    Pasture,
-    ZERO,
-    finite_field,
-    free_algebra,
-    named,
-    product,
-    quotient,
-    tensor,
-    unit,
-)
+from .pasture import Pasture, finite_field, named, presented, product, tensor
 from .lifts import LIFTS, LiftResult
 from .record import Record
 
@@ -333,28 +323,18 @@ def evaluate(node):
     if isinstance(node, Fq):
         return finite_field(node.q)
     if isinstance(node, Presentation):
-        P = named("F1pm")
-        if node.names:
-            P = free_algebra(P, node.names)
         index = {n: 1 + i for i, n in enumerate(node.names)}
-        n = P.units.ngens
 
-        def element(term):
+        def row(term):
             sign, mono = term
-            coords = [0] * n
-            if sign < 0:
-                coords[0] = 1
+            coords = [int(sign < 0)] + [0] * len(index)
             for name, e in mono:
                 coords[index[name]] += e
-            return unit(P.units.reduce(coords))
+            return coords
 
-        triples = []
-        for rel in node.relations:
-            elts = [element(t) for t in rel]
-            while len(elts) < 3:
-                elts.append(ZERO)
-            triples.append(tuple(elts))
-        return quotient(P, triples).with_label(print_expr(node))
+        res = presented(len(index), [[row(t) for t in rel]
+                                     for rel in node.relations])
+        return res.pasture.with_label(print_expr(node))
     if isinstance(node, Product):
         return product(as_pasture(evaluate(node.left)),
                        as_pasture(evaluate(node.right)))

@@ -27,6 +27,13 @@ class FieldConstructionFailed(RuntimeError):
     """A step that cannot fail for a prime power q failed building GF(q)."""
 
 
+class FieldTooLarge(RuntimeError):
+    """q exceeds ``MAX_Q``, past which the tables are not built."""
+
+
+MAX_Q = 2**16   # the tables take O(q) memory; GF(2**16) takes seconds
+
+
 def prime_power(q):
     """Split q as (p, k), or raise :class:`NotPrimePower`.
 
@@ -170,4 +177,9 @@ class GF:
 
 @lru_cache(maxsize=None)
 def field(q) -> GF:
+    """GF(q), or :class:`FieldTooLarge` before any table is built when
+    q > ``MAX_Q``."""
+    if isinstance(q, int) and q > MAX_Q:
+        raise FieldTooLarge(f"GF({q}) exceeds the largest supported order "
+                            f"{MAX_Q}")
     return GF(q)

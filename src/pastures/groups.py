@@ -392,13 +392,15 @@ def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):
     per_gen = []
     forced = source.sign_generator
     torsion = target.torsion_elements()
+    pad = (0,) * target.free_rank
     for i in range(source.ngens):
         if i == forced:
             pool = [target.epsilon]
         elif i < len(source.torsion):
+            # d * c = 0 mod r exactly when c is a multiple of r / gcd(d, r)
             d = source.torsion[i]
-            pool = [e for e in torsion
-                    if all((d * c) % dt == 0 for c, dt in zip(e, target.torsion))]
+            steps = (range(0, r, r // math.gcd(d, r)) for r in target.torsion)
+            pool = [e + pad for e in itertools.product(*steps)]
         else:
             pool = torsion
         per_gen.append(pool)

@@ -11,15 +11,8 @@ generator per fundamental element with the induced multiplicative relations.
 
 from __future__ import annotations
 
-from .groups import AbelianGroup, evaluate_word
-from .pasture import (
-    Pasture,
-    ZERO,
-    named,
-    quotient_full,
-    tensor_full,
-    unit,
-)
+from .groups import evaluate_word
+from .pasture import Pasture, named, presented, tensor_full
 from .hexagons import Hexagon, fundamental_pairs, hexagons
 from .morphisms import PastureMorphism, make
 from .record import Record
@@ -185,6 +178,10 @@ def grs_lift(P: Pasture) -> LiftResult:
       G5  t_a t_b t_c = 1 for every unordered triple (with repetition) from
           F whose product is 1
 
+    The relations go to ``pasture.presented`` as coordinate rows over
+    (-1, t_a for a in F).  G3 adjoins null orbits; the others are 2-term
+    relations, killed in the order G1, G4, G2, G5: G1 is 1 + 1 = 0, G4 is
+    w + 1 = 0 and G2 and G5 are w - 1 = 0, for w the product of the t's.
     lambda sends t_a to a and restricts to a bijection on fundamental
     elements.
     """
@@ -197,43 +194,35 @@ def grs_lift(P: Pasture) -> LiftResult:
             f"{MAX_FUNDAMENTAL}")
     index = {a: i for i, a in enumerate(F)}
     n = len(F)
-    ambient_units = AbelianGroup((2,), n, (1,) + (0,) * n)
-    ambient = Pasture(ambient_units, frozenset())
+    one, minus = (0,) * (n + 1), (1,) + (0,) * n
 
-    def t(a, power=1):
-        coords = [0] * (n + 1)
-        coords[1 + index[a]] = power
-        return unit(coords)
-
-    def t_word(*elts):
-        coords = [0] * (n + 1)
+    def t(*elts):
+        """The coordinate row of the product of the t_a."""
+        row = [0] * (n + 1)
         for a in elts:
-            coords[1 + index[a]] += 1
-        return unit(coords)
+            row[1 + index[a]] += 1
+        return row
 
-    one = ambient.one()
-    meps = ambient.minus_one()
     relations = []
-    idents = []
     if g.epsilon == g.identity():
-        relations.append((one, one, ZERO))
+        relations.append((one, one, None))                         # G1
     for a, b in sorted(pairs, key=lambda p: (g.key(p[0]), g.key(p[1]))):
-        relations.append((t(a), t(b), meps))                       # G3
         binv = g.inv(b)
         c = g.mul(g.epsilon, g.inv(g.mul(a, binv)))
         if binv not in index or c not in index:
             raise LiftCheckFailed(
                 "fundamental elements are not closed under the pair relations")
-        idents.append((t_word(a, binv, c), meps))                  # G4
+        relations.append((t(a), t(b), minus))                      # G3
+        relations.append((t(a, binv, c), one, None))               # G4
     for a in F:
         ainv = g.inv(a)
         if ainv not in index:
             raise LiftCheckFailed(
                 "fundamental elements are not closed under inversion")
-        idents.append((t_word(a, ainv), one))                      # G2
+        relations.append((t(a, ainv), minus, None))                # G2
     for a, b, c in _g5_triples(g, F, index):
-        idents.append((t_word(a, b, c), one))                      # G5
-    res = quotient_full(ambient, relations, idents)
+        relations.append((t(a, b, c), minus, None))                # G5
+    res = presented(n, relations)
     lift = res.pasture
     gen_images = (g.epsilon,) + tuple(F)
     rows = tuple(evaluate_word(g, gen_images, w) for w in res.sections)

@@ -18,11 +18,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import add
 
 from .groups import identity_rows
 from .morphisms import compose, hom_set
-from .pasture import (InfinitePasture, Pasture, PastureElement, ZERO,
-                      free_algebra, named, quotient_full)
+from .pasture import InfinitePasture, Pasture, PastureElement, presented
 from .record import Record
 
 
@@ -129,21 +129,21 @@ def _constraints(M: Matroid) -> tuple:
     Each constraint is three terms (i, j, sign): positions of the two bases
     whose values multiply (None for a nonbasis, killing the term) and the
     parity of the sorting sign, with the middle term's extra -1 folded in.
-    Constraints are bucketed by the largest basis position they mention,
-    where a search over basis values could first check them.  Cached per
-    matroid, as a tuple of tuples so that no caller can change the cached
+    A constraint whose three terms are all 0 holds trivially and is left
+    out; by basis exchange, none of the others has exactly one nonzero term.
+    Cached per matroid, as a tuple so that no caller can change the cached
     value.
     """
     r = M.rank
-    buckets = [[] for _ in M.bases]
     if r < 2:
-        return tuple(map(tuple, buckets))
+        return ()
 
     def term(seq, extra):
         srt, parity = _sorted_with_parity(seq)
         i = M._index.get(srt)
         return i, parity ^ extra
 
+    out = []
     ground = range(1, M.n + 1)
     for J in itertools.combinations(ground, r - 2):
         rest = [e for e in ground if e not in J]
@@ -155,10 +155,9 @@ def _constraints(M: Matroid) -> tuple:
             a3 = term(J + (e1, e4), 0)
             b3 = term(J + (e2, e3), 0)
             con = ((a1, b1), (a2, b2), (a3, b3))
-            used = [t[0] for pair in con for t in pair if t[0] is not None]
-            if used:
-                buckets[max(used)].append(con)
-    return tuple(map(tuple, buckets))
+            if any(a[0] is not None and b[0] is not None for a, b in con):
+                out.append(con)
+    return tuple(out)
 
 
 class RepresentationClass(Record):
@@ -212,29 +211,25 @@ def _foundation(M: Matroid):
 
     F_M is F1pm with a free unit t_B for each basis that ``_gauge`` leaves
     free, modulo the 3-term Pluecker relations of ``_constraints``, in which
-    a pinned t_B is 1, a nonbasis term is 0 and an odd sign is a factor -1.
-    A morphism F_M -> P is thus a representation over P with the pinned
-    bases at 1, which is one per rescaling class.  Cached per matroid."""
+    a pinned t_B is 1, a nonbasis term is 0 and an odd sign is a factor -1;
+    ``pasture.presented`` builds it from their coordinate rows, and the
+    basis units are read through its ``unit_map``.  A morphism F_M -> P is
+    thus a representation over P with the pinned bases at 1, which is one
+    per rescaling class.  Cached per matroid."""
     pinned = _gauge(M)[0]
     free = [i for i in range(len(M.bases)) if i not in pinned]
-    A = free_algebra(named("F1pm"), [f"t{i}" for i in free])
-    g = A.units
-    gens = dict(zip(free, identity_rows(g.ngens)[1:]))
-    t = [gens.get(i, g.identity()) for i in range(len(M.bases))]
+    n = len(free)
+    gens = dict(zip(free, identity_rows(n)))
+    t = [gens.get(i, (0,) * n) for i in range(len(M.bases))]
 
     def term(pair):
         (i, pi), (j, pj) = pair
         if i is None or j is None:
-            return ZERO
-        v = g.mul(t[i], t[j])
-        return PastureElement(g.mul(g.epsilon, v) if (pi + pj) & 1 else v)
+            return None
+        return ((pi + pj) & 1,) + tuple(map(add, t[i], t[j]))
 
-    relations = [tuple(map(term, con)) for bucket in _constraints(M)
-                 for con in bucket]
-    # all-zero relations hold trivially; by basis exchange, no relation has
-    # exactly one nonzero term
-    res = quotient_full(A, [r for r in relations if r != (ZERO,) * 3])
-    return res.pasture, tuple(res.unit_map(v) for v in t)
+    res = presented(n, [tuple(map(term, con)) for con in _constraints(M)])
+    return res.pasture, tuple(res.unit_map((0,) + v) for v in t)
 
 
 def _least(M: Matroid, P: Pasture, values) -> tuple:

@@ -21,6 +21,12 @@ per orbit, and their union ``Pasture.null_pairs`` makes a null test one set
 lookup.  The hom search (``morphisms.hom_set``) uses the same pairs with the
 torsion units indexed as integers, cached once per pasture as
 ``Pasture.indexed``.
+
+A presentation, F1pm with n free units modulo 2- and 3-term relations, is
+built from coordinate rows by ``presented``: the named pastures,
+``F1pm<...>//(...)`` expressions, GRS lifts and matroid foundations all
+are.  ``quotient_full`` hands the coordinates of relations between elements
+to the same core.
 """
 
 from __future__ import annotations
@@ -358,71 +364,86 @@ def free_algebra(P: Pasture, names) -> Pasture:
     return Pasture(red.group, orbits, label)
 
 
-def _as_unit_coords(P: Pasture, e: PastureElement):
+def _coords(P: Pasture, e: PastureElement):
     if not isinstance(e, PastureElement):
         raise BadRelationShape(f"expected a PastureElement, got {e!r}")
-    if e.is_zero:
-        return None
-    if len(e.coords) != P.units.ngens:
+    if not e.is_zero and len(e.coords) != P.units.ngens:
         raise BadRelationShape(
             f"element {e.coords} does not live in a group with "
             f"{P.units.ngens} generators")
-    return P.units.reduce(e.coords)
+    return e.coords
 
 
-def quotient_full(P: Pasture, relations, identifications=()) -> QuotientResult:
-    """Quotient of ``P`` by null relations and unit identifications.
+def quotient_full(P: Pasture, relations) -> QuotientResult:
+    """Quotient of ``P`` by null relations.
 
     Each relation is a triple of :class:`PastureElement` with at most one
     zero entry (a 2- or 3-term vanishing sum; the sign of a term is folded
     into the element, so ``a + b - c = 0`` is passed as ``(a, b, -c)``).
-    Identifications are pairs of units forced equal.  All-unit triples adjoin
-    null orbits; two-term triples ``{x, y, 0}`` force the unit identification
-    ``y = -x`` and contribute the kill element ``x * y^-1 * (-1)``.
+    A malformed relation raises :class:`BadRelationShape`; the coordinates
+    of well-formed ones go to the core that :func:`presented` shares.
     """
-    units = P.units
-    orbits = set(P.null_orbits)
-    adjoin = []
-    kill = []
+    rows = []
     for tri in relations:
         tri = tuple(tri)
         if len(tri) != 3:
             raise BadRelationShape(f"relation {tri} is not a triple")
-        coords = [_as_unit_coords(P, e) for e in tri]
-        parts = [c for c in coords if c is not None]
-        if len(parts) < 2:
-            raise BadRelationShape(
-                "a relation needs at least two nonzero terms")
+        rows.append([_coords(P, e) for e in tri])
+    return _quotient(P.units, P.null_orbits, rows)
+
+
+def presented(n: int, relations) -> QuotientResult:
+    """F1pm with n free units t_1 .. t_n modulo ``relations``.
+
+    A relation is a triple of coordinate rows (e, c_1, .., c_n), one per
+    term, standing for the unit (-1)^e t_1^c_1 .. t_n^c_n, with None for a
+    zero term; at least two terms are nonzero.  The rows are coordinates in
+    ``free_algebra(named("F1pm"), names)`` for n names, so the result equals
+    ``quotient_full`` of that algebra by the same terms as elements, with
+    ``unit_map`` and ``sections`` over those coordinates.
+    """
+    return _quotient(AbelianGroup((2,), n, (1,) + (0,) * n), (), relations)
+
+
+def _quotient(units, orbits, relations) -> QuotientResult:
+    """The pasture with unit group ``units`` and null orbits ``orbits``
+    modulo relations given as coordinate rows, None for a zero term.
+
+    A 3-term relation adjoins a null orbit.  A 2-term one x + y = 0 forces
+    y = -x, so it kills -x/y, whose coordinates are x - y + e for e those
+    of -1; all kills go into one ``quotient_by``, in relation order.
+    """
+    eps = units.epsilon
+    adjoin = []
+    kill = []
+    for tri in relations:
+        parts = [c for c in tri if c is not None]
         if len(parts) == 2:
             x, y = parts
-            kill.append(units.mul(units.mul(x, units.inv(y)), units.epsilon))
+            kill.append(units.reduce([a - b + e for a, b, e in zip(x, y, eps)]))
+        elif len(parts) == 3:
+            adjoin.append(tuple(map(units.reduce, parts)))
         else:
-            adjoin.append(tuple(parts))
-    for g, h in identifications:
-        cg = _as_unit_coords(P, g)
-        ch = _as_unit_coords(P, h)
-        if cg is None or ch is None:
-            raise BadRelationShape("identifications must relate units")
-        kill.append(units.mul(cg, units.inv(ch)))
+            raise BadRelationShape(
+                "a relation needs at least two nonzero terms")
 
     if kill:
         red = quotient_by(units, kill)
         units, cum, sections = red.group, red.project, red.sections
-        orbits = {tuple(cum(x) for x in o) for o in orbits}
-        adjoin = [tuple(cum(x) for x in t) for t in adjoin]
+        orbits = [tuple(map(cum, o)) for o in itertools.chain(orbits, adjoin)]
     else:
         cum = GroupMap(units, identity_rows(units.ngens))
         sections = identity_rows(units.ngens)
+        orbits = itertools.chain(orbits, adjoin)
     # stored orbits are all-unit triples and stay that way under projection,
     # so they never force further identifications: one kill round reaches
     # closure
-    orbits = {canonical_orbit(units, o) for o in orbits}
-    orbits.update(canonical_orbit(units, t) for t in adjoin)
-    return QuotientResult(Pasture(units, frozenset(orbits)), cum, sections)
+    orbits = frozenset(canonical_orbit(units, o) for o in orbits)
+    return QuotientResult(Pasture(units, orbits), cum, sections)
 
 
-def quotient(P: Pasture, relations, identifications=()) -> Pasture:
-    return quotient_full(P, relations, identifications).pasture
+def quotient(P: Pasture, relations) -> Pasture:
+    return quotient_full(P, relations).pasture
 
 
 def product_full(P: Pasture, Q: Pasture) -> ProductResult:
@@ -533,48 +554,28 @@ def finite_field(q: int) -> Pasture:
     return Pasture(g, frozenset(orbits), f"F{q}")
 
 
+# name: the arguments (n, relations) of ``presented``.  Over no free unit,
+# (0,) is 1 and (1,) is -1; over one, z, (0, 1) is z and (1, 0) is -1.
+_PRESENTATIONS = {
+    "F1pm": (0, ()),
+    "K": (0, [((0,), (0,), None), ((0,), (0,), (0,))]),      # 1 + 1, 1 + 1 + 1
+    "S": (0, [((0,), (0,), (1,))]),                          # 1 + 1 - 1
+    "W": (0, [((0,), (0,), (0,)), ((0,), (0,), (1,))]),      # both of S, F3
+    "F2": (0, [((0,), (0,), None)]),                         # 1 + 1
+    "F3": (0, [((0,), (0,), (0,))]),                         # 1 + 1 + 1
+    "U": (2, [((0, 1, 0), (0, 0, 1), (1, 0, 0))]),           # x + y - 1
+    "D": (1, [((0, 1), (0, 1), (1, 0))]),                    # z + z - 1
+    "H": (1, [((0, 3), (0, 0), None),                        # z^3 + 1
+              ((0, 1), (0, -1), (1, 0))]),                   # z + z^-1 - 1
+    "G": (1, [((0, 2), (0, 1), (1, 0))]),                    # z^2 + z - 1
+}
+
+NAMED = tuple(_PRESENTATIONS)
+
+
 @lru_cache(maxsize=None)
 def named(name: str) -> Pasture:
     """The stock pastures: F1pm, K, S, W, F2, F3, U, D, H, G."""
-    if name == "F1pm":
-        red = reduce_presentation(1, [[2]], [1])
-        return Pasture(red.group, frozenset(), "F1pm")
-    base = named("F1pm")
-    one = base.one()
-    meps = base.minus_one()
-    if name == "K":
-        return quotient(base, [(one, one, ZERO), (one, one, one)]).with_label("K")
-    if name == "S":
-        return quotient(base, [(one, one, meps)]).with_label("S")
-    if name == "W":
-        return quotient(base, [(one, one, one), (one, one, meps)]).with_label("W")
-    if name == "F2":
-        return quotient(base, [(one, one, ZERO)]).with_label("F2")
-    if name == "F3":
-        return quotient(base, [(one, one, one)]).with_label("F3")
-    if name == "U":
-        amb = free_algebra(base, ("x", "y"))
-        x = unit((0, 1, 0))
-        y = unit((0, 0, 1))
-        return quotient(amb, [(x, y, amb.minus_one())]).with_label("U")
-    if name == "D":
-        amb = free_algebra(base, ("z",))
-        z = unit((0, 1))
-        return quotient(amb, [(z, z, amb.minus_one())]).with_label("D")
-    if name == "H":
-        amb = free_algebra(base, ("z",))
-        z = unit((0, 1))
-        z3 = unit((0, 3))
-        zinv = unit((0, -1))
-        return quotient(
-            amb, [(z3, amb.one(), ZERO), (z, zinv, amb.minus_one())]
-        ).with_label("H")
-    if name == "G":
-        amb = free_algebra(base, ("z",))
-        z = unit((0, 1))
-        z2 = unit((0, 2))
-        return quotient(amb, [(z2, z, amb.minus_one())]).with_label("G")
-    raise KeyError(f"unknown pasture name {name!r}")
-
-
-NAMED = ("F1pm", "K", "S", "W", "F2", "F3", "U", "D", "H", "G")
+    if name not in _PRESENTATIONS:
+        raise KeyError(f"unknown pasture name {name!r}")
+    return presented(*_PRESENTATIONS[name]).pasture.with_label(name)

@@ -48,6 +48,8 @@ EXIT_CASES = [
     (["reps", "--matroid", "U24", "--pasture", "G"], 2),
     (["reps", "--matroid", "U24", "--pasture", "F9",
       "--max-candidates", "10"], 2),
+    # a field past gf.MAX_Q, refused before its tables are built
+    (["pasture", "F1000000007"], 2),
     # usage errors
     (["pasture", "F4 x"], 3),
     (["pasture", "F6"], 3),
@@ -104,6 +106,8 @@ GOLDEN_CASES = [
     (["lift-check", "--matroid", "U24", "--pasture", "F4",
       "--kind", "ternary", "--json"], "golden_liftcheck_u24_F4.json"),
     (["verify", "glift", "--json"], "golden_verify_glift.json"),
+    (["lift", "--kind", "grs", "F4 x F5", "--json"],
+     "golden_lift_grs_F4xF5.json"),
 ]
 
 

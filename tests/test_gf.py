@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 import pastures
-from pastures.gf import (GF, FieldConstructionFailed, NotPrimePower, field,
-                         prime_power)
+from pastures.gf import (GF, MAX_Q, FieldConstructionFailed, FieldTooLarge,
+                         NotPrimePower, field, prime_power)
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
@@ -137,3 +137,11 @@ def test_construction_failure_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(GF, "mul", lambda self, a, b: 1)
     with pytest.raises(FieldConstructionFailed):
         GF(5)
+
+
+@pytest.mark.parametrize("q", [65537, 2**17, 1000000007, 2**127 - 1])
+def test_field_past_max_q_is_refused(q):
+    # refused before any table is built, however large q is
+    assert q > MAX_Q
+    with pytest.raises(FieldTooLarge):
+        field(q)

@@ -65,7 +65,7 @@ def plucker_check(rep: Representation):
     representation land in the nullset; the witness is a failing constraint
     as basis-position terms."""
     P, meps = rep.pasture, rep.pasture.minus_one()
-    con = next((con for bucket in _constraints(rep.matroid) for con in bucket
+    con = next((con for con in _constraints(rep.matroid)
                 if not _check_constraint(P, con, rep.values, meps)), None)
     return con is None, con
 
@@ -76,7 +76,7 @@ def test_constraints_are_cached():
     assert _constraints(M) is _constraints(mk4())
     assert isinstance(_constraints(M), tuple)
     assert all(isinstance(b, tuple) for b in _constraints(M))
-    assert _constraints(uniform(1, 3)) == ((), (), ())
+    assert _constraints(uniform(1, 3)) == ()
 
 
 def test_from_bases_validation():
@@ -329,7 +329,11 @@ def reference_classes(M, P):
     Returns (representative values, members) pairs in output order."""
     units = [PastureElement(c) for c in
              sorted(P.units.elements(), key=P.units.key)]
-    buckets = _constraints(M)
+    # each constraint is checked once its largest basis position is set
+    buckets = [[] for _ in M.bases]
+    for con in _constraints(M):
+        buckets[max(t[0] for pair in con for t in pair
+                    if t[0] is not None)].append(con)
     meps = P.minus_one()
     accepted = []
 

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pastures.gf import field
-from pastures.groups import AbelianGroup
+from pastures.groups import (AbelianGroup, GroupMap, identity_rows,
+                             quotient_by, reduce_presentation)
 from pastures.morphisms import iso_check
-from pastures.pasture import (InfinitePasture, Pasture, PastureElement, ZERO,
-                              canonical_orbit, finite_field, free_algebra,
-                              named, product, quotient, tensor, unit)
+from pastures.pasture import (NAMED, InfinitePasture, Pasture, PastureElement,
+                              ZERO, canonical_orbit, finite_field,
+                              free_algebra, named, presented, product,
+                              quotient, quotient_full, tensor, unit)
 
 # frozen canonical data: (torsion, free_rank, epsilon, sorted null orbits)
 NAMED_DATA = {
@@ -190,6 +192,83 @@ def test_free_algebra_and_quotient():
     x, y = unit((0, 1, 0)), unit((0, 0, 1))
     Q = quotient(P, [(x, y, P.minus_one())])
     assert bool(iso_check(Q, named("U")))
+
+
+# -- presentations --------------------------------------------------------
+
+def reference_named(name):
+    """``named(name)`` as it was built before its table of rows: relations
+    between elements of a free algebra over F1pm, passed to ``quotient``."""
+    base = Pasture(reduce_presentation(1, [[2]], [1]).group, frozenset())
+    one, meps = base.one(), base.minus_one()
+    z, mz = unit((0, 1)), unit((1, 0))
+    gens = {"U": ("x", "y"), "D": ("z",), "H": ("z",), "G": ("z",)}
+    relations = {
+        "F1pm": [],
+        "K": [(one, one, ZERO), (one, one, one)],
+        "S": [(one, one, meps)],
+        "W": [(one, one, one), (one, one, meps)],
+        "F2": [(one, one, ZERO)],
+        "F3": [(one, one, one)],
+        "U": [(unit((0, 1, 0)), unit((0, 0, 1)), unit((1, 0, 0)))],
+        "D": [(z, z, mz)],
+        "H": [(unit((0, 3)), unit((0, 0)), ZERO), (z, unit((0, -1)), mz)],
+        "G": [(unit((0, 2)), z, mz)],
+    }[name]
+    return quotient(free_algebra(base, gens.get(name, ())), relations)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_matches_element_construction(name):
+    P, Q = named(name), reference_named(name)
+    assert (P.units, P.null_orbits) == (Q.units, Q.null_orbits)
+
+
+def reference_quotient(P, relations):
+    """``quotient_full`` by element arithmetic, kept as an oracle: a 2-term
+    relation x + y = 0 kills x * y^-1 * (-1), a 3-term one adjoins an
+    orbit."""
+    kill, orbits = [], list(P.null_orbits)
+    for tri in relations:
+        parts = [e for e in tri if not e.is_zero]
+        if len(parts) == 2:
+            x, y = parts
+            kill.append(P.mul(P.mul(x, P.inv(y)), P.minus_one()).coords)
+        else:
+            orbits.append(tuple(e.coords for e in parts))
+    if kill:
+        red = quotient_by(P.units, kill)
+        g, cum, sections = red.group, red.project, red.sections
+    else:
+        g, sections = P.units, identity_rows(P.units.ngens)
+        cum = GroupMap(g, sections)
+    orbits = frozenset(canonical_orbit(g, tuple(map(cum, o)))
+                       for o in orbits)
+    return Pasture(g, orbits), cum, sections
+
+
+@st.composite
+def presentations(draw):
+    """(n, relations): up to three random relations over F1pm<t_1..t_n>,
+    each of two or three terms +-t_1^c_1 .. t_n^c_n with |c_i| <= 3, the
+    zero term of a 2-term relation at a random position."""
+    n = draw(st.integers(0, 3))
+    row = st.tuples(st.integers(0, 1), *[st.integers(-3, 3)] * n)
+    relation = st.tuples(row, row, st.one_of(st.none(), row)).flatmap(
+        lambda rel: st.permutations(rel).map(tuple))
+    return n, draw(st.lists(relation, max_size=3))
+
+
+@given(presentations())
+@settings(max_examples=200, deadline=None)
+def test_presented_matches_quotient_of_free_algebra(pres):
+    n, relations = pres
+    A = free_algebra(named("F1pm"), [f"t{i}" for i in range(n)])
+    elements = [tuple(ZERO if r is None else unit(r) for r in rel)
+                for rel in relations]
+    want = reference_quotient(A, elements)
+    for res in (presented(n, relations), quotient_full(A, elements)):
+        assert (res.pasture, res.unit_map, res.sections) == want
 
 
 def test_product_and_tensor_identities():
