@@ -301,9 +301,10 @@ class GroupMap(Record):
     def __call__(self, vec) -> tuple[int, ...]:
         acc = [0] * self.target.ngens
         for c, row in zip(vec, self.rows):
-            if c:
-                for i, r in enumerate(row):
-                    acc[i] += c * r
+            if c == 1:
+                acc = list(map(_add, acc, row))
+            elif c:
+                acc = [a + c * r for a, r in zip(acc, row)]
         return self.target.reduce(acc)
 
     def then(self, other: "GroupMap") -> "GroupMap":

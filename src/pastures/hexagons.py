@@ -73,7 +73,7 @@ def pair_orbit(P: Pasture, pair):
 def fundamental_pairs(P: Pasture):
     """All fundamental pairs, read off the stored null orbits: the cached
     ``P.null_pairs``, which a null triple a + b + c = 0 enters as
-    (-a/c, -b/c) over the six orderings of its entries."""
+    (-a/c, -b/c) and its swap, for each of its three entries as c."""
     return P.null_pairs
 
 

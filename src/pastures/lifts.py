@@ -128,7 +128,9 @@ def _tensor_lift(P: Pasture, extra_f2: bool):
 
 def _check_pair_bijection(lam: PastureMorphism):
     src_pairs = fundamental_pairs(lam.source)
-    mapped = {(lam.unit_map(a), lam.unit_map(b)) for a, b in src_pairs}
+    # the pairs are symmetric, so their first entries are all their entries
+    image = {a: lam.unit_map(a) for a, _ in src_pairs}
+    mapped = {(image[a], image[b]) for a, b in src_pairs}
     tgt_pairs = fundamental_pairs(lam.target)
     if not len(mapped) == len(src_pairs) == len(tgt_pairs):
         raise LiftCheckFailed("lambda is not injective on fundamental pairs")

@@ -8,10 +8,14 @@ zero are never stored; they are forced by the axioms and answered by rule
 (``a + b + 0`` is null exactly when ``b = -a``, and ``a + 0 + 0`` only for
 ``a = 0``).
 
-The canonical representative of an orbit is the lexicographic minimum, in the
-element total order, over the at most three scalings that send one entry to 1,
-each sorted.  Since every such scaling arises from every orbit member, the
-representative does not depend on the member we start from.
+The canonical representative of the orbit of (x, y, z) is the least, in the
+element total order, of the three scalings that send one entry to 1, each
+sorted.  The identity's key is all zeros, below every other key (torsion
+coordinates lie in range(d), free ones are keyed by absolute value), so it
+leads each scaling: the representative is (1, u, v), with u and v among the
+ratios y/x, z/x, z/y and their inverses.  Every such scaling arises from every
+orbit member, so the representative does not depend on the member we start
+from.
 
 Membership is answered by the fundamental pairs instead: an all-unit triple
 ``a + b + c = 0`` holds exactly when ``(-a/c, -b/c)`` is a fundamental pair
@@ -98,16 +102,24 @@ def unit(coords) -> PastureElement:
 
 
 def canonical_orbit(group: AbelianGroup, triple):
-    """Canonical representative of the scaling orbit of an all-unit triple."""
+    """Canonical representative (1, u, v) of the scaling orbit of an
+    all-unit triple (x, y, z): of its scalings by 1/x, 1/y and 1/z, the one
+    whose other two entries, sorted, have the least keys.  These entries are
+    the ratios y/x, z/x, z/y and their inverses, each keyed once."""
+    x, y, z = triple
+    mul, inv, key = group.mul, group.inv, group.key
+    ix = inv(x)
+    yx, zx = mul(y, ix), mul(z, ix)
+    xy, xz = inv(yx), inv(zx)
+    zy = mul(zx, xy)
+    yz = inv(zy)
     best = None
-    best_key = None
-    for t in set(triple):
-        tinv = group.inv(t)
-        cand = tuple(sorted((group.mul(x, tinv) for x in triple), key=group.key))
-        ck = tuple(group.key(x) for x in cand)
-        if best is None or ck < best_key:
-            best, best_key = cand, ck
-    return best
+    for u, v in ((yx, zx), (xy, zy), (xz, yz)):
+        ku, kv = key(u), key(v)
+        cand = (ku, kv, u, v) if ku <= kv else (kv, ku, v, u)
+        if best is None or cand < best:
+            best = cand
+    return (group.identity(), best[2], best[3])
 
 
 class Pasture(Record):
@@ -198,16 +210,19 @@ class Pasture(Record):
         A null triple x + y + z = 0 gives the pair (-x/z, -y/z) for each
         ordering of its entries, on which the orderings act as the D3 of
         ``hexagons``, and the pair (a, b) fixes the orbit of (a, b, -1), so
-        the hexagons are exactly these sets.  Unit scalings of the triple
-        give the same pairs, so one representative per orbit suffices.
+        the hexagons are exactly these sets: one scaling by -1/z per choice
+        of the last entry, each pair with its swap.  Unit scalings of the
+        triple give the same pairs, so one representative per orbit
+        suffices.
         """
         g = self.units
         orbits = set()
-        for o in self.null_orbits:
-            pairs = set()
-            for x, y, z in itertools.permutations(o):
-                s = g.mul(self.eps, g.inv(z))
-                pairs.add((g.mul(x, s), g.mul(y, s)))
+        for x, y, z in self.null_orbits:
+            pairs = []
+            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                s = g.mul(self.eps, g.inv(c))
+                a, b = g.mul(a, s), g.mul(b, s)
+                pairs += ((a, b), (b, a))
             orbits.add(frozenset(pairs))
         return frozenset(orbits)
 
@@ -455,26 +470,19 @@ def product_full(P: Pasture, Q: Pasture) -> ProductResult:
     rows += [[0] * n1 + list(r) for r in gq.relation_rows()]
     red = reduce_presentation(n1 + n2, rows, list(gp.epsilon) + list(gq.epsilon))
     R = red.group
-
-    def pad1(x):
-        return list(x) + [0] * n2
-
-    def pad2(y):
-        return [0] * n1 + list(y)
-
-    embed1 = GroupMap(R, tuple(red.project(pad1(e)) for e in identity_rows(n1)))
-    embed2 = GroupMap(R, tuple(red.project(pad2(e)) for e in identity_rows(n2)))
+    # the projection of a unit vector is its (reduced) row of red.project
+    proj = red.project.rows
+    embed1, embed2 = GroupMap(R, proj[:n1]), GroupMap(R, proj[n1:])
     proj1 = GroupMap(gp, tuple(gp.reduce(w[:n1]) for w in red.sections))
     proj2 = GroupMap(gq, tuple(gq.reduce(w[n1:]) for w in red.sections))
 
     orbits = set()
+    second = [tuple(map(embed2, b)) for b in Q.null_orbits]
     for a in P.null_orbits:
-        for b in Q.null_orbits:
-            for perm in itertools.permutations(range(3)):
-                tri = tuple(
-                    R.mul(red.project(pad1(a[i])), red.project(pad2(b[perm[i]])))
-                    for i in range(3))
-                orbits.add(canonical_orbit(R, tri))
+        a = tuple(map(embed1, a))
+        for b in second:
+            for perm in itertools.permutations(b):
+                orbits.add(canonical_orbit(R, tuple(map(R.mul, a, perm))))
     label = None
     if P.label and Q.label:
         label = f"{P.label} x {Q.label}"
@@ -516,9 +524,9 @@ def tensor_full(factors) -> TensorResult:
         rows.append([x - y for x, y in zip(a, b)])
     red = reduce_presentation(total, rows, pad(0, factors[0].units.epsilon))
     R = red.group
-    inclusions = tuple(
-        GroupMap(R, tuple(red.project(pad(i, e)) for e in identity_rows(ngs[i])))
-        for i in range(len(factors)))
+    # the projection of a unit vector is its (reduced) row of red.project
+    proj = red.project.rows
+    inclusions = tuple(GroupMap(R, proj[o:o + n]) for o, n in zip(offs, ngs))
     orbits = set()
     for i, F in enumerate(factors):
         inc = inclusions[i]
@@ -539,7 +547,10 @@ def finite_field(q: int) -> Pasture:
     the deterministic generator, nullset from the additive structure.
 
     Every scaling orbit of a null triple has a member (1, a, -1-a), so the
-    q - 2 units a != -1 give every orbit: O(q) field operations."""
+    q - 2 units a != -1 give every orbit: O(q) field operations.  For
+    a = g^j and -1-a = g^k, g the generator, the orbit's members of this
+    form have a = g^e for e in {j, k, -j, k-j, -k, j-k} mod q - 1; all are
+    marked when the first is met, so each orbit is canonicalised once."""
     f = gf_mod.field(q)
     if q == 2:
         g = AbelianGroup((), 0, ())
@@ -547,10 +558,14 @@ def finite_field(q: int) -> Pasture:
     eps = ((q - 1) // 2,) if q % 2 else (0,)
     g = AbelianGroup((q - 1,), 0, eps)
     orbits = set()
+    seen = bytearray(q - 1)
     for j in range(q - 1):
         c = f.neg(f.add(f.exp[0], f.exp[j]))
-        if c:
-            orbits.add(canonical_orbit(g, ((0,), (j,), (f.dlog[c],))))
+        if c and not seen[j]:
+            k = f.dlog[c]
+            for e in (j, k, -j, k - j, -k, j - k):
+                seen[e % (q - 1)] = 1
+            orbits.add(canonical_orbit(g, ((0,), (j,), (k,))))
     return Pasture(g, frozenset(orbits), f"F{q}")
 
 

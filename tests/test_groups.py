@@ -351,6 +351,38 @@ def test_evaluate_word_and_presentation_map():
     assert evaluate_word(target, [(1,), (2,)], [0, 2]) == (0,)
 
 
+def reference_groupmap_call(m, vec):
+    """``GroupMap.__call__`` as an indexed loop over each row, kept as its
+    oracle."""
+    acc = [0] * m.target.ngens
+    for c, row in zip(vec, m.rows):
+        if c:
+            for i, r in enumerate(row):
+                acc[i] += c * r
+    return m.target.reduce(acc)
+
+
+@st.composite
+def maps_and_vectors(draw):
+    """A map from Z^n into a group with up to three invariant factors and
+    free rank up to three, and a vector of Z^n, coefficients 1 often."""
+    g = AbelianGroup(tuple(draw(st.lists(st.integers(2, 12), max_size=3))),
+                     draw(st.integers(0, 3)), ())
+    n = draw(st.integers(0, 5))
+    coord = st.integers(-20, 20)
+    rows = draw(st.lists(st.lists(coord, min_size=g.ngens, max_size=g.ngens)
+                         .map(tuple), min_size=n, max_size=n))
+    vec = draw(st.lists(st.one_of(st.just(1), coord), min_size=n, max_size=n))
+    return GroupMap(g, tuple(rows)), vec
+
+
+@given(maps_and_vectors())
+@settings(max_examples=300, deadline=None)
+def test_groupmap_call_matches_coordinate_loop(case):
+    m, vec = case
+    assert m(vec) == m(tuple(vec)) == reference_groupmap_call(m, vec)
+
+
 def test_groupmap_compose():
     a = AbelianGroup((), 1, ())
     b = AbelianGroup((6,), 0, (3,))

@@ -3,15 +3,21 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
+from pastures import pasture as pasture_mod
 from pastures.gf import field
 from pastures.groups import (AbelianGroup, GroupMap, identity_rows,
                              quotient_by, reduce_presentation)
+from pastures.hexagons import hexagons
+from pastures.lifts import _model_and_images, grs_lift
+from pastures.matroids import _foundation, mk4, u24
 from pastures.morphisms import iso_check
 from pastures.pasture import (NAMED, InfinitePasture, Pasture, PastureElement,
                               ZERO, canonical_orbit, finite_field,
                               free_algebra, named, presented, product,
-                              quotient, quotient_full, tensor, unit)
+                              product_full, quotient, quotient_full, tensor,
+                              tensor_full, unit)
 
 # frozen canonical data: (torsion, free_rank, epsilon, sorted null orbits)
 NAMED_DATA = {
@@ -65,9 +71,58 @@ def test_finite_fields_as_pastures():
                                            unit((c,))) == (s == 0)
 
 
+def reference_canonical_orbit(group, triple):
+    """The canonical form ``canonical_orbit`` computed before it keyed each
+    ratio once, kept as its oracle: the least, by element keys, of the
+    scalings of the triple by each distinct entry's inverse, each sorted."""
+    best = None
+    best_key = None
+    for t in set(triple):
+        tinv = group.inv(t)
+        cand = tuple(sorted((group.mul(x, tinv) for x in triple),
+                            key=group.key))
+        ck = tuple(group.key(x) for x in cand)
+        if best is None or ck < best_key:
+            best, best_key = cand, ck
+    return best
+
+
+@st.composite
+def groups_and_triples(draw):
+    """A unit group of one of three shapes, C_n for n <= 127 (the unit group
+    of F_(n+1)), C2 x Z^2 (U's) and C2 x Z^k for k <= 6 (tensor lifts'),
+    and a triple of its elements, two or three of them equal at times."""
+    kind = draw(st.sampled_from(["cyclic", "C2 x Z^2", "C2 x Z^k"]))
+    if kind == "cyclic":
+        n = draw(st.integers(2, 127))
+        g = AbelianGroup((n,), 0, (n // 2 if n % 2 == 0 else 0,))
+        elt = st.tuples(st.integers(0, n - 1))
+    else:
+        k = 2 if kind == "C2 x Z^2" else draw(st.integers(0, 6))
+        g = AbelianGroup((2,), k, (1,) + (0,) * k)
+        elt = st.tuples(st.integers(0, 1), *[st.integers(-3, 3)] * k)
+    entries = dict(zip("xyz", (draw(elt), draw(elt), draw(elt))))
+    shape = draw(st.sampled_from(["xyz", "xxz", "xyx", "xyy", "xxx"]))
+    return g, tuple(entries[c] for c in shape)
+
+
+@given(groups_and_triples(), st.data())
+@settings(max_examples=500, deadline=None)
+def test_canonical_orbit_matches_reference(case, data):
+    g, triple = case
+    rep = canonical_orbit(g, triple)
+    assert rep == reference_canonical_orbit(g, triple)
+    assert rep[0] == g.identity()
+    # any scaling of any ordering gives the same representative
+    scale = data.draw(st.sampled_from(triple))
+    order = data.draw(st.permutations(triple))
+    assert canonical_orbit(g, tuple(g.mul(scale, x) for x in order)) == rep
+
+
 def reference_finite_field(q):
     """The O(q^2) construction ``finite_field`` replaced, kept as its oracle:
-    the canonical orbit of every all-unit triple (a, b, -a-b)."""
+    the canonical orbit of every all-unit triple (a, b, -a-b), by the
+    reference canonical form."""
     f = field(q)
     if q == 2:
         return Pasture(AbelianGroup((), 0, ()), frozenset(), "F2")
@@ -78,17 +133,102 @@ def reference_finite_field(q):
         for j in range(q - 1):
             c = f.neg(f.add(f.exp[i], f.exp[j]))
             if c:
-                orbits.add(canonical_orbit(g, ((i,), (j,), (f.dlog[c],))))
+                orbits.add(reference_canonical_orbit(
+                    g, ((i,), (j,), (f.dlog[c],))))
     return Pasture(g, frozenset(orbits), f"F{q}")
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23,
-                               25, 27, 29, 31, 32, 49, 64, 81])
+# up to 81, and the top of the benchmark's fields workload
+FIELD_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+            49, 64, 81, 101, 121, 125, 127, 128]
+
+
+@pytest.mark.parametrize("q", FIELD_QS)
 def test_finite_field_matches_reference(q):
     P, R = finite_field(q), reference_finite_field(q)
     assert P.units == R.units
     assert P.null_orbits == R.null_orbits
     assert P.label == R.label
+
+
+@pytest.mark.parametrize("q", FIELD_QS)
+def test_finite_field_canonicalises_each_orbit_once(q, monkeypatch):
+    """``finite_field`` calls ``canonical_orbit`` by its global name, once
+    per null orbit: the count a traced benchmark run reports."""
+    calls = []
+
+    def counting(group, triple):
+        calls.append(triple)
+        return canonical_orbit(group, triple)
+
+    monkeypatch.setattr(pasture_mod, "canonical_orbit", counting)
+    P = finite_field(q)
+    assert len(calls) == len(P.null_orbits)
+
+
+def reference_orbit_pairs(P):
+    """``Pasture.orbit_pairs`` as it was built, kept as its oracle: the
+    pair (-x/z, -y/z) for each of the six orderings of each null orbit."""
+    g = P.units
+    orbits = set()
+    for o in P.null_orbits:
+        pairs = set()
+        for x, y, z in itertools.permutations(o):
+            s = g.mul(P.eps, g.inv(z))
+            pairs.add((g.mul(x, s), g.mul(y, s)))
+        orbits.add(frozenset(pairs))
+    return frozenset(orbits)
+
+
+PRIME_POWERS_64 = [q for q in range(2, 65) if len(factorint(q)) == 1]
+
+
+def test_orbit_pairs_match_reference():
+    pastures = [named(n) for n in NAMED]
+    pastures += [finite_field(q) for q in PRIME_POWERS_64]
+    pastures += [product(finite_field(4), finite_field(5)),
+                 product(named("S"), named("S")),
+                 grs_lift(product(finite_field(4), finite_field(5))).lift,
+                 grs_lift(finite_field(9)).lift,
+                 _foundation(mk4())[0], _foundation(u24())[0]]
+    for P in pastures:
+        assert P.orbit_pairs == reference_orbit_pairs(P), P
+
+
+def lift_factors(q):
+    """The model pastures whose tensor is the ternary lift of F_q."""
+    P = finite_field(q)
+    return [_model_and_images(P, h)[0] for h in hexagons(P)]
+
+
+TENSOR_CASES = {f"lift F{q}": lift_factors(q)
+                for q in PRIME_POWERS_64 if 3 <= q <= 32}
+TENSOR_CASES.update({m: [named(m)] for m in ("U", "D", "H", "F3")})
+TENSOR_CASES["U ox D ox H ox F3"] = [named(m) for m in ("U", "D", "H", "F3")]
+
+
+@pytest.mark.parametrize("factors", TENSOR_CASES.values(), ids=TENSOR_CASES)
+def test_tensor_inclusions_are_projected_unit_vectors(factors, monkeypatch):
+    """Each inclusion row of ``tensor_full`` is the projection of the
+    factor's unit vector padded into the concatenated coordinates."""
+    reductions = []
+
+    def capture(*args):
+        reductions.append(reduce_presentation(*args))
+        return reductions[-1]
+
+    monkeypatch.setattr(pasture_mod, "reduce_presentation", capture)
+    res = tensor_full(factors)
+    (red,) = reductions
+    total = len(red.project.rows)
+    offset = 0
+    for F, inc in zip(factors, res.inclusions):
+        n = F.units.ngens
+        assert inc.rows == tuple(
+            red.project([0] * offset + list(e) + [0] * (total - offset - n))
+            for e in identity_rows(n))
+        offset += n
+    assert offset == total
 
 
 @pytest.mark.parametrize("P", [
@@ -242,7 +382,7 @@ def reference_quotient(P, relations):
     else:
         g, sections = P.units, identity_rows(P.units.ngens)
         cum = GroupMap(g, sections)
-    orbits = frozenset(canonical_orbit(g, tuple(map(cum, o)))
+    orbits = frozenset(reference_canonical_orbit(g, tuple(map(cum, o)))
                        for o in orbits)
     return Pasture(g, orbits), cum, sections
 
@@ -293,6 +433,41 @@ def test_s_times_s():
     assert R.units.torsion == (2, 2)
     assert R.units.free_rank == 0
     assert len(R.null_orbits) == 2
+
+
+@pytest.mark.parametrize("pair", [("F4", "F5"), ("S", "S"), ("U", "F3"),
+                                  ("F8", "F23"), ("H", "D"), ("F2", "G")],
+                         ids=" x ".join)
+def test_product_embeddings_are_projected_unit_vectors(pair, monkeypatch):
+    """The embeddings of ``product_full`` are the projections of each
+    factor's padded unit vectors, and its orbits those of every pairing of
+    the factors' orbits under them, as the product was built before."""
+    P, Q = (named(n) if n in NAMED else finite_field(int(n[1:])) for n in pair)
+    reductions = []
+
+    def capture(*args):
+        reductions.append(reduce_presentation(*args))
+        return reductions[-1]
+
+    monkeypatch.setattr(pasture_mod, "reduce_presentation", capture)
+    res = product_full(P, Q)
+    (red,) = reductions
+    n1, n2 = P.units.ngens, Q.units.ngens
+
+    def pad1(x):
+        return red.project(list(x) + [0] * n2)
+
+    def pad2(y):
+        return red.project([0] * n1 + list(y))
+
+    assert res.embed1.rows == tuple(map(pad1, identity_rows(n1)))
+    assert res.embed2.rows == tuple(map(pad2, identity_rows(n2)))
+    R = res.pasture.units
+    assert res.pasture.null_orbits == {
+        reference_canonical_orbit(R, tuple(
+            R.mul(pad1(a[i]), pad2(b[perm[i]])) for i in range(3)))
+        for a in P.null_orbits for b in Q.null_orbits
+        for perm in itertools.permutations(range(3))}
 
 
 def test_descriptor_schema():
