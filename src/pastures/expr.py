@@ -325,14 +325,14 @@ def evaluate(node):
     if isinstance(node, Presentation):
         index = {n: 1 + i for i, n in enumerate(node.names)}
 
-        def row(term):
+        def exponents(term):
             sign, mono = term
-            coords = [int(sign < 0)] + [0] * len(index)
+            out = {0: 1} if sign < 0 else {}
             for name, e in mono:
-                coords[index[name]] += e
-            return coords
+                out[index[name]] = out.get(index[name], 0) + e
+            return {k: e for k, e in out.items() if e}
 
-        res = presented(len(index), [[row(t) for t in rel]
+        res = presented(len(index), [[exponents(t) for t in rel]
                                      for rel in node.relations])
         return res.pasture.with_label(print_expr(node))
     if isinstance(node, Product):

@@ -80,13 +80,6 @@ def smith_normal_form(rows, width):
             r[i], r[j] = r[j], r[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
-    def col_neg(i):
-        for r in a:
-            r[i] = -r[i]
-        for r in v:
-            r[i] = -r[i]
-        vinv[i] = [-x for x in vinv[i]]
-
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
 
@@ -106,7 +99,8 @@ def smith_normal_form(rows, width):
         if best is None:
             break
         row_swap(t, best[1])
-        col_swap(t, best[2])
+        if best[2] != t:
+            col_swap(t, best[2])
         while True:
             dirty = False
             cols = [j for j in range(t, n) if a[t][j]]
@@ -142,10 +136,13 @@ def smith_normal_form(rows, width):
             row_add(t, bad, 1)
         t += 1
     diag = [a[j][j] if j < m else 0 for j in range(n)]
+    # the sign fix negates column j of v and row j of vinv; a is done with
     for j in range(n):
         if diag[j] < 0:
-            col_neg(j)
             diag[j] = -diag[j]
+            for r in v:
+                r[j] = -r[j]
+            vinv[j] = [-x for x in vinv[j]]
     return diag, v, vinv
 
 
@@ -349,9 +346,9 @@ def reduce_presentation(num_gens, relation_rows, epsilon_row) -> Reduction:
 
 def quotient_by(group: AbelianGroup, kill) -> Reduction:
     """Quotient by the subgroup generated by ``kill`` (canonical coordinate
-    tuples).  The returned projection maps old canonical coordinates to new
+    rows).  The returned projection maps old canonical coordinates to new
     ones and the sections express new canonical generators over the old."""
-    rows = group.relation_rows() + [list(k) for k in kill]
+    rows = group.relation_rows() + list(kill)
     return reduce_presentation(group.ngens, rows, list(group.epsilon))
 
 

@@ -154,12 +154,13 @@ def wlum_lift(P: Pasture) -> LiftResult:
     return LiftResult(lift, lam, "wlum", _descriptor(counts))
 
 
-def _g5_triples(g, F, index):
+def _g5_triples(g, F):
     """The triples F[i], F[j], F[k] with i <= j <= k and product 1, in
-    lexicographic order; k is the index of 1/(F[i] F[j]), if any."""
+    lexicographic order; k is looked up by F[i] F[j] among the inverses."""
+    inverse = {g.inv(c): k for k, c in enumerate(F)}
     for i, a in enumerate(F):
         for j in range(i, len(F)):
-            k = index.get(g.inv(g.mul(a, F[j])))
+            k = inverse.get(g.mul(a, F[j]))
             if k is not None and k >= j:
                 yield a, F[j], F[k]
 
@@ -180,7 +181,7 @@ def grs_lift(P: Pasture) -> LiftResult:
       G5  t_a t_b t_c = 1 for every unordered triple (with repetition) from
           F whose product is 1
 
-    The relations go to ``pasture.presented`` as coordinate rows over
+    The relations go to ``pasture.presented`` as sparse exponent maps over
     (-1, t_a for a in F).  G3 adjoins null orbits; the others are 2-term
     relations, killed in the order G1, G4, G2, G5: G1 is 1 + 1 = 0, G4 is
     w + 1 = 0 and G2 and G5 are w - 1 = 0, for w the product of the t's.
@@ -194,16 +195,15 @@ def grs_lift(P: Pasture) -> LiftResult:
         raise NotFinitary(
             f"{len(F)} fundamental elements exceed the cap of "
             f"{MAX_FUNDAMENTAL}")
-    index = {a: i for i, a in enumerate(F)}
-    n = len(F)
-    one, minus = (0,) * (n + 1), (1,) + (0,) * n
+    col = {a: 1 + i for i, a in enumerate(F)}
+    one, minus = {}, {0: 1}
 
     def t(*elts):
-        """The coordinate row of the product of the t_a."""
-        row = [0] * (n + 1)
+        """The exponent map of the product of the t_a."""
+        term = {}
         for a in elts:
-            row[1 + index[a]] += 1
-        return row
+            term[col[a]] = term.get(col[a], 0) + 1
+        return term
 
     relations = []
     if g.epsilon == g.identity():
@@ -211,20 +211,20 @@ def grs_lift(P: Pasture) -> LiftResult:
     for a, b in sorted(pairs, key=lambda p: (g.key(p[0]), g.key(p[1]))):
         binv = g.inv(b)
         c = g.mul(g.epsilon, g.inv(g.mul(a, binv)))
-        if binv not in index or c not in index:
+        if binv not in col or c not in col:
             raise LiftCheckFailed(
                 "fundamental elements are not closed under the pair relations")
         relations.append((t(a), t(b), minus))                      # G3
         relations.append((t(a, binv, c), one, None))               # G4
     for a in F:
         ainv = g.inv(a)
-        if ainv not in index:
+        if ainv not in col:
             raise LiftCheckFailed(
                 "fundamental elements are not closed under inversion")
         relations.append((t(a, ainv), minus, None))                # G2
-    for a, b, c in _g5_triples(g, F, index):
+    for a, b, c in _g5_triples(g, F):
         relations.append((t(a, b, c), minus, None))                # G5
-    res = presented(n, relations)
+    res = presented(len(F), relations)
     lift = res.pasture
     gen_images = (g.epsilon,) + tuple(F)
     rows = tuple(evaluate_word(g, gen_images, w) for w in res.sections)

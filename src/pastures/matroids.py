@@ -18,9 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import add
 
-from .groups import identity_rows
 from .morphisms import compose, hom_set
 from .pasture import InfinitePasture, Pasture, PastureElement, presented
 from .record import Record
@@ -212,24 +210,28 @@ def _foundation(M: Matroid):
     F_M is F1pm with a free unit t_B for each basis that ``_gauge`` leaves
     free, modulo the 3-term Pluecker relations of ``_constraints``, in which
     a pinned t_B is 1, a nonbasis term is 0 and an odd sign is a factor -1;
-    ``pasture.presented`` builds it from their coordinate rows, and the
-    basis units are read through its ``unit_map``.  A morphism F_M -> P is
+    ``pasture.presented`` builds it from their exponent maps, and the basis
+    units are the rows of its ``unit_map``.  A morphism F_M -> P is
     thus a representation over P with the pinned bases at 1, which is one
     per rescaling class.  Cached per matroid."""
     pinned = _gauge(M)[0]
     free = [i for i in range(len(M.bases)) if i not in pinned]
-    n = len(free)
-    gens = dict(zip(free, identity_rows(n)))
-    t = [gens.get(i, (0,) * n) for i in range(len(M.bases))]
+    col = {i: 1 + k for k, i in enumerate(free)}
 
     def term(pair):
         (i, pi), (j, pj) = pair
         if i is None or j is None:
             return None
-        return ((pi + pj) & 1,) + tuple(map(add, t[i], t[j]))
+        out = {col[b]: 1 for b in (i, j) if b in col}   # i != j
+        if (pi + pj) & 1:
+            out[0] = 1
+        return out
 
-    res = presented(n, [tuple(map(term, con)) for con in _constraints(M)])
-    return res.pasture, tuple(res.unit_map((0,) + v) for v in t)
+    res = presented(len(free),
+                    [tuple(map(term, con)) for con in _constraints(M)])
+    rows, one = res.unit_map.rows, res.pasture.units.identity()
+    return res.pasture, tuple(rows[col[i]] if i in col else one
+                              for i in range(len(M.bases)))
 
 
 def _least(M: Matroid, P: Pasture, values) -> tuple:

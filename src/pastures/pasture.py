@@ -27,10 +27,9 @@ torsion units indexed as integers, cached once per pasture as
 ``Pasture.indexed``.
 
 A presentation, F1pm with n free units modulo 2- and 3-term relations, is
-built from coordinate rows by ``presented``: the named pastures,
-``F1pm<...>//(...)`` expressions, GRS lifts and matroid foundations all
-are.  ``quotient_full`` hands the coordinates of relations between elements
-to the same core.
+built by ``presented`` from sparse terms {0: sign, 1 + i: exponent of t_i}:
+the named pastures, ``F1pm<...>//(...)`` expressions, GRS lifts and matroid
+foundations all are, and ``quotient_full`` shares its core.
 """
 
 from __future__ import annotations
@@ -395,49 +394,62 @@ def quotient_full(P: Pasture, relations) -> QuotientResult:
     Each relation is a triple of :class:`PastureElement` with at most one
     zero entry (a 2- or 3-term vanishing sum; the sign of a term is folded
     into the element, so ``a + b - c = 0`` is passed as ``(a, b, -c)``).
-    A malformed relation raises :class:`BadRelationShape`; the coordinates
-    of well-formed ones go to the core that :func:`presented` shares.
+    A malformed relation raises :class:`BadRelationShape`; the orbits of
+    ``P`` and the relations go as sparse terms to :func:`_quotient`.
     """
-    rows = []
+    rows = list(P.null_orbits)
     for tri in relations:
         tri = tuple(tri)
         if len(tri) != 3:
             raise BadRelationShape(f"relation {tri} is not a triple")
         rows.append([_coords(P, e) for e in tri])
-    return _quotient(P.units, P.null_orbits, rows)
+    return _quotient(P.units, [[None if x is None else {
+        k: c for k, c in enumerate(x) if c} for x in tri] for tri in rows])
 
 
 def presented(n: int, relations) -> QuotientResult:
     """F1pm with n free units t_1 .. t_n modulo ``relations``.
 
-    A relation is a triple of coordinate rows (e, c_1, .., c_n), one per
-    term, standing for the unit (-1)^e t_1^c_1 .. t_n^c_n, with None for a
-    zero term; at least two terms are nonzero.  The rows are coordinates in
-    ``free_algebra(named("F1pm"), names)`` for n names, so the result equals
-    ``quotient_full`` of that algebra by the same terms as elements, with
-    ``unit_map`` and ``sections`` over those coordinates.
+    A relation is a triple of terms, at least two nonzero.  A term is an
+    exponent map {0: e, 1 + i: c_i}, zero entries left out, for the unit
+    (-1)^e t_1^c_1 .. t_n^c_n, or None for zero; any other term raises
+    :class:`BadRelationShape`.  Over ``free_algebra(named("F1pm"), names)``
+    for n names, the result equals ``quotient_full`` by the same terms as
+    elements, with ``unit_map`` and ``sections`` over its coordinates.
     """
-    return _quotient(AbelianGroup((2,), n, (1,) + (0,) * n), (), relations)
+    relations = [tuple(tri) for tri in relations]
+    terms = [t for tri in relations for t in tri if t is not None]
+    if not (set(map(type, terms)) <= {dict} and set(map(type, itertools.chain(
+            *terms, *map(dict.values, terms)))) <= {int}
+            and set(itertools.chain(*terms)) <= set(range(n + 1))):
+        raise BadRelationShape(f"a term is not an exponent map over 0..{n}")
+    return _quotient(AbelianGroup((2,), n, (1,) + (0,) * n), relations)
 
 
-def _quotient(units, orbits, relations) -> QuotientResult:
-    """The pasture with unit group ``units`` and null orbits ``orbits``
-    modulo relations given as coordinate rows, None for a zero term.
-
-    A 3-term relation adjoins a null orbit.  A 2-term one x + y = 0 forces
-    y = -x, so it kills -x/y, whose coordinates are x - y + e for e those
-    of -1; all kills go into one ``quotient_by``, in relation order.
+def _quotient(units, relations) -> QuotientResult:
+    """The pasture on ``units`` modulo relations of sparse terms (None for
+    zero).  A 2-term relation x + y = 0 forces y = -x, so it kills -x/y: its
+    dense row x - y + e, e the coordinates of -1, is built once from the
+    nonzero entries, and all kills go into one ``quotient_by``, in relation
+    order.  A 3-term relation adjoins a null orbit, each member projected by
+    summing the projection rows of its nonzero coordinates.
     """
-    eps = units.epsilon
-    adjoin = []
-    kill = []
+    eps, torsion = units.epsilon, units.torsion
+    adjoin, kill = [], []
     for tri in relations:
         parts = [c for c in tri if c is not None]
         if len(parts) == 2:
             x, y = parts
-            kill.append(units.reduce([a - b + e for a, b, e in zip(x, y, eps)]))
+            row = list(eps)
+            for k, c in x.items():
+                row[k] += c
+            for k, c in y.items():
+                row[k] -= c
+            for k, d in enumerate(torsion):
+                row[k] %= d
+            kill.append(row)
         elif len(parts) == 3:
-            adjoin.append(tuple(map(units.reduce, parts)))
+            adjoin.append(parts)
         else:
             raise BadRelationShape(
                 "a relation needs at least two nonzero terms")
@@ -445,15 +457,22 @@ def _quotient(units, orbits, relations) -> QuotientResult:
     if kill:
         red = quotient_by(units, kill)
         units, cum, sections = red.group, red.project, red.sections
-        orbits = [tuple(map(cum, o)) for o in itertools.chain(orbits, adjoin)]
     else:
         cum = GroupMap(units, identity_rows(units.ngens))
         sections = identity_rows(units.ngens)
-        orbits = itertools.chain(orbits, adjoin)
+    proj, zero = cum.rows, [0] * units.ngens
+
+    def project(term):
+        acc = zero
+        for k, c in term.items():
+            acc = [a + c * r for a, r in zip(acc, proj[k])]
+        return units.reduce(acc)
+
     # stored orbits are all-unit triples and stay that way under projection,
     # so they never force further identifications: one kill round reaches
     # closure
-    orbits = frozenset(canonical_orbit(units, o) for o in orbits)
+    orbits = frozenset(canonical_orbit(units, tuple(map(project, o)))
+                       for o in adjoin)
     return QuotientResult(Pasture(units, orbits), cum, sections)
 
 
@@ -569,20 +588,21 @@ def finite_field(q: int) -> Pasture:
     return Pasture(g, frozenset(orbits), f"F{q}")
 
 
-# name: the arguments (n, relations) of ``presented``.  Over no free unit,
-# (0,) is 1 and (1,) is -1; over one, z, (0, 1) is z and (1, 0) is -1.
+# name: the arguments (n, relations) of ``presented``.  {} is 1 and {0: 1}
+# is -1; over one free unit z, {1: c} is z^c; over two, x and y, {1: 1} is x
+# and {2: 1} is y.
 _PRESENTATIONS = {
     "F1pm": (0, ()),
-    "K": (0, [((0,), (0,), None), ((0,), (0,), (0,))]),      # 1 + 1, 1 + 1 + 1
-    "S": (0, [((0,), (0,), (1,))]),                          # 1 + 1 - 1
-    "W": (0, [((0,), (0,), (0,)), ((0,), (0,), (1,))]),      # both of S, F3
-    "F2": (0, [((0,), (0,), None)]),                         # 1 + 1
-    "F3": (0, [((0,), (0,), (0,))]),                         # 1 + 1 + 1
-    "U": (2, [((0, 1, 0), (0, 0, 1), (1, 0, 0))]),           # x + y - 1
-    "D": (1, [((0, 1), (0, 1), (1, 0))]),                    # z + z - 1
-    "H": (1, [((0, 3), (0, 0), None),                        # z^3 + 1
-              ((0, 1), (0, -1), (1, 0))]),                   # z + z^-1 - 1
-    "G": (1, [((0, 2), (0, 1), (1, 0))]),                    # z^2 + z - 1
+    "K": (0, [({}, {}, None), ({}, {}, {})]),                # 1 + 1, 1 + 1 + 1
+    "S": (0, [({}, {}, {0: 1})]),                            # 1 + 1 - 1
+    "W": (0, [({}, {}, {}), ({}, {}, {0: 1})]),              # both of S, F3
+    "F2": (0, [({}, {}, None)]),                             # 1 + 1
+    "F3": (0, [({}, {}, {})]),                               # 1 + 1 + 1
+    "U": (2, [({1: 1}, {2: 1}, {0: 1})]),                    # x + y - 1
+    "D": (1, [({1: 1}, {1: 1}, {0: 1})]),                    # z + z - 1
+    "H": (1, [({1: 3}, {}, None),                            # z^3 + 1
+              ({1: 1}, {1: -1}, {0: 1})]),                   # z + z^-1 - 1
+    "G": (1, [({1: 2}, {1: 1}, {0: 1})]),                    # z^2 + z - 1
 }
 
 NAMED = tuple(_PRESENTATIONS)

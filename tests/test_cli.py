@@ -108,6 +108,8 @@ GOLDEN_CASES = [
     (["verify", "glift", "--json"], "golden_verify_glift.json"),
     (["lift", "--kind", "grs", "F4 x F5", "--json"],
      "golden_lift_grs_F4xF5.json"),
+    (["lift", "--kind", "grs", "F5 x F19", "--json"],
+     "golden_lift_grs_F5xF19.json"),
 ]
 
 

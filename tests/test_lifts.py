@@ -107,7 +107,7 @@ def test_grs_small_cases():
     assert res.kind == "grs"
 
 
-def reference_g5_triples(g, F, index):
+def reference_g5_triples(g, F):
     """Every unordered triple (with repetition) from F whose product is 1,
     found by trying all of them."""
     for a, b, c in itertools.combinations_with_replacement(F, 3):
@@ -122,9 +122,8 @@ def test_grs_lift_matches_reference_g5_loop(monkeypatch):
     for P in pastures:
         g = P.units
         F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
-        index = {a: i for i, a in enumerate(F)}
-        assert list(lifts._g5_triples(g, F, index)) == \
-            list(reference_g5_triples(g, F, index)), P.label
+        assert list(lifts._g5_triples(g, F)) == \
+            list(reference_g5_triples(g, F)), P.label
     fast = [grs_lift(P) for P in pastures]
     monkeypatch.setattr(lifts, "_g5_triples", reference_g5_triples)
     for P, got in zip(pastures, fast):

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
+from pastures import lifts
 from pastures import pasture as pasture_mod
+from pastures.expr import pasture_of
 from pastures.gf import field
 from pastures.groups import (AbelianGroup, GroupMap, identity_rows,
                              quotient_by, reduce_presentation)
@@ -13,11 +15,11 @@ from pastures.hexagons import hexagons
 from pastures.lifts import _model_and_images, grs_lift
 from pastures.matroids import _foundation, mk4, u24
 from pastures.morphisms import iso_check
-from pastures.pasture import (NAMED, InfinitePasture, Pasture, PastureElement,
-                              ZERO, canonical_orbit, finite_field,
-                              free_algebra, named, presented, product,
-                              product_full, quotient, quotient_full, tensor,
-                              tensor_full, unit)
+from pastures.pasture import (NAMED, ZERO, BadRelationShape, InfinitePasture,
+                              Pasture, PastureElement, canonical_orbit,
+                              finite_field, free_algebra, named, presented,
+                              product, product_full, quotient, quotient_full,
+                              tensor, tensor_full, unit)
 
 # frozen canonical data: (torsion, free_rank, epsilon, sorted null orbits)
 NAMED_DATA = {
@@ -387,16 +389,26 @@ def reference_quotient(P, relations):
     return Pasture(g, orbits), cum, sections
 
 
+def as_elements(n, relations):
+    """``presented``'s relations, sparse terms over n free units, as
+    elements of F1pm<t_1..t_n>."""
+    return [tuple(ZERO if term is None else unit(term.get(k, 0)
+                                                 for k in range(n + 1))
+                  for term in rel) for rel in relations]
+
+
 @st.composite
 def presentations(draw):
-    """(n, relations): up to three random relations over F1pm<t_1..t_n>,
-    each of two or three terms +-t_1^c_1 .. t_n^c_n with |c_i| <= 3, the
-    zero term of a 2-term relation at a random position."""
-    n = draw(st.integers(0, 3))
-    row = st.tuples(st.integers(0, 1), *[st.integers(-3, 3)] * n)
-    relation = st.tuples(row, row, st.one_of(st.none(), row)).flatmap(
+    """(n, relations): up to six random relations over F1pm<t_1..t_n>,
+    n <= 5, each of two or three terms +-t_1^c_1 .. t_n^c_n with |c_i| <= 3
+    as sparse exponent maps, the zero term of a 2-term relation at a random
+    position."""
+    n = draw(st.integers(0, 5))
+    term = st.tuples(st.integers(0, 1), *[st.integers(-3, 3)] * n).map(
+        lambda row: {k: c for k, c in enumerate(row) if c})
+    relation = st.tuples(term, term, st.one_of(st.none(), term)).flatmap(
         lambda rel: st.permutations(rel).map(tuple))
-    return n, draw(st.lists(relation, max_size=3))
+    return n, draw(st.lists(relation, max_size=6))
 
 
 @given(presentations())
@@ -404,11 +416,45 @@ def presentations(draw):
 def test_presented_matches_quotient_of_free_algebra(pres):
     n, relations = pres
     A = free_algebra(named("F1pm"), [f"t{i}" for i in range(n)])
-    elements = [tuple(ZERO if r is None else unit(r) for r in rel)
-                for rel in relations]
+    elements = as_elements(n, relations)
     want = reference_quotient(A, elements)
     for res in (presented(n, relations), quotient_full(A, elements)):
         assert (res.pasture, res.unit_map, res.sections) == want
+
+
+GRS_SOURCES = ([f"F{q}" for q in range(3, 33) if len(factorint(q)) == 1]
+               + ["F4 x F5", "F5 x F5"])
+
+
+@pytest.mark.parametrize("text", GRS_SOURCES)
+def test_grs_lift_matches_reference_quotient(monkeypatch, text):
+    """The GRS lift's presentation, built from sparse terms, equals the
+    element-arithmetic quotient by the same relations as elements."""
+    seen = []
+
+    def record(n, relations):
+        res = presented(n, relations)
+        seen.append((n, relations, res))
+        return res
+
+    monkeypatch.setattr(lifts, "presented", record)
+    L = grs_lift(pasture_of(text))
+    (n, relations, res), = seen
+    assert L.lift == res.pasture
+    A = free_algebra(named("F1pm"), [f"t{i}" for i in range(n)])
+    want = reference_quotient(A, as_elements(n, relations))
+    assert (res.pasture, res.unit_map, res.sections) == want
+
+
+@pytest.mark.parametrize("term", [{2: 1}, {-1: 1}, {"1": 1}, [0, 1],
+                                  {1: 0.5}, {1: "1"}, {0: None}])
+def test_presented_refuses_malformed_terms(term):
+    """A coordinate outside 0..n, a non-integer exponent or a term that is
+    not an exponent map raises BadRelationShape, not an IndexError."""
+    with pytest.raises(BadRelationShape):
+        presented(1, [(term, {}, None)])
+    with pytest.raises(BadRelationShape):
+        presented(1, [({1: 1}, {0: 1}, term)])
 
 
 def test_product_and_tensor_identities():
