@@ -51,13 +51,14 @@ def smith_normal_form(rows, width):
     of the diagonal matrix.
 
     The pivots and the row and column operations are those of the full-scan
-    elimination, but each step touches only entries it can change: the pivot
-    search (first minimum in row-major order) stops after a row holding an
-    entry of absolute value 1; a row reduction updates the pivot row's support
-    only (its nonzero columns, taken again after a row swaps into the pivot);
-    a column reduction updates only the rows of the matrix and of ``v`` that
-    are nonzero in the pivot column (collected once per pass and again after
-    a column swap); the divisibility sweep is skipped for a pivot of +-1.
+    elimination, but no step does work whose outcome is known: the pivot
+    search (first minimum in row-major order) stops at an entry of absolute
+    value 1 and tests each row once with ``any``, sharing one zero row that
+    later scans and column swaps skip; a row reduction updates the pivot
+    row's support only; a column reduction updates only rows nonzero in the
+    pivot column (after a swap-free row pass, the pivot row and rows of
+    ``v``); ``vinv`` rows are sparse maps until the end; the divisibility
+    sweep is skipped for a pivot of +-1.
 
     >>> smith_normal_form([[4, 6]], 2)[0]
     [2, 0]
@@ -70,35 +71,36 @@ def smith_normal_form(rows, width):
     for row in a:
         if len(row) != n:
             raise ValueError("relation row of wrong width")
+    zero = [0] * n
     v = [list(r) for r in identity_rows(n)]
-    vinv = [list(r) for r in identity_rows(n)]
+    vinv = [{i: 1} for i in range(n)]
 
     def col_swap(i, j):
         for r in a:
-            r[i], r[j] = r[j], r[i]
+            if r is not zero:
+                r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def row_add(j, i, k):
-        a[j][t:] = [x + k * y for x, y in zip(a[j][t:], a[i][t:])]
 
     t = 0
     while t < m and t < n:
         best = None
         for i in range(t, m):
+            if a[i] is zero or not any(a[i]):
+                a[i] = zero
+                continue
             for j in range(t, n):
                 x = a[i][j]
                 if x and (best is None or abs(x) < best[0]):
                     best = (abs(x), i, j)
+                    if best[0] == 1:
+                        break
             if best and best[0] == 1:
                 break
         if best is None:
             break
-        row_swap(t, best[1])
+        a[t], a[best[1]] = a[best[1]], a[t]
         if best[2] != t:
             col_swap(t, best[2])
         while True:
@@ -111,16 +113,20 @@ def smith_normal_form(rows, width):
                     for j in cols:
                         r[j] -= q * p[j]
                     if r[t]:
-                        row_swap(t, i)
+                        a[t], a[i] = a[i], a[t]
                         cols = [j for j in range(t, n) if r[j]]
                         dirty = True
-            hits = [r for r in itertools.chain(a, v) if r[t]]
+            hits = ([r for r in itertools.chain(a, v) if r[t]] if dirty
+                    else [a[t]] + [r for r in v if r[t]])
             for j in range(t + 1, n):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    for r in hits:
-                        r[j] -= q * r[t]
-                    vinv[t] = [x + q * y for x, y in zip(vinv[t], vinv[j])]
+                    if q:
+                        for r in hits:
+                            r[j] -= q * r[t]
+                        row = vinv[t]
+                        for c, y in vinv[j].items():
+                            row[c] = row.get(c, 0) + q * y
                     if a[t][j]:
                         col_swap(t, j)
                         hits = [r for r in itertools.chain(a, v) if r[t]]
@@ -133,7 +139,7 @@ def smith_normal_form(rows, width):
                 None)
             if bad is None:
                 break
-            row_add(t, bad, 1)
+            a[t][t:] = [x + y for x, y in zip(a[t][t:], a[bad][t:])]
         t += 1
     diag = [a[j][j] if j < m else 0 for j in range(n)]
     # the sign fix negates column j of v and row j of vinv; a is done with
@@ -142,8 +148,8 @@ def smith_normal_form(rows, width):
             diag[j] = -diag[j]
             for r in v:
                 r[j] = -r[j]
-            vinv[j] = [-x for x in vinv[j]]
-    return diag, v, vinv
+            vinv[j] = {c: -x for c, x in vinv[j].items()}
+    return diag, v, [[row.get(c, 0) for c in range(n)] for row in vinv]
 
 
 class AbelianGroup(Record):
@@ -152,15 +158,19 @@ class AbelianGroup(Record):
     ``torsion`` holds the invariant factors (all >= 2, each dividing the
     next); ``free_rank`` counts free coordinates appended after the torsion
     ones; ``epsilon`` is the canonical coordinate tuple of the distinguished
-    sign element.
+    sign element.  ``cyclic`` is N for Z/N (one torsion factor, no free
+    rank), else 0: there ``mul`` and ``inv`` add or negate one exponent.
     """
 
-    __slots__ = _fields = ("torsion", "free_rank", "epsilon")
+    _fields = ("torsion", "free_rank", "epsilon")
+    __slots__ = _fields + ("cyclic",)
 
     def __init__(self, torsion, free_rank, epsilon):
         _set(self, "torsion", torsion)
         _set(self, "free_rank", free_rank)
         _set(self, "epsilon", epsilon)
+        _set(self, "cyclic",
+             torsion[0] if len(torsion) == 1 and not free_rank else 0)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -216,6 +226,8 @@ class AbelianGroup(Record):
         return out + tuple(vec[len(t):]) if len(vec) > len(t) else out
 
     def mul(self, a, b) -> tuple[int, ...]:
+        if self.cyclic and len(a) == 1 == len(b):
+            return ((a[0] + b[0]) % self.cyclic,)
         t = self.torsion
         out = tuple(map(_mod, map(_add, a, b), t))
         n = len(t)
@@ -223,6 +235,8 @@ class AbelianGroup(Record):
                 if len(a) > n < len(b) else out)
 
     def inv(self, a) -> tuple[int, ...]:
+        if self.cyclic and len(a) == 1:
+            return (-a[0] % self.cyclic,)
         t = self.torsion
         out = tuple(map(_mod, map(_neg, a), t))
         return out + tuple(map(_neg, a[len(t):])) if len(a) > len(t) else out

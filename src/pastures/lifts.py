@@ -11,6 +11,8 @@ generator per fundamental element with the induced multiplicative relations.
 
 from __future__ import annotations
 
+from operator import add
+
 from .groups import evaluate_word
 from .pasture import Pasture, named, presented, tensor_full
 from .hexagons import Hexagon, fundamental_pairs, hexagons
@@ -156,13 +158,22 @@ def wlum_lift(P: Pasture) -> LiftResult:
 
 def _g5_triples(g, F):
     """The triples F[i], F[j], F[k] with i <= j <= k and product 1, in
-    lexicographic order; k is looked up by F[i] F[j] among the inverses."""
-    inverse = {g.inv(c): k for k, c in enumerate(F)}
-    for i, a in enumerate(F):
-        for j in range(i, len(F)):
-            k = inverse.get(g.mul(a, F[j]))
+    lexicographic order; k is looked up by F[i] F[j] among the inverses: for
+    cyclic units Z/N (F_q for q > 2, and its GRS lifts) by the exponent
+    sum, in [0, 2N - 1), among both lifts of each inverse exponent, else by
+    the product of coordinate tuples, the reference path."""
+    N = g.cyclic
+    if N:
+        e, mul = [c[0] for c in F], add
+        inverse = {s: k for k, x in enumerate(e) for s in (-x % N, -x % N + N)}
+    else:
+        e, mul = F, g.mul
+        inverse = {g.inv(c): k for k, c in enumerate(F)}
+    for i, x in enumerate(e):
+        for j in range(i, len(e)):
+            k = inverse.get(mul(x, e[j]))
             if k is not None and k >= j:
-                yield a, F[j], F[k]
+                yield F[i], F[j], F[k]
 
 
 MAX_FUNDAMENTAL = 512      # grs_lift raises NotFinitary past this many

@@ -181,12 +181,14 @@ class RepresentationClass(Record):
         return frozenset(out)
 
 
+@functools.lru_cache
 def _gauge(M: Matroid):
     """(pinned, roots): the positions of the bases held at 1, namely
     B0 = ``M.bases[0]`` and each B0 - x + y along a spanning forest of B0's
     fundamental graph; and one root element per component of that graph,
     which are the components of M (a loop or coloop lies alone).  Rescaling
-    with the roots fixed acts freely, so each class meets the slice once."""
+    with the roots fixed acts freely, so each class meets the slice once.
+    Cached per matroid, as frozensets that no caller can change."""
     parent = list(range(M.n + 1))
 
     def find(e):
@@ -199,7 +201,7 @@ def _gauge(M: Matroid):
         if y not in B0 and i is not None and find(x) != find(y):
             parent[find(x)] = find(y)
             pinned.add(i)
-    return pinned, {find(e) for e in range(1, M.n + 1)}
+    return frozenset(pinned), frozenset(find(e) for e in range(1, M.n + 1))
 
 
 @functools.lru_cache

@@ -1,9 +1,9 @@
 """End-to-end tests for the command-line interface.
 
 Each case drives ``pastures.cli.main`` in process and inspects the exit
-code and captured output.  JSON outputs are compared against golden files
-under tests/data, which were produced by the same commands and reviewed
-by hand.
+code and captured output.  JSON outputs are compared byte for byte
+against golden files under tests/data, which were produced by the same
+commands and reviewed by hand.
 """
 
 import json
@@ -116,10 +116,10 @@ GOLDEN_CASES = [
 @pytest.mark.parametrize("argv,golden", GOLDEN_CASES,
                          ids=[g for _, g in GOLDEN_CASES])
 def test_golden_output(capsys, argv, golden):
+    """Byte for byte: key order, spacing and number formatting included."""
     code, out, _ = run(capsys, argv)
     assert code == 0
-    with open(DATA / golden) as fh:
-        assert json.loads(out) == json.load(fh)
+    assert out == (DATA / golden).read_text()
 
 
 # -- behaviour details --------------------------------------------------

@@ -236,6 +236,18 @@ def test_snf_known_values():
         smith_normal_form([[1, 2, 3]], 2)
 
 
+@pytest.mark.parametrize("rows", [
+    # a column step with quotient 2 // 3 = 0, after the divisibility sweep
+    [[2, 2], [2, 3]],
+    # a zero row at the pivot position, which the pivot swap moves down
+    [[0, 0, 0], [0, 2, 0], [1, 0, 3]],
+], ids=["quotient-0", "zero-row-at-pivot"])
+def test_snf_regression_cases(rows):
+    width = len(rows[0])
+    assert smith_normal_form(rows, width) == \
+        reference_smith_normal_form(rows, width)
+
+
 def test_reduce_presentation_c4():
     r = reduce_presentation(2, [[0, 2], [2, 1]], [0, 1])
     assert r.group.torsion == (4,)

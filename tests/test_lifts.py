@@ -4,6 +4,7 @@ import pytest
 from sympy import factorint
 
 from pastures import lifts
+from pastures.groups import AbelianGroup
 from pastures.hexagons import Hexagon, fundamental_pairs, hexagons
 from pastures.lifts import (HexagonNotOfPasture, KindMismatch,
                             LiftCheckFailed, NotFinitary,
@@ -131,6 +132,44 @@ def test_grs_lift_matches_reference_g5_loop(monkeypatch):
         assert got.lift == want.lift, P.label
         assert got.lift.label == want.lift.label
         assert got.lam.unit_map.rows == want.lam.unit_map.rows, P.label
+
+
+def on_tuple_path(g):
+    """A copy of ``g`` with ``cyclic`` cleared, so that ``_g5_triples``,
+    ``mul`` and ``inv`` take the coordinate-tuple path, the reference."""
+    h = AbelianGroup(g.torsion, g.free_rank, g.epsilon)
+    object.__setattr__(h, "cyclic", 0)
+    return h
+
+
+def test_g5_exponent_path_matches_tuple_path():
+    """The same triples in the same order, for the units of F_q (q <= 64)
+    and of its GRS lift (q <= 32), all cyclic past F2."""
+    prime_powers = [q for q in range(3, 65) if len(factorint(q)) == 1]
+    pastures = [finite_field(q) for q in prime_powers]
+    pastures += [grs_lift(finite_field(q)).lift for q in prime_powers
+                 if q <= 32]
+    for P in pastures:
+        g = P.units
+        assert g.cyclic == g.size() > 1, P.label
+        F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
+        assert list(lifts._g5_triples(g, F)) == \
+            list(lifts._g5_triples(on_tuple_path(g), F)), P.label
+
+
+def test_g5_non_cyclic_units_take_the_tuple_path(monkeypatch):
+    """F5 x F19: units (2, 36), one tuple product per pair i <= j."""
+    P = product(finite_field(5), finite_field(19))
+    g = P.units
+    assert g.torsion == (2, 36) and g.cyclic == 0
+    F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
+    want = list(reference_g5_triples(g, F))
+    products = []
+    mul = AbelianGroup.mul
+    monkeypatch.setattr(AbelianGroup, "mul", lambda self, a, b:
+                        products.append(1) or mul(self, a, b))
+    assert list(lifts._g5_triples(g, F)) == want
+    assert len(products) == len(F) * (len(F) + 1) // 2
 
 
 def test_grs_guard(monkeypatch):
