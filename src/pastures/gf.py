@@ -10,13 +10,16 @@ the highest degree down, which is the order used for all canonical choices:
 * generator: the least element of full multiplicative order q - 1.
 
 For prime q the generator is the least primitive root and the encoding is the
-usual residue 0..p-1.
+usual residue 0..p-1.  It is found by the order test: a has order q - 1
+exactly when a^((q-1)/r) != 1 for each prime r dividing q - 1.  Its powers
+give the exponent tables ``exp`` and ``dlog``, and from them the Zech
+logarithms ``zech``, the logarithm of 1 + g^j for each j.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class NotPrimePower(ValueError):
@@ -50,6 +53,18 @@ def prime_power(q):
     if n != 1:
         raise NotPrimePower(f"{q} is not a prime power")
     return p, k
+
+
+def _prime_divisors(n):
+    """The primes dividing n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 class GF:
@@ -142,12 +157,12 @@ class GF:
 
     def power(self, a, n):
         out = 1
-        base = a
         while n:
             if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = self.mul(out, a)
             n >>= 1
+            if n:
+                a = self.mul(a, a)
         return out
 
     def inv(self, a):
@@ -156,16 +171,27 @@ class GF:
         return self.exp[(-self.dlog[a]) % (self.q - 1)]
 
     def _least_generator(self):
-        """The least a whose powers 1, a, a^2, ... reach q - 1 elements
-        before returning to 1, and those powers."""
+        """The least a of order q - 1, by the order test, and its powers
+        1, a, a^2, ..., a^(q-2)."""
+        n = self.q - 1
+        primes = _prime_divisors(n)
         for a in range(1, self.q):
-            powers, x = [1], a
-            while x != 1 and len(powers) < self.q - 1:
-                powers.append(x)
-                x = self.mul(x, a)
-            if x == 1 and len(powers) == self.q - 1:
+            if all(self.power(a, n // r) != 1 for r in primes):
+                powers, x = [1], a
+                for _ in range(n - 1):
+                    powers.append(x)
+                    x = self.mul(x, a)
                 return a, powers
         raise FieldConstructionFailed("no generator found")
+
+    @cached_property
+    def zech(self):
+        """The Zech logarithms: ``zech[j]`` is the discrete logarithm of
+        1 + g^j, or None where 1 + g^j = 0.  Adding 1 raises only the lowest
+        base-p digit of an element's integer code, wrapping p - 1 to 0."""
+        p, dlog = self.p, self.dlog
+        return [dlog.get(x + 1 if x % p != p - 1 else x + 1 - p)
+                for x in self.exp]
 
     @property
     def minus_one(self):

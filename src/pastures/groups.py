@@ -41,14 +41,18 @@ def identity_rows(n):
 
 
 def smith_normal_form(rows, width):
-    """Diagonalize an integer relation matrix, tracking column transforms.
+    """Diagonalize an integer relation matrix, logging its column operations.
 
-    Returns ``(diag, v, vinv)`` where ``diag`` has length ``width`` and lists
+    Returns ``(diag, ops)`` where ``diag`` has length ``width`` and lists
     the diagonal of the Smith normal form (entries nonnegative, each dividing
-    the next, padded with zeros past the rank), and ``v``/``vinv`` are mutually
-    inverse unimodular ``width x width`` matrices such that after the change of
-    coordinates ``y = x*v`` the row lattice of the input equals the row lattice
-    of the diagonal matrix.
+    the next, padded with zeros past the rank), and ``ops`` lists the column
+    operations in the order they ran: ``(i, j)`` swaps columns i and j,
+    ``(i, j, k)`` adds k times column i to column j, and ``(j,)`` negates
+    column j.  Applied to the identity they give a unimodular ``v`` such
+    that after the change of coordinates ``y = x*v`` the row lattice of the
+    input equals the row lattice of the diagonal matrix;
+    :func:`snf_transforms` replays them into chosen columns of ``v`` and
+    rows of its inverse.
 
     The pivots and the row and column operations are those of the full-scan
     elimination, but no step does work whose outcome is known: the pivot
@@ -56,12 +60,11 @@ def smith_normal_form(rows, width):
     value 1 and tests each row once with ``any``, sharing one zero row that
     later scans and column swaps skip; a row reduction updates the pivot
     row's support only; a column reduction updates only rows nonzero in the
-    pivot column (after a swap-free row pass, the pivot row and rows of
-    ``v``); ``vinv`` rows are sparse maps until the end; the divisibility
-    sweep is skipped for a pivot of +-1.
+    pivot column (after a swap-free row pass, the pivot row alone); the
+    divisibility sweep is skipped for a pivot of +-1.
 
-    >>> smith_normal_form([[4, 6]], 2)[0]
-    [2, 0]
+    >>> smith_normal_form([[4, 6]], 2)
+    ([2, 0], [(0, 1, -1), (0, 1), (0, 1, -2)])
     >>> smith_normal_form([[2, 0], [1, 3]], 2)[0]
     [1, 6]
     """
@@ -72,16 +75,13 @@ def smith_normal_form(rows, width):
         if len(row) != n:
             raise ValueError("relation row of wrong width")
     zero = [0] * n
-    v = [list(r) for r in identity_rows(n)]
-    vinv = [{i: 1} for i in range(n)]
+    ops = []
 
     def col_swap(i, j):
         for r in a:
             if r is not zero:
                 r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
+        ops.append((i, j))
 
     t = 0
     while t < m and t < n:
@@ -116,20 +116,17 @@ def smith_normal_form(rows, width):
                         a[t], a[i] = a[i], a[t]
                         cols = [j for j in range(t, n) if r[j]]
                         dirty = True
-            hits = ([r for r in itertools.chain(a, v) if r[t]] if dirty
-                    else [a[t]] + [r for r in v if r[t]])
+            hits = [r for r in a if r[t]] if dirty else [a[t]]
             for j in range(t + 1, n):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
                     if q:
                         for r in hits:
                             r[j] -= q * r[t]
-                        row = vinv[t]
-                        for c, y in vinv[j].items():
-                            row[c] = row.get(c, 0) + q * y
+                        ops.append((t, j, -q))
                     if a[t][j]:
                         col_swap(t, j)
-                        hits = [r for r in itertools.chain(a, v) if r[t]]
+                        hits = [r for r in a if r[t]]
                         dirty = True
             if dirty:
                 continue
@@ -142,14 +139,48 @@ def smith_normal_form(rows, width):
             a[t][t:] = [x + y for x, y in zip(a[t][t:], a[bad][t:])]
         t += 1
     diag = [a[j][j] if j < m else 0 for j in range(n)]
-    # the sign fix negates column j of v and row j of vinv; a is done with
     for j in range(n):
         if diag[j] < 0:
             diag[j] = -diag[j]
-            for r in v:
-                r[j] = -r[j]
-            vinv[j] = {c: -x for c, x in vinv[j].items()}
-    return diag, v, [[row.get(c, 0) for c in range(n)] for row in vinv]
+            ops.append((j,))
+    return diag, ops
+
+
+def snf_transforms(ops, width, keep):
+    """Columns ``keep`` of ``v`` and rows ``keep`` of ``vinv``, for the
+    column operations ``ops`` of :func:`smith_normal_form` on ``width``
+    columns: ``v`` is their product E_1 .. E_k, and ``vinv`` its inverse.
+
+    Column j of v is E_1 .. E_k e_j and row j of vinv is e_j E_k^-1 ..
+    E_1^-1, so each is a unit vector with the operations applied last to
+    first, and a coordinate not kept costs nothing.  Returns the ``width``
+    rows of v restricted to the kept columns, as lists, and the kept rows of
+    vinv, as tuples; ``keep = range(width)`` gives all of v and vinv.
+
+    >>> snf_transforms(smith_normal_form([[4, 6]], 2)[1], 2, range(2))
+    ([[-1, 3], [1, -2]], [(2, 3), (1, 1)])
+    """
+    x = [[0] * len(keep) for _ in range(width)]   # x[i][s] = v[i][keep[s]]
+    y = [[0] * len(keep) for _ in range(width)]   # y[c][s] = vinv[keep[s]][c]
+    for s, j in enumerate(keep):
+        x[j][s] = y[j][s] = 1
+    for op in reversed(ops):
+        if len(op) == 3:
+            # E = 1 + k e_i e_j^T: x_i += k x_j, and y_j -= k y_i
+            i, j, k = op
+            if any(x[j]):
+                x[i] = [c + k * d for c, d in zip(x[i], x[j])]
+            if any(y[i]):
+                y[j] = [c - k * d for c, d in zip(y[j], y[i])]
+        elif len(op) == 2:
+            i, j = op
+            x[i], x[j] = x[j], x[i]
+            y[i], y[j] = y[j], y[i]
+        else:
+            j, = op
+            x[j] = [-c for c in x[j]]
+            y[j] = [-c for c in y[j]]
+    return x, list(zip(*y))
 
 
 class AbelianGroup(Record):
@@ -310,11 +341,13 @@ class GroupMap(Record):
         return hash((self.target, self.rows))
 
     def __call__(self, vec) -> tuple[int, ...]:
+        """The image of ``vec``: the sum of ``c * row`` over its nonzero
+        coefficients c, reduced."""
         acc = [0] * self.target.ngens
-        for c, row in zip(vec, self.rows):
+        for c, row in itertools.compress(zip(vec, self.rows), vec):
             if c == 1:
                 acc = list(map(_add, acc, row))
-            elif c:
+            else:
                 acc = [a + c * r for a, r in zip(acc, row)]
         return self.target.reduce(acc)
 
@@ -341,20 +374,21 @@ def reduce_presentation(num_gens, relation_rows, epsilon_row) -> Reduction:
     >>> r.group.torsion, r.group.free_rank
     ((4,), 0)
     """
-    diag, v, vinv = smith_normal_form(relation_rows, num_gens)
+    diag, ops = smith_normal_form(relation_rows, num_gens)
     keep = [j for j in range(num_gens) if diag[j] >= 2]
+    torsion = tuple(diag[j] for j in keep)
     keep += [j for j in range(num_gens) if diag[j] == 0]
-    torsion = tuple(diag[j] for j in keep if diag[j] >= 2)
-    free_rank = sum(1 for j in keep if diag[j] == 0)
+    free_rank = len(keep) - len(torsion)
+    v, vinv = snf_transforms(ops, num_gens, keep)
     shell = AbelianGroup(torsion, free_rank, (0,) * len(keep))
-    rows = tuple(shell.reduce(tuple(v[i][j] for j in keep)) for i in range(num_gens))
+    rows = tuple(map(shell.reduce, v))
     proj = GroupMap(shell, rows)
     eps = proj(epsilon_row)
     if shell.mul(eps, eps) != shell.identity():
         raise EpsilonOrderError(f"sign element has order > 2: {eps}")
     group = AbelianGroup(torsion, free_rank, eps)
     proj = GroupMap(group, rows)
-    sections = tuple(tuple(vinv[j]) for j in keep)
+    sections = tuple(vinv)
     return Reduction(group, proj, sections)
 
 

@@ -115,12 +115,18 @@ def _mk_hexagon(P: Pasture, orbit) -> Hexagon:
 
 
 def hexagons(P: Pasture):
-    """All hexagons of P, one per null orbit, sorted by canonical pair."""
+    """All hexagons of P, one per null orbit, sorted by canonical pair:
+    built once per pasture and kept in its ``__dict__`` beside the
+    ``orbit_pairs`` they are read from."""
+    cached = vars(P).get("hexagons")
+    if cached is not None:
+        return cached
     g = P.units
     out = [_mk_hexagon(P, o) for o in P.orbit_pairs]
     out.sort(key=lambda h: (g.key(h.canonical_pair[0]),
                             g.key(h.canonical_pair[1])))
-    return tuple(out)
+    vars(P)["hexagons"] = out = tuple(out)
+    return out
 
 
 def hexagon_of_pair(P: Pasture, pair) -> Hexagon:

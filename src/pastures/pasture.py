@@ -124,7 +124,7 @@ def canonical_orbit(group: AbelianGroup, triple):
 class Pasture(Record):
     """Unit group, null orbits and an optional ``label``, which equality and
     hash ignore; the ``__dict__`` holds the cached ``orbit_pairs``,
-    ``null_pairs`` and ``indexed``."""
+    ``null_pairs``, ``indexed`` and the tuple of ``hexagons.hexagons``."""
 
     __slots__ = ("units", "null_orbits", "label", "__dict__")
     _fields = __slots__[:3]
@@ -566,10 +566,11 @@ def finite_field(q: int) -> Pasture:
     the deterministic generator, nullset from the additive structure.
 
     Every scaling orbit of a null triple has a member (1, a, -1-a), so the
-    q - 2 units a != -1 give every orbit: O(q) field operations.  For
-    a = g^j and -1-a = g^k, g the generator, the orbit's members of this
-    form have a = g^e for e in {j, k, -j, k-j, -k, j-k} mod q - 1; all are
-    marked when the first is met, so each orbit is canonicalised once."""
+    q - 2 units a != -1 give every orbit.  For a = g^j, g the generator,
+    -1-a = g^k with k the Zech logarithm of j plus the exponent of -1, so
+    no field operation is needed.  The orbit's members of this form have
+    a = g^e for e in {j, k, -j, k-j, -k, j-k} mod q - 1; all are marked when
+    the first is met, so each orbit is canonicalised once."""
     f = gf_mod.field(q)
     if q == 2:
         g = AbelianGroup((), 0, ())
@@ -578,10 +579,9 @@ def finite_field(q: int) -> Pasture:
     g = AbelianGroup((q - 1,), 0, eps)
     orbits = set()
     seen = bytearray(q - 1)
-    for j in range(q - 1):
-        c = f.neg(f.add(f.exp[0], f.exp[j]))
-        if c and not seen[j]:
-            k = f.dlog[c]
+    for j, z in enumerate(f.zech):
+        if z is not None and not seen[j]:
+            k = (z + eps[0]) % (q - 1)
             for e in (j, k, -j, k - j, -k, j - k):
                 seen[e % (q - 1)] = 1
             orbits.add(canonical_orbit(g, ((0,), (j,), (k,))))

@@ -99,6 +99,9 @@ GOLDEN_CASES = [
     (["hexagons", "F7", "--json"], "golden_hexagons_F7.json"),
     (["lift", "--kind", "ternary", "F9", "--json"],
      "golden_lift_ternary_F9.json"),
+    # C6 x Z^20: ten U factors and one H
+    (["lift", "--kind", "ternary", "F64", "--json"],
+     "golden_lift_ternary_F64.json"),
     (["hom", "H", "F7", "--list", "--json"], "golden_hom_H_F7.json"),
     (["iso", "F4", "F4", "--json"], "golden_iso_F4_F4.json"),
     (["reps", "--matroid", "U24", "--pasture", "F5", "--list", "--json"],

@@ -37,6 +37,34 @@ def test_basic_structure(q):
     assert x == 1
 
 
+def reference_least_generator(F):
+    """The cycle walk the order test replaced, kept as its oracle: the least
+    a whose powers 1, a, a^2, ... reach q - 1 elements before returning to
+    1, and those powers."""
+    for a in range(1, F.q):
+        powers, x = [1], a
+        while x != 1 and len(powers) < F.q - 1:
+            powers.append(x)
+            x = F.mul(x, a)
+        if x == 1 and len(powers) == F.q - 1:
+            return a, powers
+    return None
+
+
+PRIME_POWERS_1024 = [q for q in range(2, 1025) if len(factorint(q)) == 1]
+
+
+def test_tables_match_cycle_walk_up_to_1024():
+    """The generator and ``exp``, ``dlog`` and ``zech`` tables of every
+    GF(q), q <= 1024, against the cycle walk and field additions."""
+    assert len(PRIME_POWERS_1024) == 198
+    for q in PRIME_POWERS_1024:
+        F = field(q)
+        assert (F.generator, F.exp) == reference_least_generator(F), q
+        assert F.dlog == {e: i for i, e in enumerate(F.exp)}, q
+        assert F.zech == [F.dlog.get(F.add(1, e)) for e in F.exp], q
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 27])
 def test_field_axioms_exhaustive(q):
     F = field(q)

@@ -10,8 +10,8 @@ from pastures.groups import (AbelianGroup, EpsilonOrderError, GroupMap,
                              evaluate_word, is_surjective,
                              map_from_presentation, quotient_by,
                              identity_rows, reduce_presentation,
-                             smith_normal_form)
-from pastures.lifts import grs_lift
+                             smith_normal_form, snf_transforms)
+from pastures.lifts import grs_lift, ternary_lift
 from pastures.pasture import finite_field, product
 
 matrices = st.integers(1, 4).flatmap(
@@ -25,11 +25,19 @@ def mat_mul(a, b):
             for row in a]
 
 
+def full_smith_normal_form(rows, width):
+    """``(diag, v, vinv)``: the diagonal with its column operations replayed
+    for every coordinate."""
+    diag, ops = smith_normal_form(rows, width)
+    v, vinv = snf_transforms(ops, width, range(width))
+    return diag, v, [list(r) for r in vinv]
+
+
 @given(matrices)
 @settings(max_examples=200, deadline=None)
 def test_snf_matches_sympy_and_transforms(case):
     rows, n = case
-    diag, v, vinv = smith_normal_form(rows, n)
+    diag, v, vinv = full_smith_normal_form(rows, n)
     assert len(diag) == n
     # divisibility chain, nonnegative entries
     assert all(d >= 0 for d in diag)
@@ -170,7 +178,7 @@ def test_snf_matches_reference_on_grs_presentations(monkeypatch):
         grs_lift(P)
     assert max(len(rows) for rows, _ in inputs) > 100     # q = 31, 32
     for rows, width in inputs:
-        assert smith_normal_form(rows, width) == \
+        assert full_smith_normal_form(rows, width) == \
             reference_smith_normal_form(rows, width)
 
 
@@ -186,8 +194,34 @@ def test_snf_matches_reference_on_largest_benchmark_lifts(monkeypatch):
     assert any(smith_normal_form(rows, width)[0][-1] == 52
                for rows, width in inputs)
     for rows, width in inputs:
-        assert smith_normal_form(rows, width) == \
+        assert full_smith_normal_form(rows, width) == \
             reference_smith_normal_form(rows, width)
+
+
+def kept_coordinates(diag):
+    """The coordinates ``reduce_presentation`` keeps: torsion, then free."""
+    return ([j for j, d in enumerate(diag) if d >= 2]
+            + [j for j, d in enumerate(diag) if d == 0])
+
+
+def test_kept_replay_slices_full_replay(monkeypatch):
+    """``reduce_presentation`` replays the column operations for the kept
+    coordinates only.  On every SNF input of the GRS lifts and of the
+    ternary lifts (tensors of hexagon models) of a few fields, that equals
+    the kept columns of v and rows of vinv of the full replay."""
+    inputs = record_snf_inputs(monkeypatch)
+    for q in (8, 13, 27, 31, 53, 64):
+        grs_lift(finite_field(q))
+        ternary_lift(finite_field(q))
+    grs_lift(product(finite_field(5), finite_field(19)))
+    # the lift of F53 keeps 1 of 52 coordinates, that of F64 21 of 31
+    assert (553, 52) in {(len(rows), width) for rows, width in inputs}
+    for rows, width in inputs:
+        diag, ops = smith_normal_form(rows, width)
+        keep = kept_coordinates(diag)
+        v, vinv = snf_transforms(ops, width, range(width))
+        assert snf_transforms(ops, width, keep) == (
+            [[r[j] for j in keep] for r in v], [vinv[j] for j in keep])
 
 
 # Tall and mostly zero, as relation matrices are, with entries of absolute
@@ -206,7 +240,8 @@ sparse_tall_matrices = st.integers(1, 7).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_snf_matches_reference_on_sparse_tall_matrices(case):
     rows, n = case
-    assert smith_normal_form(rows, n) == reference_smith_normal_form(rows, n)
+    assert full_smith_normal_form(rows, n) == \
+        reference_smith_normal_form(rows, n)
 
 
 small_matrices = st.integers(1, 6).flatmap(
@@ -219,7 +254,20 @@ small_matrices = st.integers(1, 6).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_snf_matches_reference_on_random_matrices(case):
     rows, n = case
-    assert smith_normal_form(rows, n) == reference_smith_normal_form(rows, n)
+    assert full_smith_normal_form(rows, n) == \
+        reference_smith_normal_form(rows, n)
+
+
+@given(small_matrices, st.data())
+@settings(max_examples=200, deadline=None)
+def test_replay_of_any_coordinates_slices_full_replay(case, data):
+    rows, n = case
+    diag, ops = smith_normal_form(rows, n)
+    keep = data.draw(st.permutations(range(n)).flatmap(
+        lambda p: st.integers(0, n).map(lambda k: p[:k])))
+    v, vinv = snf_transforms(ops, n, range(n))
+    assert snf_transforms(ops, n, keep) == (
+        [[r[j] for j in keep] for r in v], [vinv[j] for j in keep])
 
 
 def test_identity_rows_match_indicator_expression():
@@ -244,7 +292,7 @@ def test_snf_known_values():
 ], ids=["quotient-0", "zero-row-at-pivot"])
 def test_snf_regression_cases(rows):
     width = len(rows[0])
-    assert smith_normal_form(rows, width) == \
+    assert full_smith_normal_form(rows, width) == \
         reference_smith_normal_form(rows, width)
 
 
@@ -393,6 +441,45 @@ def maps_and_vectors(draw):
 def test_groupmap_call_matches_coordinate_loop(case):
     m, vec = case
     assert m(vec) == m(tuple(vec)) == reference_groupmap_call(m, vec)
+
+
+def dense_groupmap_call(m, vec):
+    """The image of ``vec`` summed over every coefficient, zeros included,
+    with each torsion coordinate reduced by hand."""
+    g = m.target
+    acc = [0] * g.ngens
+    for c, row in zip(vec, m.rows):
+        for i, r in enumerate(row):
+            acc[i] += c * r
+    return tuple(x % g.torsion[i] if i < len(g.torsion) else x
+                 for i, x in enumerate(acc))
+
+
+@st.composite
+def sparse_maps_and_vectors(draw):
+    """A map with zero rows among its rows, and a vector of mostly zero
+    coefficients, the others often negative or past the invariant factors,
+    as the units of a lift are: ``GroupMap.__call__`` visits only the
+    nonzero ones."""
+    g = AbelianGroup(
+        tuple(draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))),
+        draw(st.integers(0, 2)), ())
+    n = draw(st.integers(0, 12))
+    coord = st.integers(-30, 30)
+    row = st.one_of(st.just((0,) * g.ngens),
+                    st.lists(coord, min_size=g.ngens, max_size=g.ngens)
+                    .map(tuple))
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    vec = draw(st.lists(st.sampled_from((0,) * 6 + (1, -1, 2, -3, 13, -25)),
+                        min_size=n, max_size=n))
+    return GroupMap(g, tuple(rows)), vec
+
+
+@given(sparse_maps_and_vectors())
+@settings(max_examples=300, deadline=None)
+def test_groupmap_call_matches_dense_loop(case):
+    m, vec = case
+    assert m(vec) == m(tuple(vec)) == dense_groupmap_call(m, vec)
 
 
 def test_groupmap_compose():

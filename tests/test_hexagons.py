@@ -10,7 +10,7 @@ from pastures.hexagons import (HexagonsInconsistent, KIND_BY_MU,
                                pair_orbit, partition_check, psi_product, rho,
                                sigma)
 from pastures.expr import pasture_of
-from pastures.pasture import finite_field, named, product, unit
+from pastures.pasture import Pasture, finite_field, named, product, unit
 from pastures.tables import expected_census, fiber_shape
 
 CORPUS = [finite_field(q) for q in (3, 4, 5, 7, 8, 9, 11, 13)] + \
@@ -67,6 +67,18 @@ def test_nullset_hexagon_bijection():
         hexes = hexagons(P)
         assert len(P.null_orbits) == len(hexes)
         assert sum(h.mu for h in hexes) == len(fundamental_pairs(P))
+
+
+def test_hexagons_are_built_once_per_pasture():
+    """Repeated calls return the kept tuple itself, equal to a fresh build
+    on an equal pasture that has not built it yet."""
+    wider = [pasture_of(e) for e in ("S x S", "F4 x F5", "U ox F3", "Lg(F5)")]
+    for P in CORPUS + wider + [finite_field(64), finite_field(2)]:
+        hexes = hexagons(P)
+        assert hexagons(P) is hexes
+        fresh = Pasture(P.units, P.null_orbits, P.label)
+        assert "hexagons" not in vars(fresh)
+        assert hexagons(fresh) == hexes
 
 
 def test_classify_by_shape_agrees_with_orbit_length():

@@ -140,6 +140,34 @@ def reference_finite_field(q):
     return Pasture(g, frozenset(orbits), f"F{q}")
 
 
+def reference_orbit_loop(q):
+    """``finite_field`` before it read Zech logarithms, kept as its oracle:
+    -1 - a by field additions and negations for each unit a = g^j, and the
+    orbit of (1, a, -1 - a) canonicalised unless already met."""
+    f = field(q)
+    if q == 2:
+        return Pasture(AbelianGroup((), 0, ()), frozenset(), "F2")
+    eps = ((q - 1) // 2,) if q % 2 else (0,)
+    g = AbelianGroup((q - 1,), 0, eps)
+    orbits = set()
+    seen = bytearray(q - 1)
+    for j in range(q - 1):
+        c = f.neg(f.add(f.exp[0], f.exp[j]))
+        if c and not seen[j]:
+            k = f.dlog[c]
+            for e in (j, k, -j, k - j, -k, j - k):
+                seen[e % (q - 1)] = 1
+            orbits.add(canonical_orbit(g, ((0,), (j,), (k,))))
+    return Pasture(g, frozenset(orbits), f"F{q}")
+
+
+def test_finite_field_matches_orbit_loop_up_to_1024():
+    for q in (q for q in range(2, 1025) if len(factorint(q)) == 1):
+        P, R = finite_field(q), reference_orbit_loop(q)
+        assert (P.units, P.null_orbits, P.label) == \
+            (R.units, R.null_orbits, R.label), q
+
+
 # up to 81, and the top of the benchmark's fields workload
 FIELD_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
             49, 64, 81, 101, 121, 125, 127, 128]
