@@ -3,8 +3,8 @@
 A pasture is a field-like structure: a commutative monoid with zero whose
 nonzero elements form an abelian group, together with a scaling-closed set of
 null triples recording which three-term sums vanish.  The package constructs
-pastures (named ones, finite fields, free algebras, quotients, products,
-tensor products), enumerates their hexagons of fundamental elements, computes
+pastures (named ones, finite fields, presentations, products, tensor
+products), enumerates their hexagons of fundamental elements, computes
 binary, ternary, WLUM and GRS lifts, and checks lift theorems empirically on
 matroid representations.
 """
@@ -16,8 +16,6 @@ from .pasture import (
     ZERO,
     named,
     finite_field,
-    free_algebra,
-    quotient,
     product,
     tensor,
 )
@@ -26,7 +24,6 @@ from .morphisms import PastureMorphism, make, hom_set, compose, iso_check
 from .lifts import (
     LiftResult,
     binary_lift,
-    hexagon_lift,
     ternary_lift,
     wlum_lift,
     grs_lift,
@@ -44,8 +41,6 @@ __all__ = [
     "ZERO",
     "named",
     "finite_field",
-    "free_algebra",
-    "quotient",
     "product",
     "tensor",
     "Hexagon",
@@ -59,7 +54,6 @@ __all__ = [
     "iso_check",
     "LiftResult",
     "binary_lift",
-    "hexagon_lift",
     "ternary_lift",
     "wlum_lift",
     "grs_lift",

@@ -14,7 +14,7 @@ import sys
 
 from .expr import ExprError, pasture_of
 from .gf import FieldTooLarge
-from .groups import InfiniteTargetError, SearchSpaceExceeded
+from .groups import DEFAULT_CAP, InfiniteTargetError, SearchSpaceExceeded
 from .hexagons import hexagons
 from .lifts import LIFTS, NotFinitary
 from .matroids import (lift_bijection_check, matroid_from_json, mk4,
@@ -73,13 +73,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _caps(args) -> dict:
-    out = {}
-    if args.max_candidates is not None:
-        out["cap"] = args.max_candidates
-    return out
-
-
 def cmd_pasture(args) -> int:
     P = pasture_of(args.expr)
     d = P.descriptor()
@@ -134,7 +127,7 @@ def cmd_lift(args) -> int:
 def cmd_hom(args) -> int:
     P = pasture_of(args.source)
     Q = pasture_of(args.target)
-    homs = hom_set(P, Q, **_caps(args))
+    homs = hom_set(P, Q, cap=args.max_candidates)
     data = {"source": P.label, "target": Q.label, "count": len(homs)}
     lines = [f"{len(homs)} morphisms {P.label} -> {Q.label}"]
     if args.list:
@@ -149,7 +142,7 @@ def cmd_hom(args) -> int:
 def cmd_iso(args) -> int:
     P = pasture_of(args.left)
     Q = pasture_of(args.right)
-    res = iso_check(P, Q, **_caps(args))
+    res = iso_check(P, Q, cap=args.max_candidates)
     if isinstance(res, Iso):
         data = {"result": "iso",
                 "morphism": [list(r) for r in res.morphism.images()]}
@@ -168,7 +161,7 @@ def cmd_iso(args) -> int:
 def cmd_reps(args) -> int:
     M = _load_matroid(args.matroid)
     P = pasture_of(args.pasture)
-    classes = representation_classes(M, P, **_caps(args))
+    classes = representation_classes(M, P, cap=args.max_candidates)
     data = {"matroid": M.to_json(), "pasture": P.label,
             "count": len(classes)}
     lines = [f"{len(classes)} rescaling classes over {P.label} "
@@ -189,7 +182,7 @@ def cmd_lift_check(args) -> int:
     M = _load_matroid(args.matroid)
     P = pasture_of(args.pasture)
     res = LIFTS[args.kind](P)
-    rep = lift_bijection_check(M, res, **_caps(args))
+    rep = lift_bijection_check(M, res, cap=args.max_candidates)
     data = {"matroid": M.to_json(), "pasture": P.label, "kind": args.kind,
             "ok": rep.ok, "lift_classes": rep.source_classes,
             "base_classes": rep.target_classes,
@@ -221,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     common.add_argument("--max-candidates", type=_int_at_least(1),
-                        metavar="N",
-                        default=None, help="search-space guard override")
+                        metavar="N", default=DEFAULT_CAP,
+                        help="search-space guard (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="pastures",

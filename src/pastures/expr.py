@@ -346,11 +346,6 @@ def evaluate(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate_text(text: str):
-    return evaluate(parse(text))
-
-
 def pasture_of(text: str) -> Pasture:
-    res = evaluate_text(text)
-    label = print_expr(parse(text))
-    return as_pasture(res).with_label(label)
+    node = parse(text)
+    return as_pasture(evaluate(node)).with_label(print_expr(node))

@@ -34,6 +34,9 @@ class SearchSpaceExceeded(RuntimeError):
     """An enumeration would exceed the configured candidate cap."""
 
 
+DEFAULT_CAP = 10**9     # the default cap of every search, --max-candidates too
+
+
 def identity_rows(n):
     """Rows of the n x n identity matrix: the unit vectors of Z^n, which are
     also the canonical generators of any group with n coordinates."""
@@ -291,16 +294,6 @@ class AbelianGroup(Record):
             out.append(0 if c >= 0 else 1)
         return tuple(out)
 
-    def element_order(self, a):
-        """Multiplicative order, or None for elements of infinite order."""
-        if any(a[len(self.torsion):]):
-            return None
-        n = 1
-        for c, d in zip(a, self.torsion):
-            if c:
-                n = math.lcm(n, d // math.gcd(c, d))
-        return n
-
     def elements(self):
         """All elements in total order; the group must be finite."""
         if not self.is_finite:
@@ -409,15 +402,9 @@ def evaluate_word(target: AbelianGroup, gen_images, word) -> tuple[int, ...]:
     return acc
 
 
-def map_from_presentation(reduction: Reduction, gen_images, target: AbelianGroup) -> GroupMap:
-    """Build the map on canonical generators induced by images of the
-    presentation generators, via the reduction's sections."""
-    rows = tuple(evaluate_word(target, gen_images, w) for w in reduction.sections)
-    return GroupMap(target, rows)
-
-
-def is_surjective(source: AbelianGroup, gmap: GroupMap) -> bool:
-    """Whether the images of the source generators generate the target."""
+def is_surjective(gmap: GroupMap) -> bool:
+    """Whether the images of the source generators, ``gmap.rows``,
+    generate the target."""
     tgt = gmap.target
     rows = tgt.relation_rows() + [list(r) for r in gmap.rows]
     red = reduce_presentation(tgt.ngens, rows, [0] * tgt.ngens)
@@ -458,7 +445,7 @@ def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):
 
 
 def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
-                   cap: int = 10**8):
+                   cap: int = DEFAULT_CAP):
     """All homomorphisms source -> target that send epsilon to epsilon, as
     image tuples, in a deterministic order: ``itertools.product`` over
     :func:`hom_pools`.  ``morphisms.hom_set`` finds the same morphisms

@@ -63,13 +63,6 @@ def rho(P: Pasture, pair):
     return (binv, g.mul(g.epsilon, g.mul(a, binv)))
 
 
-def pair_orbit(P: Pasture, pair):
-    """The D3 orbit of a fundamental pair, as a set: the entry of
-    ``P.orbit_pairs`` that holds it, the pairs of its null orbit."""
-    pair = _check(P, pair)
-    return next(o for o in P.orbit_pairs if pair in o)
-
-
 def fundamental_pairs(P: Pasture):
     """All fundamental pairs, read off the stored null orbits: the cached
     ``P.null_pairs``, which a null triple a + b + c = 0 enters as
@@ -102,18 +95,6 @@ class Hexagon(Record):
         }
 
 
-def _mk_hexagon(P: Pasture, orbit) -> Hexagon:
-    g = P.units
-
-    def pkey(p):
-        return (g.key(p[0]), g.key(p[1]))
-
-    pairs = tuple(sorted(orbit, key=pkey))
-    mu = len(pairs)
-    return Hexagon(pairs, pairs[0], mu, KIND_BY_MU[mu],
-                   frozenset(a for a, _ in pairs))
-
-
 def hexagons(P: Pasture):
     """All hexagons of P, one per null orbit, sorted by canonical pair:
     built once per pasture and kept in its ``__dict__`` beside the
@@ -122,29 +103,19 @@ def hexagons(P: Pasture):
     if cached is not None:
         return cached
     g = P.units
-    out = [_mk_hexagon(P, o) for o in P.orbit_pairs]
-    out.sort(key=lambda h: (g.key(h.canonical_pair[0]),
-                            g.key(h.canonical_pair[1])))
+
+    def pkey(p):
+        return (g.key(p[0]), g.key(p[1]))
+
+    out = []
+    for orbit in P.orbit_pairs:
+        pairs = tuple(sorted(orbit, key=pkey))
+        out.append(Hexagon(pairs, pairs[0], len(pairs),
+                           KIND_BY_MU[len(pairs)],
+                           frozenset(a for a, _ in pairs)))
+    out.sort(key=lambda h: pkey(h.canonical_pair))
     vars(P)["hexagons"] = out = tuple(out)
     return out
-
-
-def hexagon_of_pair(P: Pasture, pair) -> Hexagon:
-    return _mk_hexagon(P, pair_orbit(P, pair))
-
-
-def classify_by_shape(P: Pasture, hexagon: Hexagon) -> str:
-    """Recompute the kind from the orbit structure alone (no orbit count):
-    used as an independent cross-check of the mu-based classification."""
-    g = P.units
-    pairs = set(hexagon.pairs)
-    if pairs == {(g.epsilon, g.epsilon)}:
-        return "ternary"
-    if any(a == b for a, b in pairs):
-        return "dyadic"
-    if all(b == g.inv(a) and g.power(b, 3) == g.epsilon for a, b in pairs):
-        return "hexagonal"
-    return "near-regular"
 
 
 def census(q: int):
@@ -154,24 +125,6 @@ def census(q: int):
     for h in hexagons(P):
         counts[h.kind] += 1
     return counts
-
-
-def partition_check(P: Pasture):
-    """Check that hexagon supports are pairwise disjoint and, for finite P,
-    cover the units other than 1.  Returns (ok, counterexample)."""
-    hexes = hexagons(P)
-    seen = {}
-    for i, h in enumerate(hexes):
-        for s in h.support:
-            if s in seen:
-                return False, s
-            seen[s] = i
-    if P.is_finite:
-        expected = set(P.units.elements()) - {P.units.identity()}
-        missing = expected - set(seen)
-        if missing:
-            return False, min(missing, key=P.units.key)
-    return True, None
 
 
 class PsiData(Record):

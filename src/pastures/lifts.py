@@ -1,27 +1,23 @@
-"""Binary, hexagon, ternary, WLUM and GRS lifts.
+"""Binary, ternary, WLUM and GRS lifts.
 
 Each lift of a pasture P is a pasture L together with a morphism
 ``lam: L -> P`` through which representations over structured sources
-factor.  The hexagon lift of a single hexagon is (isomorphic to) one of the
-four model pastures U, D, H, F3, picked by the hexagon's type; the ternary
-lift tensors the hexagon lifts over all hexagons of P; the WLUM lift tensors
-one extra F2 factor when -1 = 1 in P; the GRS lift is presented by one
-generator per fundamental element with the induced multiplicative relations.
+factor.  Each hexagon of P has a model, one of the four pastures U, D, H,
+F3, picked by the hexagon's type; the ternary lift tensors the models over
+all hexagons of P; the WLUM lift tensors one extra F2 factor when -1 = 1 in
+P; the GRS lift is presented by one generator per fundamental element with
+the induced multiplicative relations.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .groups import evaluate_word
+from .groups import GroupMap
 from .pasture import Pasture, named, presented, tensor_full
 from .hexagons import Hexagon, fundamental_pairs, hexagons
 from .morphisms import PastureMorphism, make
 from .record import Record
-
-
-class HexagonNotOfPasture(ValueError):
-    """The hexagon's pairs are not one of the pasture's hexagons."""
 
 
 class KindMismatch(ValueError):
@@ -40,17 +36,11 @@ class LiftCheckFailed(RuntimeError):
 
 
 class LiftResult(Record):
-    """The ``lift`` L with ``lam: L -> P``; ``kind`` is binary, hexagon,
-    ternary, wlum or grs; ``factor_descriptor`` counts the U, D, H, F3 and F2
+    """The ``lift`` L with ``lam: L -> P``; ``kind`` is binary, ternary,
+    wlum or grs; ``factor_descriptor`` counts the U, D, H, F3 and F2
     tensor factors, or is None."""
 
     _fields = ("lift", "lam", "kind", "factor_descriptor")
-
-
-def _descriptor(counts) -> dict:
-    d = {"U": 0, "D": 0, "H": 0, "F3": 0, "F2": 0}
-    d.update(counts)
-    return d
 
 
 def binary_lift(P: Pasture) -> LiftResult:
@@ -89,22 +79,6 @@ _MODEL_KEYS = {"ternary": "F3", "dyadic": "D", "hexagonal": "H",
                "near-regular": "U"}
 
 
-def _check_hexagon(P: Pasture, h: Hexagon):
-    if frozenset(h.pairs) not in P.orbit_pairs:
-        raise HexagonNotOfPasture(
-            f"pairs {h.pairs} are not a hexagon of this pasture")
-
-
-def hexagon_lift(P: Pasture, h: Hexagon) -> LiftResult:
-    """The lift of a single hexagon: the model pasture of its type with
-    lambda sending the model's fundamental pairs onto the hexagon."""
-    _check_hexagon(P, h)
-    model, images = _model_and_images(P, h)
-    lam = make(model, P, images)
-    return LiftResult(model, lam, "hexagon",
-                      _descriptor({_MODEL_KEYS[h.kind]: 1}))
-
-
 def _tensor_lift(P: Pasture, extra_f2: bool):
     hexes = hexagons(P)
     models = []
@@ -123,8 +97,8 @@ def _tensor_lift(P: Pasture, extra_f2: bool):
         lam = make(lift, P, (P.units.epsilon,))
         return lift, lam, counts
     res = tensor_full(models)
-    rows = tuple(evaluate_word(P.units, gen_images, w) for w in res.sections)
-    lam = make(res.pasture, P, rows)
+    lam = make(res.pasture, P,
+               map(GroupMap(P.units, gen_images), res.sections))
     return res.pasture, lam, counts
 
 
@@ -141,10 +115,10 @@ def _check_pair_bijection(lam: PastureMorphism):
 
 
 def ternary_lift(P: Pasture) -> LiftResult:
-    """Tensor of the hexagon lifts over all hexagons of P."""
+    """Tensor of the models of all hexagons of P."""
     lift, lam, counts = _tensor_lift(P, extra_f2=False)
     _check_pair_bijection(lam)
-    return LiftResult(lift, lam, "ternary", _descriptor(counts))
+    return LiftResult(lift, lam, "ternary", counts)
 
 
 def wlum_lift(P: Pasture) -> LiftResult:
@@ -153,7 +127,7 @@ def wlum_lift(P: Pasture) -> LiftResult:
     collapse = P.units.epsilon == P.units.identity()
     lift, lam, counts = _tensor_lift(P, extra_f2=collapse)
     _check_pair_bijection(lam)
-    return LiftResult(lift, lam, "wlum", _descriptor(counts))
+    return LiftResult(lift, lam, "wlum", counts)
 
 
 def _g5_triples(g, F):
@@ -237,9 +211,7 @@ def grs_lift(P: Pasture) -> LiftResult:
         relations.append((t(a, b, c), minus, None))                # G5
     res = presented(len(F), relations)
     lift = res.pasture
-    gen_images = (g.epsilon,) + tuple(F)
-    rows = tuple(evaluate_word(g, gen_images, w) for w in res.sections)
-    lam = make(lift, P, rows)
+    lam = make(lift, P, map(GroupMap(g, (g.epsilon, *F)), res.sections))
     lifted_F = {a for a, _ in fundamental_pairs(lift)}
     mapped = {lam.unit_map(a) for a in lifted_F}
     if not (len(mapped) == len(lifted_F) == len(F) and mapped == set(F)):

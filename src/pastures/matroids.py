@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 
+from .groups import DEFAULT_CAP
 from .morphisms import compose, hom_set
 from .pasture import InfinitePasture, Pasture, PastureElement, presented
 from .record import Record
@@ -272,7 +273,7 @@ def _least(M: Matroid, P: Pasture, values) -> tuple:
 
 
 def representation_classes(M: Matroid, P: Pasture, *,
-                           cap: int = 10**9) -> list:
+                           cap: int = DEFAULT_CAP) -> list:
     """All rescaling classes of representations of M over P, sorted by
     representative.
 
@@ -311,7 +312,7 @@ class LiftBijectionReport(Record):
 
 
 def lift_bijection_check(M: Matroid, lift_result, *,
-                         cap: int = 10**9) -> LiftBijectionReport:
+                         cap: int = DEFAULT_CAP) -> LiftBijectionReport:
     """Check that pushing forward through lambda is a bijection from the
     representation classes over the lift to those over the base.  A class
     over the lift L is a morphism m: F_M -> L, and its pushforward is the

@@ -13,6 +13,7 @@ import math
 from operator import concat, mul
 
 from .groups import (
+    DEFAULT_CAP,
     GroupMap,
     InfiniteTargetError,
     SearchSpaceExceeded,
@@ -20,7 +21,7 @@ from .groups import (
     identity_rows,
     is_surjective,
 )
-from .pasture import Pasture, PastureElement, ZERO, canonical_orbit
+from .pasture import Pasture, canonical_orbit
 from .record import Record, set_field as _set
 
 
@@ -48,22 +49,8 @@ class PastureMorphism(Record):
         _set(self, "target", target)
         _set(self, "unit_map", unit_map)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.unit_map)
-                    == (other.source, other.target, other.unit_map))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.unit_map))
-
     def apply_unit(self, coords):
         return self.unit_map(coords)
-
-    def apply(self, e: PastureElement) -> PastureElement:
-        if e.is_zero:
-            return ZERO
-        return PastureElement(self.unit_map(e.coords))
 
     def images(self):
         return self.unit_map.rows
@@ -106,7 +93,7 @@ def compose(g: PastureMorphism, f: PastureMorphism) -> PastureMorphism:
     return PastureMorphism(f.source, g.target, f.unit_map.then(g.unit_map))
 
 
-def hom_set(source: Pasture, target: Pasture, *, cap: int = 10**8):
+def hom_set(source: Pasture, target: Pasture, *, cap: int = DEFAULT_CAP):
     """All morphisms source -> target, deterministically ordered: the order
     of ``groups.enumerate_homs`` (``itertools.product`` over the generator
     pools of ``groups.hom_pools``), keeping the candidates ``make`` accepts.
@@ -320,7 +307,7 @@ def is_isomorphism(m: PastureMorphism) -> bool:
     gs, gt = m.source.units, m.target.units
     if gs.torsion != gt.torsion or gs.free_rank != gt.free_rank:
         return False
-    if not is_surjective(gs, m.unit_map):
+    if not is_surjective(m.unit_map):
         return False
     image_orbits = {canonical_orbit(gt, tuple(m.unit_map(x) for x in o))
                     for o in m.source.null_orbits}
@@ -328,7 +315,7 @@ def is_isomorphism(m: PastureMorphism) -> bool:
             and len(m.source.null_orbits) == len(m.target.null_orbits))
 
 
-def iso_check(P: Pasture, Q: Pasture, *, cap: int = 10**8):
+def iso_check(P: Pasture, Q: Pasture, *, cap: int = DEFAULT_CAP):
     """Decide isomorphism.  Returns Iso(morphism), NotIso(reason) or
     Unknown(reason).
 

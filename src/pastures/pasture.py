@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property, lru_cache
+from operator import concat
 
 from . import gf as gf_mod
 from .groups import (
@@ -48,24 +49,13 @@ from .groups import (
 )
 from .record import Record, set_field as _set
 
-NotPrimePower = gf_mod.NotPrimePower
-
 
 class BadRelationShape(ValueError):
     """A quotient relation is not a 2- or 3-term sum of the expected shape."""
 
 
-class DuplicateName(ValueError):
-    """Free algebra generator names must be distinct."""
-
-
 class InfinitePasture(ValueError):
     """An operation requiring finitely many units met an infinite pasture."""
-
-
-class UnexpectedUnitGroup(RuntimeError):
-    """Adjoining free generators changed the torsion or the free rank
-    in a way the construction rules out."""
 
 
 class PastureElement(Record):
@@ -155,9 +145,6 @@ class Pasture(Record):
     def minus_one(self) -> PastureElement:
         return PastureElement(self.units.epsilon)
 
-    def zero(self) -> PastureElement:
-        return ZERO
-
     def mul(self, a: PastureElement, b: PastureElement) -> PastureElement:
         if a.is_zero or b.is_zero:
             return ZERO
@@ -171,15 +158,6 @@ class Pasture(Record):
     @property
     def is_finite(self) -> bool:
         return self.units.is_finite
-
-    def elements(self):
-        """Zero followed by the units in total order; finite pastures only."""
-        if not self.is_finite:
-            raise InfinitePasture("cannot list elements of an infinite pasture")
-        out = [ZERO]
-        out.extend(PastureElement(c) for c in
-                   sorted(self.units.elements(), key=self.units.key))
-        return out
 
     # -- nullset ------------------------------------------------------------
 
@@ -257,30 +235,6 @@ class Pasture(Record):
             "label": self.label,
         }
 
-    def validate(self):
-        """Structural checks; returns a list of problem strings."""
-        problems = []
-        g = self.units
-        for i, d in enumerate(g.torsion):
-            if d < 2:
-                problems.append(f"invariant factor {d} < 2")
-            if i and g.torsion[i - 1] and d % g.torsion[i - 1]:
-                problems.append("invariant factors out of divisibility order")
-        if len(g.epsilon) != g.ngens or g.reduce(g.epsilon) != g.epsilon:
-            problems.append("epsilon not in reduced canonical coordinates")
-        if g.mul(g.epsilon, g.epsilon) != g.identity():
-            problems.append("epsilon does not square to 1")
-        for o in self.null_orbits:
-            if len(o) != 3:
-                problems.append(f"orbit {o} is not a triple")
-                continue
-            if any(len(x) != g.ngens or g.reduce(x) != x for x in o):
-                problems.append(f"orbit {o} has malformed coordinates")
-                continue
-            if canonical_orbit(g, o) != o:
-                problems.append(f"orbit {o} is not in canonical form")
-        return problems
-
 
 class IndexedUnits:
     """The torsion units of a pasture as the integers 0 .. n-1.
@@ -348,36 +302,6 @@ class TensorResult(Record):
 # -- constructors ------------------------------------------------------------
 
 
-def free_algebra(P: Pasture, names) -> Pasture:
-    """Adjoin free commuting unit generators, one per name.
-
-    The new generators occupy the last ``len(names)`` canonical coordinates,
-    in the order given.
-    """
-    names = tuple(names)
-    if len(set(names)) != len(names):
-        raise DuplicateName(f"duplicate generator name in {names}")
-    if not all(isinstance(n, str) and n for n in names):
-        raise DuplicateName("generator names must be nonempty strings")
-    g = P.units
-    n = g.ngens + len(names)
-    rows = [r + [0] * len(names) for r in g.relation_rows()]
-    red = reduce_presentation(n, rows, list(g.epsilon) + [0] * len(names))
-    # relations were already diagonal, so coordinates pass through unchanged
-    if (red.group.torsion != g.torsion
-            or red.group.free_rank != g.free_rank + len(names)):
-        raise UnexpectedUnitGroup(
-            f"adjoining {names} gave torsion {red.group.torsion} and free "
-            f"rank {red.group.free_rank}")
-    orbits = frozenset(
-        tuple(red.project(list(x) + [0] * len(names)) for x in o)
-        for o in P.null_orbits)
-    label = None
-    if P.label:
-        label = f"{P.label}<{','.join(names)}>"
-    return Pasture(red.group, orbits, label)
-
-
 def _coords(P: Pasture, e: PastureElement):
     if not isinstance(e, PastureElement):
         raise BadRelationShape(f"expected a PastureElement, got {e!r}")
@@ -413,9 +337,10 @@ def presented(n: int, relations) -> QuotientResult:
     A relation is a triple of terms, at least two nonzero.  A term is an
     exponent map {0: e, 1 + i: c_i}, zero entries left out, for the unit
     (-1)^e t_1^c_1 .. t_n^c_n, or None for zero; any other term raises
-    :class:`BadRelationShape`.  Over ``free_algebra(named("F1pm"), names)``
-    for n names, the result equals ``quotient_full`` by the same terms as
-    elements, with ``unit_map`` and ``sections`` over its coordinates.
+    :class:`BadRelationShape`.  Its test oracle is ``tests/oracles.py``:
+    there ``quotient_full`` by the same terms as elements of
+    ``free_algebra(named("F1pm"), names)``, for n names, gives the same
+    result, with ``unit_map`` and ``sections`` over its coordinates.
     """
     relations = [tuple(tri) for tri in relations]
     terms = [t for tri in relations for t in tri if t is not None]
@@ -476,36 +401,39 @@ def _quotient(units, relations) -> QuotientResult:
     return QuotientResult(Pasture(units, orbits), cum, sections)
 
 
-def quotient(P: Pasture, relations) -> Pasture:
-    return quotient_full(P, relations).pasture
+def _present(n: int, rows, eps, orbits):
+    """``(red, null_orbits)`` for products and tensors: ``red`` reduces Z^n
+    modulo ``rows`` with -1 the word ``eps``, and ``null_orbits`` holds the
+    triples of words ``orbits``, each projected and canonicalised."""
+    red = reduce_presentation(n, rows, eps)
+    R, project = red.group, red.project
+    return red, frozenset(canonical_orbit(R, tuple(map(project, o)))
+                          for o in orbits)
 
 
 def product_full(P: Pasture, Q: Pasture) -> ProductResult:
     """Direct product: units multiply componentwise and a product triple is
-    null exactly when both components are."""
+    null exactly when both components are: the orbits (x_i y_s(i)) for
+    orbits x of P and y of Q and permutations s, units as words over the
+    concatenated coordinates."""
     gp, gq = P.units, Q.units
     n1, n2 = gp.ngens, gq.ngens
     rows = [list(r) + [0] * n2 for r in gp.relation_rows()]
     rows += [[0] * n1 + list(r) for r in gq.relation_rows()]
-    red = reduce_presentation(n1 + n2, rows, list(gp.epsilon) + list(gq.epsilon))
+    red, orbits = _present(
+        n1 + n2, rows, list(gp.epsilon) + list(gq.epsilon),
+        (tuple(map(concat, a, perm)) for a in P.null_orbits
+         for b in Q.null_orbits for perm in itertools.permutations(b)))
     R = red.group
     # the projection of a unit vector is its (reduced) row of red.project
     proj = red.project.rows
     embed1, embed2 = GroupMap(R, proj[:n1]), GroupMap(R, proj[n1:])
     proj1 = GroupMap(gp, tuple(gp.reduce(w[:n1]) for w in red.sections))
     proj2 = GroupMap(gq, tuple(gq.reduce(w[n1:]) for w in red.sections))
-
-    orbits = set()
-    second = [tuple(map(embed2, b)) for b in Q.null_orbits]
-    for a in P.null_orbits:
-        a = tuple(map(embed1, a))
-        for b in second:
-            for perm in itertools.permutations(b):
-                orbits.add(canonical_orbit(R, tuple(map(R.mul, a, perm))))
     label = None
     if P.label and Q.label:
         label = f"{P.label} x {Q.label}"
-    return ProductResult(Pasture(R, frozenset(orbits), label),
+    return ProductResult(Pasture(R, orbits, label),
                          proj1, proj2, embed1, embed2)
 
 
@@ -541,20 +469,17 @@ def tensor_full(factors) -> TensorResult:
         a = pad(i, factors[i].units.epsilon)
         b = pad(i + 1, factors[i + 1].units.epsilon)
         rows.append([x - y for x, y in zip(a, b)])
-    red = reduce_presentation(total, rows, pad(0, factors[0].units.epsilon))
+    red, orbits = _present(
+        total, rows, pad(0, factors[0].units.epsilon),
+        (tuple(pad(i, x) for x in o) for i, F in enumerate(factors)
+         for o in F.null_orbits))
     R = red.group
     # the projection of a unit vector is its (reduced) row of red.project
     proj = red.project.rows
     inclusions = tuple(GroupMap(R, proj[o:o + n]) for o, n in zip(offs, ngs))
-    orbits = set()
-    for i, F in enumerate(factors):
-        inc = inclusions[i]
-        for o in F.null_orbits:
-            orbits.add(canonical_orbit(R, tuple(inc(x) for x in o)))
     labels = [F.label for F in factors]
     label = " ox ".join(labels) if all(labels) else None
-    return TensorResult(Pasture(R, frozenset(orbits), label),
-                        inclusions, red.sections)
+    return TensorResult(Pasture(R, orbits, label), inclusions, red.sections)
 
 
 def tensor(*pastures) -> Pasture:

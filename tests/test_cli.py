@@ -6,6 +6,7 @@ against golden files under tests/data, which were produced by the same
 commands and reviewed by hand.
 """
 
+import inspect
 import json
 import os
 import pathlib
@@ -14,7 +15,9 @@ import pytest
 
 from pastures import cli
 from pastures.expr import pasture_of
-from pastures.groups import AbelianGroup
+from pastures.groups import DEFAULT_CAP, AbelianGroup, enumerate_homs
+from pastures.matroids import lift_bijection_check, representation_classes
+from pastures.morphisms import hom_set, iso_check
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -113,6 +116,9 @@ GOLDEN_CASES = [
      "golden_lift_grs_F4xF5.json"),
     (["lift", "--kind", "grs", "F5 x F19", "--json"],
      "golden_lift_grs_F5xF19.json"),
+    # the orbits and coordinates of a product and of a tensor
+    (["pasture", "S x S", "--json"], "golden_pasture_SxS.json"),
+    (["pasture", "D ox H ox F3", "--json"], "golden_pasture_DoxHoxF3.json"),
 ]
 
 
@@ -187,6 +193,27 @@ def test_hom_guard_message(capsys):
     assert out == ""
     assert err == ("guard tripped: 36 candidate homomorphisms exceed the "
                    "cap of 10\n")
+
+
+def test_one_default_cap(capsys):
+    """Every search and the command line's --max-candidates default to
+    ``DEFAULT_CAP``, 10^9: 127^4 candidates for U ox U into F128 are
+    searched, 127^6 for U ox U ox U are refused."""
+    for search in (hom_set, iso_check, enumerate_homs,
+                   representation_classes, lift_bijection_check):
+        assert inspect.signature(search).parameters["cap"].default \
+            == DEFAULT_CAP == 10**9
+    for argv in (["hom", "H", "F7"], ["iso", "F4", "F5"],
+                 ["reps", "--matroid", "U24", "--pasture", "F5"],
+                 ["lift-check", "--matroid", "U24", "--pasture", "F4",
+                  "--kind", "ternary"]):
+        assert cli.build_parser().parse_args(argv).max_candidates \
+            == DEFAULT_CAP
+    assert run(capsys, ["hom", "U ox U", "F128"]) == (
+        0, "15876 morphisms U ox U -> F128\n", "")
+    assert run(capsys, ["hom", "U ox U ox U", "F128"]) == (
+        2, "", "guard tripped: 4195872914689 candidate homomorphisms exceed "
+        "the cap of 1000000000\n")
 
 
 def test_iso_guard_counts_the_hom_pools(capsys):

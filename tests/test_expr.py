@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pastures.expr import (ExprError, Fq, Lift, Name, Presentation, Product,
-                           Tensor, evaluate_text, parse, pasture_of,
-                           print_expr)
+                           Tensor, evaluate, parse, pasture_of, print_expr)
 from pastures.gf import NotPrimePower
 from pastures.morphisms import hom_set, iso_check
 from pastures.pasture import named
@@ -103,9 +102,9 @@ def test_unknown_names_rejected():
 
 def test_evaluate_errors():
     with pytest.raises(NotPrimePower):
-        evaluate_text("F6")
+        evaluate(parse("F6"))
     with pytest.raises(NotPrimePower):
-        evaluate_text("Lt(F6)")
+        evaluate(parse("Lt(F6)"))
 
 
 def test_lift_expressions_evaluate():

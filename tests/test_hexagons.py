@@ -5,13 +5,12 @@ from sympy import factorint
 
 from pastures.hexagons import (HexagonsInconsistent, KIND_BY_MU,
                                NotFundamental, _check, census,
-                               classify_by_shape, fundamental_pairs,
-                               hexagon_of_pair, hexagons, is_fundamental,
-                               pair_orbit, partition_check, psi_product, rho,
-                               sigma)
+                               fundamental_pairs, hexagons, is_fundamental,
+                               psi_product, rho, sigma)
 from pastures.expr import pasture_of
 from pastures.pasture import Pasture, finite_field, named, product, unit
 from pastures.tables import expected_census, fiber_shape
+from oracles import classify_by_shape, partition_check
 
 CORPUS = [finite_field(q) for q in (3, 4, 5, 7, 8, 9, 11, 13)] + \
     [named(n) for n in ("K", "S", "W", "U", "D", "H", "G", "F3")]
@@ -48,7 +47,9 @@ def test_d3_action():
             lhs = sigma(P, rho(P, sigma(P, pair)))
             rhs = rho(P, rho(P, pair))
             assert lhs == rhs
-            assert len(pair_orbit(P, pair)) in (1, 2, 3, 6)
+            h = hexagon_holding(P, pair)
+            assert frozenset(h.pairs) == reference_pair_orbit(P, pair)
+            assert h.mu in (1, 2, 3, 6)
 
 
 def test_orbits_partition_pairs():
@@ -106,6 +107,12 @@ def test_census_rules(q):
     assert census(q) == expected_census(q)
 
 
+def hexagon_holding(P, pair):
+    """The hexagon of ``hexagons(P)`` whose pairs include ``pair``."""
+    (h,) = [h for h in hexagons(P) if pair in h.pairs]
+    return h
+
+
 def reference_pair_orbit(P, pair):
     """The D3 orbit walked with the checked moves sigma and rho."""
     seen = set()
@@ -128,11 +135,12 @@ def test_pair_orbit_matches_checked_walk():
                                      "Lt(F9)", "Lw(F4)", "Lg(F5)", "Lg(K)")]
     for P in fields + named_ones + wider:
         for pair in fundamental_pairs(P):
-            assert pair_orbit(P, pair) == reference_pair_orbit(P, pair)
+            assert frozenset(hexagon_holding(P, pair).pairs) == \
+                reference_pair_orbit(P, pair)
         one = P.units.identity()
         if (one, one) not in fundamental_pairs(P):  # 1 + 1 = 1 holds in K, S, W
             with pytest.raises(NotFundamental):
-                pair_orbit(P, (one, one))
+                rho(P, (one, one))
 
 
 def test_is_fundamental_and_errors():
@@ -141,8 +149,8 @@ def test_is_fundamental_and_errors():
     assert is_fundamental(P, ((1,), (2,)))      # 2 + 4 = 1 in F5
     assert not is_fundamental(P, ((1,), (1,)))  # 2 + 2 = 4
     with pytest.raises(NotFundamental):
-        hexagon_of_pair(P, ((1,), (1,)))
-    h = hexagon_of_pair(P, ((1,), (2,)))
+        rho(P, ((1,), (1,)))
+    h = hexagon_holding(P, ((1,), (2,)))
     assert h.kind == "dyadic"
     assert h.diagonal_element() == (3,)         # 3 + 3 = 1
 

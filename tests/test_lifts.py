@@ -5,12 +5,10 @@ from sympy import factorint
 
 from pastures import lifts
 from pastures.groups import AbelianGroup
-from pastures.hexagons import Hexagon, fundamental_pairs, hexagons
-from pastures.lifts import (HexagonNotOfPasture, KindMismatch,
-                            LiftCheckFailed, NotFinitary,
+from pastures.hexagons import fundamental_pairs
+from pastures.lifts import (KindMismatch, LiftCheckFailed, NotFinitary,
                             _check_pair_bijection, binary_lift, grs_lift,
-                            hexagon_lift, lift_descriptor_iso, ternary_lift,
-                            wlum_lift)
+                            lift_descriptor_iso, ternary_lift, wlum_lift)
 from pastures.morphisms import hom_set, is_isomorphism, iso_check
 from pastures.pasture import finite_field, named, product
 from pastures.tables import LIFT_TABLE, WLUM_TABLE
@@ -25,40 +23,6 @@ def test_binary_lift_cases():
     res = binary_lift(finite_field(5))
     assert res.lift.label == "F1pm"
     assert res.lam.apply_unit((1,)) == (2,)
-
-
-def test_hexagon_lift_models():
-    F7 = finite_field(7)
-    hx, dy = hexagons(F7)
-    assert hx.kind == "hexagonal" and dy.kind == "dyadic"
-    res = hexagon_lift(F7, hx)
-    assert res.lift.units.torsion == (6,)           # model H
-    res = hexagon_lift(F7, dy)
-    assert res.lift.units.torsion == (2,)           # model D
-    assert res.lift.units.free_rank == 1
-    # the morphism hits the hexagon's pairs
-    assert is_isomorphism(res.lam) is False
-
-
-def test_hexagon_lift_rejects_foreign_hexagon():
-    F7 = finite_field(7)
-    F13 = finite_field(13)
-    h = hexagons(F7)[0]
-    with pytest.raises(HexagonNotOfPasture):
-        hexagon_lift(F13, h)
-
-
-def test_hexagon_lift_rejects_partial_hexagon():
-    # every pair is fundamental, but the pairs are not a whole hexagon
-    F13 = finite_field(13)
-    hexes = hexagons(F13)
-    (h,) = [h for h in hexes if h.kind == "near-regular"]
-    other = next(g for g in hexes if g is not h)
-    for pairs in (h.pairs[:-1], h.pairs + other.pairs[:1]):
-        bad = Hexagon(pairs, h.canonical_pair, h.mu, h.kind, h.support)
-        with pytest.raises(HexagonNotOfPasture):
-            hexagon_lift(F13, bad)
-    assert hexagon_lift(F13, h).factor_descriptor["U"] == 1
 
 
 def test_ternary_descriptors_match_table():

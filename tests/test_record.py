@@ -22,10 +22,11 @@ from pastures.lifts import ternary_lift
 from pastures.matroids import (Matroid, lift_bijection_check,
                                representation_classes, u24)
 from pastures.morphisms import Unknown, iso_check
-from pastures.pasture import (finite_field, free_algebra, named,
-                              product_full, quotient_full, tensor_full, unit)
+from pastures.pasture import (finite_field, named, product_full,
+                              quotient_full, tensor_full, unit)
 from pastures.record import FrozenError, Record
 from pastures.verify import VerifyItem, VerifyReport
+from oracles import free_algebra
 
 
 def _instances():
