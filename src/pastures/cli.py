@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 verified false, 2 unknown or guard tripped,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -33,6 +32,7 @@ BUILTIN_MATROIDS = {"U24": u24, "MK4": mk4}
 
 def _emit(args, data: dict, text: str) -> None:
     if args.json:
+        import json     # here, not at the top: most commands print no JSON
         json.dump(data, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
@@ -52,6 +52,7 @@ def _coords_str(coords) -> str:
 
 def _load_matroid(source: str):
     if os.path.exists(source):
+        import json
         with open(source) as fh:
             return matroid_from_json(json.load(fh))
     key = source.upper()
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
     except ExprError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

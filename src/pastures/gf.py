@@ -142,13 +142,6 @@ class GF:
         return self._undigits([(x + y) % p for x, y in
                                zip(self._digits(a), self._digits(b))])
 
-    def neg(self, a):
-        p = self.p
-        return self._undigits([(-x) % p for x in self._digits(a)])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
@@ -164,11 +157,6 @@ class GF:
             if n:
                 a = self.mul(a, a)
         return out
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.exp[(-self.dlog[a]) % (self.q - 1)]
 
     def _least_generator(self):
         """The least a of order q - 1, by the order test, and its powers
@@ -192,13 +180,6 @@ class GF:
         p, dlog = self.p, self.dlog
         return [dlog.get(x + 1 if x % p != p - 1 else x + 1 - p)
                 for x in self.exp]
-
-    @property
-    def minus_one(self):
-        return self.neg(1)
-
-    def elements(self):
-        return range(self.q)
 
 
 @lru_cache(maxsize=None)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property, lru_cache
-from operator import concat
 
 from . import gf as gf_mod
 from .groups import (
@@ -142,9 +141,6 @@ class Pasture(Record):
     def one(self) -> PastureElement:
         return PastureElement(self.units.identity())
 
-    def minus_one(self) -> PastureElement:
-        return PastureElement(self.units.epsilon)
-
     def mul(self, a: PastureElement, b: PastureElement) -> PastureElement:
         if a.is_zero or b.is_zero:
             return ZERO
@@ -190,17 +186,19 @@ class Pasture(Record):
         the hexagons are exactly these sets: one scaling by -1/z per choice
         of the last entry, each pair with its swap.  Unit scalings of the
         triple give the same pairs, so one representative per orbit
-        suffices.
+        suffices.  With (u, v) = (-x/z, -y/z), the other two last entries
+        give (-y/x, -z/x) = (-v/u, 1/u) and (-z/y, -x/y) = (1/v, -u/v).
         """
-        g = self.units
+        g, eps = self.units, self.eps
+        mul, inv = g.mul, g.inv
         orbits = set()
         for x, y, z in self.null_orbits:
-            pairs = []
-            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                s = g.mul(self.eps, g.inv(c))
-                a, b = g.mul(a, s), g.mul(b, s)
-                pairs += ((a, b), (b, a))
-            orbits.add(frozenset(pairs))
+            s = mul(eps, inv(z))
+            u, v = mul(x, s), mul(y, s)
+            iu, iv = inv(u), inv(v)
+            w, t = mul(v, mul(eps, iu)), mul(u, mul(eps, iv))
+            orbits.add(frozenset(((u, v), (v, u), (w, iu), (iu, w),
+                                  (iv, t), (t, iv))))
         return frozenset(orbits)
 
     @cached_property
@@ -401,35 +399,28 @@ def _quotient(units, relations) -> QuotientResult:
     return QuotientResult(Pasture(units, orbits), cum, sections)
 
 
-def _present(n: int, rows, eps, orbits):
-    """``(red, null_orbits)`` for products and tensors: ``red`` reduces Z^n
-    modulo ``rows`` with -1 the word ``eps``, and ``null_orbits`` holds the
-    triples of words ``orbits``, each projected and canonicalised."""
-    red = reduce_presentation(n, rows, eps)
-    R, project = red.group, red.project
-    return red, frozenset(canonical_orbit(R, tuple(map(project, o)))
-                          for o in orbits)
-
-
 def product_full(P: Pasture, Q: Pasture) -> ProductResult:
     """Direct product: units multiply componentwise and a product triple is
     null exactly when both components are: the orbits (x_i y_s(i)) for
-    orbits x of P and y of Q and permutations s, units as words over the
-    concatenated coordinates."""
+    orbits x of P and y of Q and permutations s, each member the product
+    of its components' images under ``embed1`` and ``embed2``."""
     gp, gq = P.units, Q.units
     n1, n2 = gp.ngens, gq.ngens
     rows = [list(r) + [0] * n2 for r in gp.relation_rows()]
     rows += [[0] * n1 + list(r) for r in gq.relation_rows()]
-    red, orbits = _present(
-        n1 + n2, rows, list(gp.epsilon) + list(gq.epsilon),
-        (tuple(map(concat, a, perm)) for a in P.null_orbits
-         for b in Q.null_orbits for perm in itertools.permutations(b)))
+    red = reduce_presentation(n1 + n2, rows,
+                              list(gp.epsilon) + list(gq.epsilon))
     R = red.group
     # the projection of a unit vector is its (reduced) row of red.project
     proj = red.project.rows
     embed1, embed2 = GroupMap(R, proj[:n1]), GroupMap(R, proj[n1:])
     proj1 = GroupMap(gp, tuple(gp.reduce(w[:n1]) for w in red.sections))
     proj2 = GroupMap(gq, tuple(gq.reduce(w[n1:]) for w in red.sections))
+    first = [tuple(map(embed1, a)) for a in P.null_orbits]
+    second = [tuple(map(embed2, b)) for b in Q.null_orbits]
+    orbits = frozenset(canonical_orbit(R, tuple(map(R.mul, a, perm)))
+                       for a in first for b in second
+                       for perm in itertools.permutations(b))
     label = None
     if P.label and Q.label:
         label = f"{P.label} x {Q.label}"
@@ -469,14 +460,15 @@ def tensor_full(factors) -> TensorResult:
         a = pad(i, factors[i].units.epsilon)
         b = pad(i + 1, factors[i + 1].units.epsilon)
         rows.append([x - y for x, y in zip(a, b)])
-    red, orbits = _present(
-        total, rows, pad(0, factors[0].units.epsilon),
-        (tuple(pad(i, x) for x in o) for i, F in enumerate(factors)
-         for o in F.null_orbits))
+    red = reduce_presentation(total, rows, pad(0, factors[0].units.epsilon))
     R = red.group
-    # the projection of a unit vector is its (reduced) row of red.project
+    # the projection of a unit vector is its (reduced) row of red.project,
+    # so each factor's orbits go through that factor's own rows
     proj = red.project.rows
     inclusions = tuple(GroupMap(R, proj[o:o + n]) for o, n in zip(offs, ngs))
+    orbits = frozenset(canonical_orbit(R, tuple(map(inc, o)))
+                       for inc, F in zip(inclusions, factors)
+                       for o in F.null_orbits)
     labels = [F.label for F in factors]
     label = " ox ".join(labels) if all(labels) else None
     return TensorResult(Pasture(R, orbits, label), inclusions, red.sections)

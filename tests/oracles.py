@@ -9,16 +9,25 @@ with.  The library itself never calls them.
   size-based ``Hexagon.kind``.
 * ``partition_check``: whether the hexagon supports partition the units
   other than 1.
-* ``reference_product``: ``product_full`` built by multiplying the images
-  of each factor's orbits under the two embeddings.
+* ``reference_product``: ``product_full`` built by projecting each
+  orbit word over the concatenated factor coordinates.
+* ``reference_mul`` and ``reference_inv``: group arithmetic with the torsion
+  and free coordinates handled in separate passes.
+* ``reference_orbit_pairs``: a pasture's hexagons by one scaling per
+  choice of the last entry of each null triple.
+* ``reference_tensor_orbits``: the null orbits of ``tensor_full`` from
+  words padded to the width of all factors.
+* ``gf_neg``, ``gf_sub``, ``gf_inv``, ``gf_minus_one`` and ``minus_one``:
+  field and pasture operations that only the tests use.
 """
 
 import itertools
+from operator import add, concat, mod, neg
 
 from pastures.groups import GroupMap, reduce_presentation
 from pastures.hexagons import Hexagon, hexagons
-from pastures.pasture import (Pasture, ProductResult, canonical_orbit,
-                              quotient_full)
+from pastures.pasture import (Pasture, PastureElement, ProductResult,
+                              canonical_orbit, quotient_full)
 
 
 class DuplicateName(ValueError):
@@ -122,29 +131,115 @@ def partition_check(P: Pasture):
 
 
 def reference_product(P: Pasture, Q: Pasture) -> ProductResult:
-    """``product_full`` as it was built before it projected concatenated
-    words: each orbit is the product of an orbit of P under ``embed1`` and
-    a permutation of an orbit of Q under ``embed2``."""
+    """``product_full`` by the other route: each orbit word, an orbit of P
+    concatenated with a permutation of an orbit of Q, projected through
+    every row of the reduction."""
     gp, gq = P.units, Q.units
     n1, n2 = gp.ngens, gq.ngens
     rows = [list(r) + [0] * n2 for r in gp.relation_rows()]
     rows += [[0] * n1 + list(r) for r in gq.relation_rows()]
     red = reduce_presentation(n1 + n2, rows,
                               list(gp.epsilon) + list(gq.epsilon))
-    R = red.group
-    proj = red.project.rows
+    R, project = red.group, red.project
+    proj = project.rows
     embed1, embed2 = GroupMap(R, proj[:n1]), GroupMap(R, proj[n1:])
     proj1 = GroupMap(gp, tuple(gp.reduce(w[:n1]) for w in red.sections))
     proj2 = GroupMap(gq, tuple(gq.reduce(w[n1:]) for w in red.sections))
-    orbits = set()
-    second = [tuple(map(embed2, b)) for b in Q.null_orbits]
-    for a in P.null_orbits:
-        a = tuple(map(embed1, a))
-        for b in second:
-            for perm in itertools.permutations(b):
-                orbits.add(canonical_orbit(R, tuple(map(R.mul, a, perm))))
+    orbits = frozenset(
+        canonical_orbit(R, tuple(map(project, map(concat, a, perm))))
+        for a in P.null_orbits for b in Q.null_orbits
+        for perm in itertools.permutations(b))
     label = None
     if P.label and Q.label:
         label = f"{P.label} x {Q.label}"
-    return ProductResult(Pasture(R, frozenset(orbits), label),
+    return ProductResult(Pasture(R, orbits, label),
                          proj1, proj2, embed1, embed2)
+
+
+def reference_mul(g, a, b):
+    """``AbelianGroup.mul`` with the torsion coordinates reduced in one
+    pass and the rest added in a second; the result is as long as the
+    shorter input when both go past the torsion, else as long as the
+    shortest of the two inputs and the torsion."""
+    if g.cyclic and len(a) == 1 == len(b):
+        return ((a[0] + b[0]) % g.cyclic,)
+    t = g.torsion
+    out = tuple(map(mod, map(add, a, b), t))
+    n = len(t)
+    return (out + tuple(map(add, a[n:], b[n:]))
+            if len(a) > n < len(b) else out)
+
+
+def reference_inv(g, a):
+    """``AbelianGroup.inv`` in the two passes of ``reference_mul``."""
+    if g.cyclic and len(a) == 1:
+        return (-a[0] % g.cyclic,)
+    t = g.torsion
+    out = tuple(map(mod, map(neg, a), t))
+    return out + tuple(map(neg, a[len(t):])) if len(a) > len(t) else out
+
+
+def reference_orbit_pairs(P: Pasture) -> frozenset:
+    """``Pasture.orbit_pairs`` by one scaling by -1/c for each rotation
+    (a, b, c) of each null orbit: 3 inversions and 9 multiplications."""
+    g = P.units
+    orbits = set()
+    for x, y, z in P.null_orbits:
+        pairs = []
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            s = g.mul(P.eps, g.inv(c))
+            a, b = g.mul(a, s), g.mul(b, s)
+            pairs += ((a, b), (b, a))
+        orbits.add(frozenset(pairs))
+    return frozenset(orbits)
+
+
+def reference_tensor_orbits(factors) -> frozenset:
+    """The null orbits of ``tensor_full(factors)``, each factor orbit padded
+    to a word over all factors' coordinates and projected through every row
+    of the reduction."""
+    factors = tuple(factors)
+    if not factors:
+        return frozenset()
+    ngs = [F.units.ngens for F in factors]
+    total = sum(ngs)
+    offs = [sum(ngs[:i]) for i in range(len(factors))]
+
+    def pad(i, x):
+        return [0] * offs[i] + list(x) + [0] * (total - offs[i] - ngs[i])
+
+    rows = [pad(i, r) for i, F in enumerate(factors)
+            for r in F.units.relation_rows()]
+    for i in range(len(factors) - 1):
+        a = pad(i, factors[i].units.epsilon)
+        b = pad(i + 1, factors[i + 1].units.epsilon)
+        rows.append([x - y for x, y in zip(a, b)])
+    red = reduce_presentation(total, rows, pad(0, factors[0].units.epsilon))
+    return frozenset(
+        canonical_orbit(red.group, tuple(red.project(pad(i, x)) for x in o))
+        for i, F in enumerate(factors) for o in F.null_orbits)
+
+
+def gf_neg(F, a):
+    """-a in GF(q): each base-p digit negated."""
+    return F._undigits([(-x) % F.p for x in F._digits(a)])
+
+
+def gf_sub(F, a, b):
+    return F.add(a, gf_neg(F, b))
+
+
+def gf_inv(F, a):
+    """1/a in GF(q) by discrete logarithms."""
+    if a == 0:
+        raise ZeroDivisionError("0 has no inverse")
+    return F.exp[(-F.dlog[a]) % (F.q - 1)]
+
+
+def gf_minus_one(F):
+    return gf_neg(F, 1)
+
+
+def minus_one(P: Pasture) -> PastureElement:
+    """The element -1 of a pasture."""
+    return PastureElement(P.units.epsilon)

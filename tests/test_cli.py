@@ -10,6 +10,8 @@ import inspect
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -93,6 +95,21 @@ def test_malformed_json_file_is_usage_error(capsys, tmp_path):
                                 "--pasture", "F4"])
     assert code == 3
     assert "error" in err
+
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["hexagons", "F7"], False), (["hexagons", "F7", "--json"], True)])
+def test_json_is_imported_only_when_used(argv, loads):
+    """A command without ``--json`` or a matroid file never imports json."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; from pastures import cli; "
+            f"code = cli.main({argv!r}); "
+            "sys.exit(code or 10 + ('json' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 10 + loads, proc.stderr
 
 
 # -- golden JSON outputs ------------------------------------------------

@@ -17,6 +17,7 @@ from pastures.matroids import (ExchangeAxiomViolation, Matroid,
 from pastures.morphisms import iso_check
 from pastures.pasture import InfinitePasture, Pasture, PastureElement, \
     ZERO, finite_field, named, product, unit
+from oracles import gf_minus_one, minus_one
 
 
 # -- oracles: the Pluecker check by basis values -------------------------
@@ -42,7 +43,7 @@ def delta(rep, seq) -> PastureElement:
         return ZERO
     v = rep.values[i]
     if parity:
-        v = rep.pasture.mul(rep.pasture.minus_one(), v)
+        v = rep.pasture.mul(minus_one(rep.pasture), v)
     return v
 
 
@@ -64,7 +65,7 @@ def plucker_check(rep: Representation):
     """(ok, witness): whether all 3-term Pluecker relations of the
     representation land in the nullset; the witness is a failing constraint
     as basis-position terms."""
-    P, meps = rep.pasture, rep.pasture.minus_one()
+    P, meps = rep.pasture, minus_one(rep.pasture)
     con = next((con for con in _constraints(rep.matroid)
                 if not _check_constraint(P, con, rep.values, meps)), None)
     return con is None, con
@@ -112,11 +113,11 @@ def test_delta_alternating():
     values = tuple(unit((k % 4,)) for k in range(6))
     rep = Representation(M, P, values)
     assert delta(rep, (1, 2)) == values[0]
-    assert delta(rep, (2, 1)) == P.mul(P.minus_one(), values[0])
+    assert delta(rep, (2, 1)) == P.mul(minus_one(P), values[0])
     assert delta(rep, (1, 1)).is_zero
     r3 = Representation(mk4(), P, tuple(unit((0,)) for _ in range(16)))
     assert delta(r3, (1, 2, 4)).is_zero          # nonbasis
-    assert delta(r3, (2, 1, 3)) == P.minus_one()
+    assert delta(r3, (2, 1, 3)) == minus_one(P)
     assert delta(r3, (3, 1, 2)) == P.one()
 
 
@@ -129,7 +130,7 @@ def field_det(F, cols):
         for r, c in enumerate(perm):
             prod = F.mul(prod, cols[c][r])
         total = F.add(total, prod if _perm_sign(perm) > 0
-                      else F.mul(F.minus_one, prod))
+                      else F.mul(gf_minus_one(F), prod))
     return total
 
 
@@ -335,7 +336,7 @@ def reference_classes(M, P):
     for con in _constraints(M):
         buckets[max(t[0] for pair in con for t in pair
                     if t[0] is not None)].append(con)
-    meps = P.minus_one()
+    meps = minus_one(P)
     accepted = []
 
     def extend(values):

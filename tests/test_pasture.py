@@ -19,7 +19,9 @@ from pastures.pasture import (NAMED, ZERO, BadRelationShape, Pasture,
                               canonical_orbit, finite_field, named,
                               presented, product, product_full,
                               quotient_full, tensor, tensor_full, unit)
-from oracles import free_algebra, quotient, reference_product, validate
+from oracles import (free_algebra, gf_neg, minus_one, quotient,
+                     reference_orbit_pairs, reference_product,
+                     reference_tensor_orbits, validate)
 
 # frozen canonical data: (torsion, free_rank, epsilon, sorted null orbits)
 NAMED_DATA = {
@@ -133,7 +135,7 @@ def reference_finite_field(q):
     orbits = set()
     for i in range(q - 1):
         for j in range(q - 1):
-            c = f.neg(f.add(f.exp[i], f.exp[j]))
+            c = gf_neg(f, f.add(f.exp[i], f.exp[j]))
             if c:
                 orbits.add(reference_canonical_orbit(
                     g, ((i,), (j,), (f.dlog[c],))))
@@ -152,7 +154,7 @@ def reference_orbit_loop(q):
     orbits = set()
     seen = bytearray(q - 1)
     for j in range(q - 1):
-        c = f.neg(f.add(f.exp[0], f.exp[j]))
+        c = gf_neg(f, f.add(f.exp[0], f.exp[j]))
         if c and not seen[j]:
             k = f.dlog[c]
             for e in (j, k, -j, k - j, -k, j - k):
@@ -196,9 +198,10 @@ def test_finite_field_canonicalises_each_orbit_once(q, monkeypatch):
     assert len(calls) == len(P.null_orbits)
 
 
-def reference_orbit_pairs(P):
-    """``Pasture.orbit_pairs`` as it was built, kept as its oracle: the
-    pair (-x/z, -y/z) for each of the six orderings of each null orbit."""
+def orbit_pairs_by_orderings(P):
+    """``Pasture.orbit_pairs`` as it was first built, kept as its oracle:
+    the pair (-x/z, -y/z) for each of the six orderings of each null
+    orbit."""
     g = P.units
     orbits = set()
     for o in P.null_orbits:
@@ -222,7 +225,29 @@ def test_orbit_pairs_match_reference():
                  grs_lift(finite_field(9)).lift,
                  _foundation(mk4())[0], _foundation(u24())[0]]
     for P in pastures:
+        assert P.orbit_pairs == orbit_pairs_by_orderings(P), P
         assert P.orbit_pairs == reference_orbit_pairs(P), P
+
+
+def _tensor_of(names):
+    return tensor(*map(named, names))
+
+
+ORBIT_PAIR_PASTURES = st.one_of(
+    st.sampled_from(NAMED).map(named),
+    st.sampled_from(PRIME_POWERS_64).map(finite_field),
+    st.lists(st.sampled_from(NAMED), max_size=5).map(_tensor_of),
+    st.tuples(st.sampled_from(NAMED), st.sampled_from(NAMED)).map(
+        lambda pair: product(*map(named, pair))))
+
+
+@given(ORBIT_PAIR_PASTURES)
+@settings(max_examples=150, deadline=None)
+def test_orbit_pairs_match_rotation_loop(P):
+    """The hexagons read from (u, v) = (-x/z, -y/z) and its rotations
+    (-v/u, 1/u) and (1/v, -u/v) against one scaling by -1/c per rotation
+    (a, b, c) of each null orbit: finite, free and mixed unit groups."""
+    assert P.orbit_pairs == reference_orbit_pairs(P)
 
 
 def lift_factors(q):
@@ -235,6 +260,34 @@ TENSOR_CASES = {f"lift F{q}": lift_factors(q)
                 for q in PRIME_POWERS_64 if 3 <= q <= 32}
 TENSOR_CASES.update({m: [named(m)] for m in ("U", "D", "H", "F3")})
 TENSOR_CASES["U ox D ox H ox F3"] = [named(m) for m in ("U", "D", "H", "F3")]
+
+
+@given(st.lists(st.sampled_from(NAMED), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_tensor_orbits_match_padded_words(names):
+    """Each factor's orbits projected through its own inclusion give the
+    orbits of its members padded to the full width and projected through
+    every row of the reduction."""
+    factors = [named(n) for n in names]
+    assert (tensor_full(factors).pasture.null_orbits
+            == reference_tensor_orbits(factors))
+
+
+PRIME_POWERS_256 = [q for q in range(2, 257) if len(factorint(q)) == 1]
+
+
+def test_lift_tensor_orbits_match_padded_words_up_to_256():
+    """The hexagon models of the ternary lift of F_q and, when -1 = 1, the
+    WLUM lift's with its F2, for every prime power q <= 256."""
+    assert len(PRIME_POWERS_256) == 70
+    for q in PRIME_POWERS_256:
+        models = lift_factors(q)
+        lists = [models]
+        if q % 2 == 0:
+            lists.append(models + [named("F2")])
+        for factors in lists:
+            assert (tensor_full(factors).pasture.null_orbits
+                    == reference_tensor_orbits(factors)), (q, len(factors))
 
 
 @pytest.mark.parametrize("factors", TENSOR_CASES.values(), ids=TENSOR_CASES)
@@ -323,14 +376,14 @@ def test_indexed_units(P):
 def test_zero_rules():
     F5 = finite_field(5)
     one = F5.one()
-    meps = F5.minus_one()
+    meps = minus_one(F5)
     assert F5.null_contains(ZERO, ZERO, ZERO)
     assert not F5.null_contains(one, ZERO, ZERO)
     assert F5.null_contains(one, meps, ZERO)
     assert not F5.null_contains(one, one, ZERO)
     U = named("U")
     x = unit((0, 1, 0))
-    assert U.null_contains(x, U.mul(U.minus_one(), x), ZERO)
+    assert U.null_contains(x, U.mul(minus_one(U), x), ZERO)
     assert not U.null_contains(x, x, ZERO)
 
 
@@ -360,7 +413,7 @@ def test_free_algebra_and_quotient():
     assert not P.null_orbits
     # impose x + y - 1 = 0: the result is the near-regular partial field
     x, y = unit((0, 1, 0)), unit((0, 0, 1))
-    Q = quotient(P, [(x, y, P.minus_one())])
+    Q = quotient(P, [(x, y, minus_one(P))])
     assert bool(iso_check(Q, named("U")))
 
 
@@ -370,7 +423,7 @@ def reference_named(name):
     """``named(name)`` as it was built before its table of rows: relations
     between elements of a free algebra over F1pm, passed to ``quotient``."""
     base = Pasture(reduce_presentation(1, [[2]], [1]).group, frozenset())
-    one, meps = base.one(), base.minus_one()
+    one, meps = base.one(), minus_one(base)
     z, mz = unit((0, 1)), unit((1, 0))
     gens = {"U": ("x", "y"), "D": ("z",), "H": ("z",), "G": ("z",)}
     relations = {
@@ -403,7 +456,7 @@ def reference_quotient(P, relations):
         parts = [e for e in tri if not e.is_zero]
         if len(parts) == 2:
             x, y = parts
-            kill.append(P.mul(P.mul(x, P.inv(y)), P.minus_one()).coords)
+            kill.append(P.mul(P.mul(x, P.inv(y)), minus_one(P)).coords)
         else:
             orbits.append(tuple(e.coords for e in parts))
     if kill:
@@ -550,9 +603,9 @@ PRODUCT_FACTORS = [named(n) for n in NAMED] + [
 
 @given(st.sampled_from(PRODUCT_FACTORS), st.sampled_from(PRODUCT_FACTORS))
 @settings(max_examples=150, deadline=None)
-def test_product_full_matches_embedded_products(P, Q):
-    """``product_full`` projects the concatenated words of the factors'
-    orbits; the oracle multiplies their images under the embeddings."""
+def test_product_full_matches_projected_words(P, Q):
+    """``product_full`` multiplies the images of the factors' orbits under
+    the embeddings; the oracle projects their concatenated words."""
     got, want = product_full(P, Q), reference_product(P, Q)
     assert got == want
     assert got.pasture.label == want.pasture.label
@@ -576,6 +629,6 @@ def test_element_ops():
     a = unit((1,))
     assert P.mul(a, P.inv(a)) == P.one()
     assert P.mul(a, ZERO).is_zero
-    assert P.inv(P.minus_one()) == P.minus_one()
+    assert P.inv(minus_one(P)) == minus_one(P)
     with pytest.raises(ZeroDivisionError):
         P.inv(ZERO)

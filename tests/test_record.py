@@ -26,7 +26,7 @@ from pastures.pasture import (finite_field, named, product_full,
                               quotient_full, tensor_full, unit)
 from pastures.record import FrozenError, Record
 from pastures.verify import VerifyItem, VerifyReport
-from oracles import free_algebra
+from oracles import free_algebra, minus_one
 
 
 def _instances():
@@ -47,7 +47,7 @@ def _instances():
         (red, ("group", "project", "sections")),
         (F5.one(), ("coords",)),
         (F5, pasture, pasture + ("label",)),
-        (quotient_full(A, [(a, A.one(), A.minus_one())]),
+        (quotient_full(A, [(a, A.one(), minus_one(A))]),
          ("pasture", "unit_map", "sections")),
         (product_full(F3, F5),
          ("pasture", "proj1", "proj2", "embed1", "embed2")),
