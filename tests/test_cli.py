@@ -136,6 +136,12 @@ GOLDEN_CASES = [
     # the orbits and coordinates of a product and of a tensor
     (["pasture", "S x S", "--json"], "golden_pasture_SxS.json"),
     (["pasture", "D ox H ox F3", "--json"], "golden_pasture_DoxHoxF3.json"),
+    # the answer order of a source with two components, and of a four-deep
+    # representation search
+    (["hom", "U ox U", "F16", "--list", "--json"],
+     "golden_hom_UoxU_F16.json"),
+    (["reps", "--matroid", str(DATA / "u26.json"), "--pasture", "F7",
+      "--list", "--json"], "golden_reps_u26_F7.json"),
 ]
 
 
