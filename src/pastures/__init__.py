@@ -20,7 +20,14 @@ from .pasture import (
     tensor,
 )
 from .hexagons import Hexagon, hexagons, fundamental_pairs, census
-from .morphisms import PastureMorphism, make, hom_set, compose, iso_check
+from .morphisms import (
+    PastureMorphism,
+    SearchStats,
+    make,
+    hom_set,
+    compose,
+    iso_check,
+)
 from .lifts import (
     LiftResult,
     binary_lift,
@@ -48,6 +55,7 @@ __all__ = [
     "fundamental_pairs",
     "census",
     "PastureMorphism",
+    "SearchStats",
     "make",
     "hom_set",
     "compose",

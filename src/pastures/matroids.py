@@ -18,9 +18,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import mul
 
 from .groups import DEFAULT_CAP
-from .morphisms import compose, hom_set
+from .morphisms import SearchStats, compose, hom_set
 from .pasture import InfinitePasture, Pasture, PastureElement, presented
 from .record import Record
 
@@ -245,35 +246,51 @@ def _least(M: Matroid, P: Pasture, values) -> tuple:
     value of basis b, in each torsion coordinate Z/d of the (finite) units
     separately, so the class is a coset of a span in (Z/d)^bases for each
     coordinate, and its least member is the coset's reduction by the Howell
-    form of that span, columns taken in basis order."""
-    B0 = M.bases[0]
+    form of that span, columns taken in basis order (``_howell``)."""
     out = [list(v.coords) for v in values]
     for k, d in enumerate(P.units.torsion):
-        rows = [[((e in b) - (e in B0)) % d for b in M.bases]
-                for e in range(1, M.n + 1)]
-        for j in range(len(M.bases)):
-            piv, rest = None, []
-            for r in rows:
-                while piv is not None and r[j]:     # Euclid on column j
-                    q = piv[j] // r[j]
-                    piv, r = r, [(a - q * b) % d for a, b in zip(piv, r)]
-                if piv is None and r[j]:
-                    piv = r
-                elif any(r):
-                    rest.append(r)
-            if piv is None:
-                rows = rest
-                continue
-            g = math.gcd(piv[j], d)
-            m = out[j][k] // g * pow(piv[j] // g, -1, d // g)
-            for v, a in zip(out, piv):
-                v[k] = (v[k] - m * a) % d
-            rows = rest + [[d // g * a % d for a in piv]]   # annihilator
+        for j, g, inv, piv in _howell(M, d):
+            m = out[j][k] // g * inv
+            if m:
+                for v, a in zip(out, piv):
+                    v[k] = (v[k] - m * a) % d
     return tuple(PastureElement(tuple(v)) for v in out)
 
 
+@functools.lru_cache
+def _howell(M: Matroid, d: int) -> tuple:
+    """The reduction of ``_least`` in one coordinate Z/d, which does not
+    depend on the values: for each pivot column j of the Howell form of the
+    rescaling span, (j, g, inv, row), where row is the pivot row, g the gcd
+    of its entry in column j with d and inv that entry over g inverted mod
+    d / g.  Subtracting ``value[j] // g * inv`` times the row from a value
+    reduces its column j below g.  Cached per matroid and modulus."""
+    B0 = M.bases[0]
+    rows = [[((e in b) - (e in B0)) % d for b in M.bases]
+            for e in range(1, M.n + 1)]
+    steps = []
+    for j in range(len(M.bases)):
+        piv, rest = None, []
+        for r in rows:
+            while piv is not None and r[j]:     # Euclid on column j
+                q = piv[j] // r[j]
+                piv, r = r, [(a - q * b) % d for a, b in zip(piv, r)]
+            if piv is None and r[j]:
+                piv = r
+            elif any(r):
+                rest.append(r)
+        if piv is None:
+            rows = rest
+            continue
+        g = math.gcd(piv[j], d)
+        steps.append((j, g, pow(piv[j] // g, -1, d // g), tuple(piv)))
+        rows = rest + [[d // g * a % d for a in piv]]   # annihilator
+    return tuple(steps)
+
+
 def representation_classes(M: Matroid, P: Pasture, *,
-                           cap: int = DEFAULT_CAP) -> list:
+                           cap: int = DEFAULT_CAP,
+                           stats: SearchStats | None = None) -> list:
     """All rescaling classes of representations of M over P, sorted by
     representative.
 
@@ -284,11 +301,12 @@ def representation_classes(M: Matroid, P: Pasture, *,
     |U|^(n - c) by formula; no member is enumerated.  Raises
     InfinitePasture for infinite P, and SearchSpaceExceeded when the
     product of the candidate pool sizes of F_M's generators exceeds ``cap``.
+    A ``stats`` record, when given, gets the counters of the search.
     """
-    return [c for c, _ in _classes(M, P, cap)]
+    return [c for c, _ in _classes(M, P, cap, stats)]
 
 
-def _classes(M: Matroid, P: Pasture, cap: int) -> list:
+def _classes(M: Matroid, P: Pasture, cap: int, stats=None) -> list:
     """The pairs (class, morphism F_M -> P) of ``representation_classes``,
     in its order."""
     if not P.is_finite:
@@ -296,10 +314,21 @@ def _classes(M: Matroid, P: Pasture, cap: int) -> list:
             "representation search needs a finite pasture")
     F, basis_units = _foundation(M)
     size = P.units.size() ** (M.n - len(_gauge(M)[1]))
+    torsion = P.units.torsion       # every coordinate of a finite P
+
+    def values(m):
+        """The basis values under m: each coordinate of the image of a
+        basis unit is its dot product with that coordinate of the
+        generator images, reduced."""
+        rows = m.images()
+        cols = [[row[k] for row in rows] for k in range(len(torsion))]
+        return [PastureElement(tuple(sum(map(mul, t, col)) % d
+                                     for col, d in zip(cols, torsion)))
+                for t in basis_units]
+
     pairs = [(RepresentationClass(
-        Representation(M, P, _least(M, P, [PastureElement(m.apply_unit(t))
-                                           for t in basis_units])), size), m)
-        for m in hom_set(F, P, cap=cap)]
+        Representation(M, P, _least(M, P, values(m))), size), m)
+        for m in hom_set(F, P, cap=cap, stats=stats)]
     key = P.units.key
     pairs.sort(key=lambda cm: tuple(key(v.coords)
                                     for v in cm[0].representative.values))

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cached_property, lru_cache
 
 from . import gf as gf_mod
@@ -241,39 +242,58 @@ class IndexedUnits:
     the invariant factors ``radix``, and free coordinates 0, so index order
     is ``key`` order, and coordinate t of a product of powers is the sum of
     ``c * (i // strides[t])`` mod radix[t].  ``coords`` lists the torsion
-    units in index order, ``torsion`` their torsion parts, which ``index``
-    maps back, and ``eps`` is the index of -1.  ``pairs`` files the
-    fundamental pairs times -1, the (a, b) with ``x/z = a`` and ``y/z = b``
-    for some null triple x + y + z = 0, by the free parts of a and b:
-    ``pairs[(fa, fb)]`` holds the index pairs of the torsion parts of those
-    with free parts fa and fb, and ``partners[(fa, fb)][(a,)]`` lists
+    units in index order and ``eps`` is the index of -1.  ``pairs`` files
+    the fundamental pairs times -1, the (a, b) with ``x/z = a`` and
+    ``y/z = b`` for some null triple x + y + z = 0, by the free parts of a
+    and b: ``pairs[(fa, fb)]`` holds the index pairs of the torsion parts of
+    those with free parts fa and fb, and ``partners[(fa, fb)][a]`` lists
     ascending the b with (a, b) in it.  The pair set is symmetric, so
     ``pairs[(fb, fa)]`` holds the same pairs swapped.  A finite pasture
-    files all its pairs under ``((), ())``.
+    files all its pairs under ``((), ())``.  Indices are computed from the
+    coordinates, and -u from u by adding the coordinates of -1 digit by
+    digit, so no unit is multiplied or looked up.
     """
 
-    __slots__ = ("radix", "strides", "coords", "torsion", "index", "eps",
-                 "pairs", "partners")
+    __slots__ = ("radix", "strides", "coords", "eps", "pairs", "partners")
 
     def __init__(self, P: Pasture):
         g = P.units
         self.radix = radix = g.torsion
         n = len(radix)
-        self.strides = tuple(math.prod(radix[t + 1:]) for t in range(n))
+        self.strides = strides = tuple(math.prod(radix[t + 1:])
+                                       for t in range(n))
         self.coords = g.torsion_elements()
-        self.torsion = [c[:n] for c in self.coords]
-        self.index = index = {t: i for i, t in enumerate(self.torsion)}
-        self.eps = index[g.epsilon[:n]]
-        # the index of -u for each unit u; -1 has free part 0
-        neg = [index[g.mul(g.epsilon, c)[:n]] for c in self.coords]
+        self.eps = sum(map(operator.mul, g.epsilon, strides))
+        # the index of -u for each unit u, digit by digit; -1 has free
+        # part 0
+        digits = [[(c + e) % d * s for c in range(d)]
+                  for d, s, e in zip(radix, strides, g.epsilon)]
+        neg = digits[0] if n == 1 else \
+            list(map(sum, itertools.product(*digits)))
+        # the index of a unit's torsion part; in a cyclic group that is its
+        # one coordinate
+        index = (operator.itemgetter(0) if strides == (1,) else
+                 lambda u: sum(map(operator.mul, u, strides)))
         pairs, partners = {}, {}
-        for a, b in P.null_pairs:
-            pairs.setdefault((a[n:], b[n:]), set()).add(
-                (neg[index[a[:n]]], neg[index[b[:n]]]))
+        if not g.free_rank and P.null_pairs:
+            pairs[((), ())] = {(neg[index(a)], neg[index(b)])
+                               for a, b in P.null_pairs}
+        for a, b in P.null_pairs if g.free_rank else ():
+            key = (a[n:], b[n:])
+            filed = pairs.get(key)
+            if filed is None:
+                filed = pairs[key] = set()
+            filed.add((neg[index(a)], neg[index(b)]))
         for key, filed in pairs.items():
             table = partners[key] = {}
-            for a, b in sorted(filed):
-                table.setdefault((a,), []).append(b)
+            for a, b in filed:
+                if a in table:
+                    table[a].append(b)
+                else:
+                    table[a] = [b]
+            for bs in table.values():
+                if len(bs) > 1:
+                    bs.sort()
         self.pairs, self.partners = pairs, partners
 
 

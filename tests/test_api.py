@@ -20,7 +20,8 @@ PUBLIC = {
     "Pasture", "PastureElement", "ZERO", "named", "finite_field", "product",
     "tensor",
     "Hexagon", "hexagons", "fundamental_pairs", "census",
-    "PastureMorphism", "make", "hom_set", "compose", "iso_check",
+    "PastureMorphism", "SearchStats", "make", "hom_set", "compose",
+    "iso_check",
     "LiftResult", "binary_lift", "ternary_lift", "wlum_lift", "grs_lift",
     "lift_descriptor_iso",
     "Matroid", "Representation", "representation_classes",

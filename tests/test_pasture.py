@@ -365,7 +365,7 @@ def test_indexed_units(P):
     for (fa, fb), pairs in form.pairs.items():
         assert form.pairs[(fb, fa)] == {(b, a) for a, b in pairs}
         partners = form.partners[(fa, fb)]
-        assert {(a, b) for (a,), bs in partners.items() for b in bs} == \
+        assert {(a, b) for a, bs in partners.items() for b in bs} == \
             pairs
         assert all(bs == sorted(bs) for bs in partners.values())
     assert set(form.partners) == set(form.pairs)
