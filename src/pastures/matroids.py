@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import mul
 
 from .groups import DEFAULT_CAP
 from .morphisms import SearchStats, compose, hom_set
@@ -247,14 +246,24 @@ def _least(M: Matroid, P: Pasture, values) -> tuple:
     separately, so the class is a coset of a span in (Z/d)^bases for each
     coordinate, and its least member is the coset's reduction by the Howell
     form of that span, columns taken in basis order (``_howell``)."""
-    out = [list(v.coords) for v in values]
-    for k, d in enumerate(P.units.torsion):
+    torsion = P.units.torsion
+    return _least_columns(M, torsion, [[v.coords[k] for v in values]
+                                       for k in range(len(torsion))])
+
+
+def _least_columns(M: Matroid, torsion, cols) -> tuple:
+    """``_least`` of the values given by coordinate: ``cols[k]`` holds
+    coordinate k, of order ``torsion[k]``, of every basis value."""
+    for k, d in enumerate(torsion):
+        col = cols[k]
         for j, g, inv, piv in _howell(M, d):
-            m = out[j][k] // g * inv
+            m = col[j] // g * inv
             if m:
-                for v, a in zip(out, piv):
-                    v[k] = (v[k] - m * a) % d
-    return tuple(PastureElement(tuple(v)) for v in out)
+                col = [(x - m * a) % d for x, a in zip(col, piv)]
+        cols[k] = col
+    if not cols:
+        return (PastureElement(()),) * len(M.bases)
+    return tuple(map(PastureElement, zip(*cols)))
 
 
 @functools.lru_cache
@@ -315,22 +324,21 @@ def _classes(M: Matroid, P: Pasture, cap: int, stats=None) -> list:
     F, basis_units = _foundation(M)
     size = P.units.size() ** (M.n - len(_gauge(M)[1]))
     torsion = P.units.torsion       # every coordinate of a finite P
+    # the nonzero coordinates of each basis unit: at most one, as a rule
+    sparse = [[(g, c) for g, c in enumerate(t) if c] for t in basis_units]
 
-    def values(m):
-        """The basis values under m: each coordinate of the image of a
-        basis unit is its dot product with that coordinate of the
-        generator images, reduced."""
+    def columns(m):
+        """The basis values under m by coordinate: coordinate k of the image
+        of each basis unit, reduced mod its order."""
         rows = m.images()
-        cols = [[row[k] for row in rows] for k in range(len(torsion))]
-        return [PastureElement(tuple(sum(map(mul, t, col)) % d
-                                     for col, d in zip(cols, torsion)))
-                for t in basis_units]
+        return [[sum([c * rows[g][k] for g, c in terms]) % d
+                 for terms in sparse] for k, d in enumerate(torsion)]
 
-    pairs = [(RepresentationClass(
-        Representation(M, P, _least(M, P, values(m))), size), m)
+    pairs = [(RepresentationClass(Representation(
+        M, P, _least_columns(M, torsion, columns(m))), size), m)
         for m in hom_set(F, P, cap=cap, stats=stats)]
-    key = P.units.key
-    pairs.sort(key=lambda cm: tuple(key(v.coords)
+    # the key of a unit of a finite P is its coordinates
+    pairs.sort(key=lambda cm: tuple(v.coords
                                     for v in cm[0].representative.values))
     return pairs
 

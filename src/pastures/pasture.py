@@ -275,25 +275,15 @@ class IndexedUnits:
         index = (operator.itemgetter(0) if strides == (1,) else
                  lambda u: sum(map(operator.mul, u, strides)))
         pairs, partners = {}, {}
-        if not g.free_rank and P.null_pairs:
-            pairs[((), ())] = {(neg[index(a)], neg[index(b)])
-                               for a, b in P.null_pairs}
-        for a, b in P.null_pairs if g.free_rank else ():
-            key = (a[n:], b[n:])
-            filed = pairs.get(key)
-            if filed is None:
-                filed = pairs[key] = set()
-            filed.add((neg[index(a)], neg[index(b)]))
+        for a, b in P.null_pairs:
+            pairs.setdefault((a[n:], b[n:]), set()).add(
+                (neg[index(a)], neg[index(b)]))
         for key, filed in pairs.items():
             table = partners[key] = {}
             for a, b in filed:
-                if a in table:
-                    table[a].append(b)
-                else:
-                    table[a] = [b]
+                table.setdefault(a, []).append(b)
             for bs in table.values():
-                if len(bs) > 1:
-                    bs.sort()
+                bs.sort()
         self.pairs, self.partners = pairs, partners
 
 
