@@ -270,6 +270,11 @@ def test_search_counters_are_pinned():
     assert counts(stats) == {"nodes": 1 + 127 + 126, "floor": 253,
                              "prunes": 16003, "solves": 127,
                              "survivors": 126}
+    # the same search through an inverse: y is solved with the sign flipped
+    stats = SearchStats()
+    hom_set(pasture_of("F1pm<a,b>//(a+b^-1-1)"), finite_field(128),
+            stats=stats)
+    assert counts(stats)["solves"] == 127
     stats = SearchStats()
     classes = representation_classes(uniform(3, 7), finite_field(8),
                                       cap=10**30, stats=stats)
