@@ -122,6 +122,9 @@ GOLDEN_CASES = [
     # C6 x Z^20: ten U factors and one H
     (["lift", "--kind", "ternary", "F64", "--json"],
      "golden_lift_ternary_F64.json"),
+    # GF(5^3): D and twenty U factors, the first odd-p extension field
+    (["lift", "--kind", "ternary", "F125", "--json"],
+     "golden_lift_ternary_F125.json"),
     (["hom", "H", "F7", "--list", "--json"], "golden_hom_H_F7.json"),
     (["iso", "F4", "F4", "--json"], "golden_iso_F4_F4.json"),
     (["reps", "--matroid", "U24", "--pasture", "F5", "--list", "--json"],
