@@ -13,13 +13,16 @@ For prime q the generator is the least primitive root and the encoding is the
 usual residue 0..p-1.  It is found by the order test: a has order q - 1
 exactly when a^((q-1)/r) != 1 for each prime r dividing q - 1.  Its powers
 give the exponent tables ``exp`` and ``dlog``, and from them the Zech
-logarithms ``zech``, the logarithm of 1 + g^j for each j.
+logarithms ``zech``, the logarithm of 1 + g^j for each j.  Multiplying by
+a is F_p-linear on base-p digits, so each power is the digits of the last
+times the k products T^i * a, packed one digit per field of w bits.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
+from operator import mul as _mul
 
 
 class NotPrimePower(ValueError):
@@ -165,12 +168,28 @@ class GF:
         primes = _prime_divisors(n)
         for a in range(1, self.q):
             if all(self.power(a, n // r) != 1 for r in primes):
-                powers, x = [1], a
-                for _ in range(n - 1):
-                    powers.append(x)
-                    x = self.mul(x, a)
-                return a, powers
+                return a, self._powers(a, n)
         raise FieldConstructionFailed("no generator found")
+
+    def _powers(self, a, n):
+        """1, a, ..., a^(n-1); a field of w bits holds k digit products."""
+        p, k, out, x = self.p, self.k, [1], 1
+        if k == 1:
+            for _ in range(n - 1):
+                x = x * a % p
+                out.append(x)
+            return out
+        w = (k * (p - 1) ** 2).bit_length()
+        mask, shifts = (1 << w) - 1, range(0, k * w, w)
+        # T^i * a for each i; the integer p encodes T
+        cols = [sum(d << s for d, s in zip(self._digits(
+            self.mul(a, p**i)), shifts)) for i in range(k)]
+        weights, digits = [p**i for i in range(k)], self._digits(1)
+        for _ in range(n - 1):
+            acc = sum(map(_mul, digits, cols))
+            digits = [(acc >> s & mask) % p for s in shifts]
+            out.append(sum(map(_mul, digits, weights)))
+        return out
 
     @cached_property
     def zech(self):

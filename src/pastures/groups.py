@@ -60,11 +60,12 @@ def smith_normal_form(rows, width):
     The pivots and the row and column operations are those of the full-scan
     elimination, but no step does work whose outcome is known: the pivot
     search (first minimum in row-major order) stops at an entry of absolute
-    value 1 and tests each row once with ``any``, sharing one zero row that
-    later scans and column swaps skip; a row reduction updates the pivot
-    row's support only; a column reduction updates only rows nonzero in the
-    pivot column (after a swap-free row pass, the pivot row alone); the
-    divisibility sweep is skipped for a pivot of +-1.
+    value 1 and re-scans only the rows changed since their last scan, a
+    row found zero becoming one shared zero row that later scans and column
+    swaps skip; a row reduction updates the pivot row's support only; a
+    column reduction updates only rows nonzero in the pivot column (after a
+    swap-free row pass, the pivot row alone); the divisibility sweep is
+    skipped for a pivot of +-1.
 
     >>> smith_normal_form([[4, 6]], 2)
     ([2, 0], [(0, 1, -1), (0, 1), (0, 1, -2)])
@@ -86,32 +87,49 @@ def smith_normal_form(rows, width):
                 r[i], r[j] = r[j], r[i]
         ops.append((i, j))
 
+    # low[i]: the least nonzero |entry| of row i at its last scan, 0 when
+    # the row pass or the column pass changed it since.  A column swap only
+    # permutes entries from column t on, and rows from t on are zero left of
+    # column t, so a kept minimum stays right.
+    low = [0] * m
     t = 0
     while t < m and t < n:
-        best = None
+        best = 0
         for i in range(t, m):
-            if a[i] is zero or not any(a[i]):
-                a[i] = zero
+            r = a[i]
+            if r is zero:
                 continue
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if best[0] == 1:
-                        break
-            if best and best[0] == 1:
-                break
-        if best is None:
+            lo = low[i]
+            if not lo:
+                for x in r[t:]:
+                    if x and (not lo or abs(x) < lo):
+                        lo = abs(x)
+                        if lo == 1:
+                            break
+                if not lo:
+                    a[i] = zero
+                    continue
+                low[i] = lo
+            if not best or lo < best:
+                best, b = lo, i
+                if lo == 1:
+                    break
+        if not best:
             break
-        a[t], a[best[1]] = a[best[1]], a[t]
-        if best[2] != t:
-            col_swap(t, best[2])
+        a[t], a[b] = a[b], a[t]
+        low[b] = low[t]
+        for c in range(t, n):
+            if a[t][c] == best or a[t][c] == -best:
+                break
+        if c != t:
+            col_swap(t, c)
         while True:
             dirty = False
             cols = [j for j in range(t, n) if a[t][j]]
             for i in range(t + 1, m):
                 r, p = a[i], a[t]
                 if r[t]:
+                    low[i] = 0
                     q = r[t] // p[t]
                     for j in cols:
                         r[j] -= q * p[j]
@@ -128,6 +146,9 @@ def smith_normal_form(rows, width):
                             r[j] -= q * r[t]
                         ops.append((t, j, -q))
                     if a[t][j]:
+                        for i in range(t + 1, m):
+                            if a[i][t]:
+                                low[i] = 0
                         col_swap(t, j)
                         hits = [r for r in a if r[t]]
                         dirty = True
@@ -289,20 +310,19 @@ class AbelianGroup(Record):
         return self.reduce([k * x for x in a])
 
     def key(self, a):
-        """Total order key: torsion coordinates verbatim, then free ones by
-        (absolute value, sign) with the positive value first.
+        """Total order key: torsion coordinates verbatim, then each free one
+        c folded to the int 2|c| + (c < 0), which orders by (absolute value,
+        sign) with the positive value first.  Only keys of one group are
+        compared.
 
         >>> g = AbelianGroup((), 1, ())
         >>> sorted([(2,), (-1,), (0,), (1,), (-2,)], key=g.key)
         [(0,), (1,), (-1,), (2,), (-2,)]
         """
-        if len(a) <= len(self.torsion):
+        nt = len(self.torsion)
+        if len(a) <= nt:
             return tuple(a)
-        out = list(a[: len(self.torsion)])
-        for c in a[len(self.torsion):]:
-            out.append(abs(c))
-            out.append(0 if c >= 0 else 1)
-        return tuple(out)
+        return (*a[:nt], *[c + c if c >= 0 else 1 - c - c for c in a[nt:]])
 
     def elements(self):
         """All elements in total order; the group must be finite."""
@@ -345,7 +365,10 @@ class GroupMap(Record):
 
     def __call__(self, vec) -> tuple[int, ...]:
         """The image of ``vec``: the sum of ``c * row`` over its nonzero
-        coefficients c, reduced."""
+        coefficients c, reduced; into Z/N, one sum of exponents mod N."""
+        if self.target.cyclic:
+            return (sum([c * r for c, (r,) in itertools.compress(
+                zip(vec, self.rows), vec)]) % self.target.cyclic,)
         acc = [0] * self.target.ngens
         for c, row in itertools.compress(zip(vec, self.rows), vec):
             if c == 1:
@@ -434,7 +457,7 @@ def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):
     """
     per_gen = []
     forced = source.sign_generator
-    torsion = target.torsion_elements()
+    torsion = None
     pad = (0,) * target.free_rank
     for i in range(source.ngens):
         if i == forced:
@@ -445,7 +468,7 @@ def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):
             steps = (range(0, r, r // math.gcd(d, r)) for r in target.torsion)
             pool = [e + pad for e in itertools.product(*steps)]
         else:
-            pool = torsion
+            pool = torsion = torsion or target.torsion_elements()
         per_gen.append(pool)
     total = math.prod(len(p) for p in per_gen)
     if total > cap:

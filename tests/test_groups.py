@@ -10,8 +10,8 @@ from pastures.groups import (AbelianGroup, EpsilonOrderError, GroupMap,
                              evaluate_word, is_surjective, quotient_by,
                              identity_rows, reduce_presentation,
                              smith_normal_form, snf_transforms)
-from pastures.lifts import grs_lift, ternary_lift
-from pastures.pasture import finite_field, product
+from pastures.lifts import grs_lift, ternary_lift, wlum_lift
+from pastures.pasture import finite_field, named, product
 from oracles import reference_inv, reference_mul
 
 matrices = st.integers(1, 4).flatmap(
@@ -182,6 +182,25 @@ def test_snf_matches_reference_on_grs_presentations(monkeypatch):
             reference_smith_normal_form(rows, width)
 
 
+def test_snf_matches_reference_on_tensor_presentations(monkeypatch):
+    """The tensor presentations of the ternary and WLUM lifts of every F_q,
+    q <= 128: relation rows 2 e_j (6 e_j for H) before the +-1 glue rows, so
+    the row minima the pivot search keeps between pivots are used.  The
+    models are built first, so that only the tensors are recorded."""
+    for name in ("U", "D", "H", "F3", "F2"):
+        named(name)
+    inputs = record_snf_inputs(monkeypatch)
+    for q in range(2, 129):
+        if len(factorint(q)) == 1:
+            ternary_lift(finite_field(q))
+            wlum_lift(finite_field(q))
+    assert len(inputs) == 87
+    assert max(width for _, width in inputs) == 63
+    for rows, width in inputs:
+        assert full_smith_normal_form(rows, width) == \
+            reference_smith_normal_form(rows, width)
+
+
 def test_snf_matches_reference_on_largest_benchmark_lifts(monkeypatch):
     """The largest presentations of the ``presentations`` benchmark: the GRS
     lifts of F53 and of F5 x F19 (a Zagier pair, 53 - 2 = 3 * 17), each
@@ -289,7 +308,12 @@ def test_snf_known_values():
     [[2, 2], [2, 3]],
     # a zero row at the pivot position, which the pivot swap moves down
     [[0, 0, 0], [0, 2, 0], [1, 0, 3]],
-], ids=["quotient-0", "zero-row-at-pivot"])
+    # the column pass of pivot 3 swaps twice, and between the swaps turns
+    # the 7 of row 1 into 1; the second swap leaves that row zero in the
+    # pivot column, so no row pass touches it, and its row minimum kept from
+    # the last scan, 3, must still be dropped
+    [[3, 5, 4, 3], [0, 3, 7, 3]],
+], ids=["quotient-0", "zero-row-at-pivot", "column-pass-changes-a-row"])
 def test_snf_regression_cases(rows):
     width = len(rows[0])
     assert full_smith_normal_form(rows, width) == \
@@ -412,12 +436,19 @@ def reference_key(g, a):
 
 
 @given(groups_and_vectors)
+@example((AbelianGroup((), 2, (0, 0)), (1,), (1, 0)))
+@example((AbelianGroup((), 2, (0, 0)), (-1,), (1, 5)))
+@example((AbelianGroup((2,), 1, (1, 0)), (1,), (1, -1)))
 @settings(max_examples=300, deadline=None)
 def test_key_matches_coordinate_loop(case):
-    """Torsion-only, mixed and free groups, vectors up to two coordinates
-    past ``ngens``."""
-    g, a, _ = case
-    assert g.key(a) == g.key(list(a)) == reference_key(g, a)
+    """``key`` folds each free coordinate into one int; it orders a pair of
+    vectors of one group as the (absolute value, sign) pairs of the loop
+    do.  Torsion-only, mixed and free groups, vectors up to two coordinates
+    past ``ngens`` and of different lengths."""
+    g, a, b = case
+    assert g.key(a) == g.key(list(a))
+    ka, kb, ra, rb = g.key(a), g.key(b), reference_key(g, a), reference_key(g, b)
+    assert (ka < kb, ka == kb, kb < ka) == (ra < rb, ra == rb, rb < ra)
 
 
 def test_key_orders_free_coords_positive_first():
@@ -466,10 +497,15 @@ def reference_groupmap_call(m, vec):
 @st.composite
 def maps_and_vectors(draw):
     """A map from Z^n into a group with up to three invariant factors and
-    free rank up to three, and a vector of Z^n, coefficients 1 often."""
-    g = AbelianGroup(tuple(draw(st.lists(st.integers(2, 12), max_size=3))),
-                     draw(st.integers(0, 3)), ())
-    n = draw(st.integers(0, 5))
+    free rank up to three, and a vector of Z^n, coefficients 1 often; or,
+    as lambda of a lift is, from up to 40 coordinates into Z/N."""
+    if draw(st.booleans()):
+        g = AbelianGroup((draw(st.integers(2, 130)),), 0, ())
+        n = draw(st.integers(0, 40))
+    else:
+        g = AbelianGroup(tuple(draw(st.lists(st.integers(2, 12), max_size=3))),
+                         draw(st.integers(0, 3)), ())
+        n = draw(st.integers(0, 5))
     coord = st.integers(-20, 20)
     rows = draw(st.lists(st.lists(coord, min_size=g.ngens, max_size=g.ngens)
                          .map(tuple), min_size=n, max_size=n))
