@@ -87,10 +87,9 @@ def smith_normal_form(rows, width):
                 r[i], r[j] = r[j], r[i]
         ops.append((i, j))
 
-    # low[i]: the least nonzero |entry| of row i at its last scan, 0 when
-    # the row pass or the column pass changed it since.  A column swap only
-    # permutes entries from column t on, and rows from t on are zero left of
-    # column t, so a kept minimum stays right.
+    # low[i]: the least nonzero |entry| of row i at its last scan, 0 once a
+    # row or column pass changed it; column swaps only permute entries from
+    # column t on, and rows from t on are zero left of it, so it stays right
     low = [0] * m
     t = 0
     while t < m and t < n:
@@ -310,10 +309,9 @@ class AbelianGroup(Record):
         return self.reduce([k * x for x in a])
 
     def key(self, a):
-        """Total order key: torsion coordinates verbatim, then each free one
-        c folded to the int 2|c| + (c < 0), which orders by (absolute value,
-        sign) with the positive value first.  Only keys of one group are
-        compared.
+        """Total order key among elements of one group: torsion coordinates
+        verbatim, then each free one c as the int 2|c| + (c < 0), which
+        orders by (absolute value, sign), the positive value first.
 
         >>> g = AbelianGroup((), 1, ())
         >>> sorted([(2,), (-1,), (0,), (1,), (-2,)], key=g.key)
