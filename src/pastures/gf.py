@@ -14,15 +14,16 @@ usual residue 0..p-1.  It is found by the order test: a has order q - 1
 exactly when a^((q-1)/r) != 1 for each prime r dividing q - 1.  Its powers
 give the exponent tables ``exp`` and ``dlog``, and from them the Zech
 logarithms ``zech``, the logarithm of 1 + g^j for each j.  Multiplying by
-a is F_p-linear on base-p digits, so each power is the digits of the last
-times the k products T^i * a, packed one digit per field of w bits.
+a is F_p-linear on base-p digits, so in an extension field each power, in
+the test and in the tables, is the digits of the last times the k products
+T^i * a, packed one digit per field of w bits; ``mul`` is not used.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from operator import mul as _mul
+from operator import lshift, mul as _mul
 
 
 class NotPrimePower(ValueError):
@@ -163,28 +164,75 @@ class GF:
 
     def _least_generator(self):
         """The least a of order q - 1, by the order test, and its powers
-        1, a, a^2, ..., a^(q-2)."""
-        n = self.q - 1
+        1, a, a^2, ..., a^(q-2).  In a prime field each power of the test
+        is three-argument ``pow``; in an extension field, where each a < p
+        lies in the prime field and has an order dividing p - 1, square and
+        multiply on packed digits."""
+        n, p = self.q - 1, self.p
         primes = _prime_divisors(n)
-        for a in range(1, self.q):
-            if all(self.power(a, n // r) != 1 for r in primes):
-                return a, self._powers(a, n)
+        if self.k == 1:
+            for a in range(1, self.q):
+                if all(pow(a, n // r, p) != 1 for r in primes):
+                    return a, self._powers(a, n)
+        else:
+            one = self._digits(1)
+            for a in range(p, self.q):
+                if all(self._power_digits(a, n // r) != one for r in primes):
+                    return a, self._powers(a, n)
         raise FieldConstructionFailed("no generator found")
 
+    # -- packed digits of extension fields: y * x is the sum of y_i T^i x,
+    # one integer sum when each T^i x is packed one digit per field of w
+    # bits, wide enough for a sum of k digit products
+
+    @cached_property
+    def _packing(self):
+        """(mask, shifts): the mask of a field and each digit's shift."""
+        w = (self.k * (self.p - 1) ** 2).bit_length()
+        return (1 << w) - 1, range(0, self.k * w, w)
+
+    def _columns(self, x):
+        """The packed T^i x for i < k, from the digits x of x: each is the
+        last times T, its digits shifted up one place and the top one
+        reduced by the monic modulus."""
+        p, shifts, m = self.p, self._packing[1], self.modulus
+        out = []
+        for _ in range(self.k):
+            out.append(sum(map(lshift, x, shifts)))
+            top = x[-1]
+            x = [0] + x[:-1]
+            if top:
+                x = [(c - top * d) % p for c, d in zip(x, m)]
+        return out
+
+    def _product(self, y, cols):
+        """The digits of y times x, for the digits y and ``_columns(x)``."""
+        p, (mask, shifts) = self.p, self._packing
+        acc = sum(map(_mul, y, cols))
+        return [(acc >> s & mask) % p for s in shifts]
+
+    def _power_digits(self, a, e):
+        """The digits of a^e, e >= 1, by square and multiply."""
+        x = self._digits(a)
+        cols = self._columns(x)
+        for bit in bin(e)[3:]:
+            x = self._product(x, self._columns(x))
+            if bit == "1":
+                x = self._product(x, cols)
+        return x
+
     def _powers(self, a, n):
-        """1, a, ..., a^(n-1); a field of w bits holds k digit products."""
-        p, k, out, x = self.p, self.k, [1], 1
-        if k == 1:
+        """1, a, ..., a^(n-1); in an extension field each power is the
+        last times a on packed digits, as in ``_product``."""
+        p, out, x = self.p, [1], 1
+        if self.k == 1:
             for _ in range(n - 1):
                 x = x * a % p
                 out.append(x)
             return out
-        w = (k * (p - 1) ** 2).bit_length()
-        mask, shifts = (1 << w) - 1, range(0, k * w, w)
-        # T^i * a for each i; the integer p encodes T
-        cols = [sum(d << s for d, s in zip(self._digits(
-            self.mul(a, p**i)), shifts)) for i in range(k)]
-        weights, digits = [p**i for i in range(k)], self._digits(1)
+        mask, shifts = self._packing
+        cols, digits = self._columns(self._digits(a)), self._digits(1)
+        weights = [p**i for i in range(self.k)]
         for _ in range(n - 1):
             acc = sum(map(_mul, digits, cols))
             digits = [(acc >> s & mask) % p for s in shifts]

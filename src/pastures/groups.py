@@ -43,6 +43,12 @@ def identity_rows(n):
     return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
+class WorkRows(list):
+    """Relation rows, each a list of the full width, built for one Smith
+    normal form: :func:`smith_normal_form` reduces them in place instead of
+    copying them, so nothing may read them after."""
+
+
 def smith_normal_form(rows, width):
     """Diagonalize an integer relation matrix, logging its column operations.
 
@@ -61,35 +67,38 @@ def smith_normal_form(rows, width):
     elimination, but no step does work whose outcome is known: the pivot
     search (first minimum in row-major order) stops at an entry of absolute
     value 1 and re-scans only the rows changed since their last scan, a
-    row found zero becoming one shared zero row that later scans and column
-    swaps skip; a row reduction updates the pivot row's support only; a
-    column reduction updates only rows nonzero in the pivot column (after a
-    swap-free row pass, the pivot row alone); the divisibility sweep is
-    skipped for a pivot of +-1.
+    row found zero becoming one shared zero row that later scans skip; a
+    row reduction updates the pivot row's support only; a column reduction
+    updates only rows nonzero in the pivot column (after a swap-free row
+    pass, the pivot row alone); a column swap is logged and swaps two
+    entries of a column map, not two entries of every row; the divisibility
+    sweep is skipped for a pivot of +-1.  The rows are copied first, and
+    their widths checked, unless they are :class:`WorkRows`.
 
     >>> smith_normal_form([[4, 6]], 2)
     ([2, 0], [(0, 1, -1), (0, 1), (0, 1, -2)])
     >>> smith_normal_form([[2, 0], [1, 3]], 2)[0]
     [1, 6]
     """
-    a = [list(row) for row in rows]
-    m = len(a)
     n = width
-    for row in a:
-        if len(row) != n:
-            raise ValueError("relation row of wrong width")
+    if rows.__class__ is WorkRows:
+        a = list(rows)      # the rows themselves, in a list faster to index
+    else:
+        a = [list(row) for row in rows]
+        for row in a:
+            if len(row) != n:
+                raise ValueError("relation row of wrong width")
+    m = len(a)
     zero = [0] * n
     ops = []
-
-    def col_swap(i, j):
-        for r in a:
-            if r is not zero:
-                r[i], r[j] = r[j], r[i]
-        ops.append((i, j))
+    # col[c]: the entry of every row that holds column c, so that a column
+    # swap swaps two entries of col, not two entries of every row
+    col = list(range(n))
 
     # low[i]: the least nonzero |entry| of row i at its last scan, 0 once a
-    # row or column pass changed it; column swaps only permute entries from
-    # column t on, and rows from t on are zero left of it, so it stays right
+    # row or column pass changed it; rows from t on are zero in columns 0 ..
+    # t - 1, so a scan of a whole row reads columns t on only, and column
+    # swaps, which permute only those, leave it right
     low = [0] * m
     t = 0
     while t < m and t < n:
@@ -100,8 +109,8 @@ def smith_normal_form(rows, width):
                 continue
             lo = low[i]
             if not lo:
-                for x in r[t:]:
-                    if x and (not lo or abs(x) < lo):
+                for x in filter(None, r):
+                    if not lo or abs(x) < lo:
                         lo = abs(x)
                         if lo == 1:
                             break
@@ -117,51 +126,58 @@ def smith_normal_form(rows, width):
             break
         a[t], a[b] = a[b], a[t]
         low[b] = low[t]
+        p = a[t]
         for c in range(t, n):
-            if a[t][c] == best or a[t][c] == -best:
+            if p[col[c]] == best or p[col[c]] == -best:
                 break
         if c != t:
-            col_swap(t, c)
+            col[t], col[c] = col[c], col[t]
+            ops.append((t, c))
         while True:
             dirty = False
-            cols = [j for j in range(t, n) if a[t][j]]
+            p, pt = a[t], col[t]
+            support = list(itertools.compress(range(n), p))
             for i in range(t + 1, m):
-                r, p = a[i], a[t]
-                if r[t]:
+                r = a[i]
+                if r[pt]:
                     low[i] = 0
-                    q = r[t] // p[t]
-                    for j in cols:
+                    q = r[pt] // p[pt]
+                    for j in support:
                         r[j] -= q * p[j]
-                    if r[t]:
-                        a[t], a[i] = a[i], a[t]
-                        cols = [j for j in range(t, n) if r[j]]
+                    if r[pt]:
+                        a[t], a[i] = r, p
+                        p = r
+                        support = list(itertools.compress(range(n), p))
                         dirty = True
-            hits = [r for r in a if r[t]] if dirty else [a[t]]
+            hits = [r for r in a if r[pt]] if dirty else [p]
             for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
+                cj = col[j]
+                if p[cj]:
+                    q = p[cj] // p[pt]
                     if q:
                         for r in hits:
-                            r[j] -= q * r[t]
+                            r[cj] -= q * r[pt]
                         ops.append((t, j, -q))
-                    if a[t][j]:
+                    if p[cj]:
                         for i in range(t + 1, m):
-                            if a[i][t]:
+                            if a[i][pt]:
                                 low[i] = 0
-                        col_swap(t, j)
-                        hits = [r for r in a if r[t]]
+                        col[t], col[j] = cj, pt
+                        ops.append((t, j))
+                        pt = cj
+                        hits = [r for r in a if r[pt]]
                         dirty = True
             if dirty:
                 continue
-            d = a[t][t]
+            d = p[pt]
             bad = None if abs(d) == 1 else next(
-                (i for i in range(t + 1, m) if any(x % d for x in a[i][t + 1:])),
-                None)
+                (i for i in range(t + 1, m)
+                 if any(x % d for x in filter(None, a[i]))), None)
             if bad is None:
                 break
-            a[t][t:] = [x + y for x, y in zip(a[t][t:], a[bad][t:])]
+            a[t] = list(map(_add, p, a[bad]))
         t += 1
-    diag = [a[j][j] if j < m else 0 for j in range(n)]
+    diag = [a[j][col[j]] if j < m else 0 for j in range(n)]
     for j in range(n):
         if diag[j] < 0:
             diag[j] = -diag[j]
@@ -419,8 +435,12 @@ def reduce_presentation(num_gens, relation_rows, epsilon_row) -> Reduction:
 def quotient_by(group: AbelianGroup, kill) -> Reduction:
     """Quotient by the subgroup generated by ``kill`` (canonical coordinate
     rows).  The returned projection maps old canonical coordinates to new
-    ones and the sections express new canonical generators over the old."""
-    rows = group.relation_rows() + list(kill)
+    ones and the sections express new canonical generators over the old.
+    ``WorkRows`` stay ``WorkRows``, after the group's own relation rows, so
+    the Smith normal form reduces them in place."""
+    rows = (WorkRows if kill.__class__ is WorkRows else list)(
+        group.relation_rows())
+    rows += kill
     return reduce_presentation(group.ngens, rows, list(group.epsilon))
 
 
@@ -446,32 +466,36 @@ def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):
     """The candidate images of each source generator, sorted by
     ``target.key``: the target's epsilon alone for the generator that is
     the source's epsilon (see ``sign_generator``), else the torsion elements
-    whose order divides the generator's order, or every torsion element for
-    a free generator (its free part is chosen by the caller; for a finite
+    whose order divides the generator's order, or None for a free generator:
+    every torsion element, its free part chosen by the caller (for a finite
     target these are all the elements).
 
-    Raises :class:`SearchSpaceExceeded` when the product of the pool sizes
-    exceeds ``cap``.
+    The pool sizes are counted first, and :class:`SearchSpaceExceeded` is
+    raised, before any pool is built, when their product exceeds ``cap``.
     """
+    forced, nt = source.sign_generator, len(source.torsion)
+    # d * c = 0 mod r for gcd(d, r) of the c in range(r)
+    sizes = [1 if i == forced else
+             math.prod(math.gcd(source.torsion[i], r) for r in target.torsion)
+             if i < nt else math.prod(target.torsion)
+             for i in range(source.ngens)]
+    total = math.prod(sizes)
+    if total > cap:
+        raise SearchSpaceExceeded(
+            f"{total} candidate homomorphisms exceed the cap of {cap}")
     per_gen = []
-    forced = source.sign_generator
-    torsion = None
     pad = (0,) * target.free_rank
     for i in range(source.ngens):
         if i == forced:
             pool = [target.epsilon]
-        elif i < len(source.torsion):
-            # d * c = 0 mod r exactly when c is a multiple of r / gcd(d, r)
+        elif i < nt:
+            # those c are the multiples of r / gcd(d, r)
             d = source.torsion[i]
             steps = (range(0, r, r // math.gcd(d, r)) for r in target.torsion)
             pool = [e + pad for e in itertools.product(*steps)]
         else:
-            pool = torsion = torsion or target.torsion_elements()
+            pool = None
         per_gen.append(pool)
-    total = math.prod(len(p) for p in per_gen)
-    if total > cap:
-        raise SearchSpaceExceeded(
-            f"{total} candidate homomorphisms exceed the cap of {cap}")
     return per_gen
 
 
@@ -479,9 +503,10 @@ def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
                    cap: int = DEFAULT_CAP):
     """All homomorphisms source -> target that send epsilon to epsilon, as
     image tuples, in a deterministic order: ``itertools.product`` over
-    :func:`hom_pools`.  ``morphisms.hom_set`` finds the same morphisms
-    without listing every candidate; this enumeration is the oracle the
-    tests compare it with.
+    :func:`hom_pools`, a free generator's pool being the list of every
+    torsion element of the target.  ``morphisms.hom_set`` finds the same
+    morphisms without listing every candidate; this enumeration is the
+    oracle the tests compare it with.
 
     The target may be infinite provided the source is all-torsion (every
     generator image is then confined to the finite torsion subgroup).  When a
@@ -491,8 +516,11 @@ def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
     """
     if source.free_rank and not target.is_finite:
         raise InfiniteTargetError("free source generator with infinite target")
+    pools = hom_pools(source, target, cap=cap)
+    torsion = target.torsion_elements() if None in pools else None
     out = []
-    for images in itertools.product(*hom_pools(source, target, cap=cap)):
+    for images in itertools.product(*(torsion if pool is None else pool
+                                      for pool in pools)):
         if evaluate_word(target, images, source.epsilon) == target.epsilon:
             out.append(tuple(images))
     return out

@@ -132,17 +132,30 @@ def wlum_lift(P: Pasture) -> LiftResult:
 
 def _g5_triples(g, F):
     """The triples F[i], F[j], F[k] with i <= j <= k and product 1, in
-    lexicographic order; k is looked up by F[i] F[j] among the inverses: for
-    cyclic units Z/N (F_q for q > 2, and its GRS lifts) by the exponent
-    sum, in [0, 2N - 1), among both lifts of each inverse exponent, else by
-    the product of coordinate tuples, the reference path."""
-    N = g.cyclic
-    if N:
-        e, mul = [c[0] for c in F], add
-        inverse = {s: k for k, x in enumerate(e) for s in (-x % N, -x % N + N)}
-    else:
+    lexicographic order; k is looked up by F[i] F[j] among the inverses.
+
+    In a finite group each element is packed into one integer, coordinate
+    t in a field wide enough for the sum of two exponents below d_t, the
+    t-th invariant factor, so a product is one integer sum with no carry.
+    Its field t holds r or r + d_t, for r the product's exponent, so each
+    inverse is filed under its 2^(number of factors) lifts, one per choice
+    of r or r + d_t in each field (r + d_t = 2 d_t - 1 is never a sum but
+    fits the field).  With free rank, by the product of coordinate tuples,
+    the reference path."""
+    if g.free_rank:
         e, mul = F, g.mul
         inverse = {g.inv(c): k for k, c in enumerate(F)}
+    else:
+        e = negs = [0] * len(F)
+        lifts, width = [0], 0
+        for d, xs in zip(g.torsion, zip(*F)):
+            e = [p + (x << width) for p, x in zip(e, xs)]
+            negs = [p + (-x % d << width) for p, x in zip(negs, xs)]
+            lifts += [s + (d << width) for s in lifts]
+            width += (2 * d - 2).bit_length()
+        inverse, mul = {}, add
+        for s in lifts:
+            inverse.update(zip([x + s for x in negs], range(len(F))))
     for i, x in enumerate(e):
         for j in range(i, len(e)):
             k = inverse.get(mul(x, e[j]))
@@ -170,8 +183,10 @@ def grs_lift(P: Pasture) -> LiftResult:
     (-1, t_a for a in F).  G3 adjoins null orbits; the others are 2-term
     relations, killed in the order G1, G4, G2, G5: G1 is 1 + 1 = 0, G4 is
     w + 1 = 0 and G2 and G5 are w - 1 = 0, for w the product of the t's.
-    lambda sends t_a to a and restricts to a bijection on fundamental
-    elements.
+    G3 is passed for one pair of each hexagon of P: by G2 and G4 the triple
+    (t_a, t_b, -1) of any other pair of the hexagon is a rescaling of a
+    permutation of it, so it adjoins the same orbit.  lambda sends t_a to
+    a and restricts to a bijection on fundamental elements.
     """
     g = P.units
     pairs = fundamental_pairs(P)
@@ -187,7 +202,8 @@ def grs_lift(P: Pasture) -> LiftResult:
         """The exponent map of the product of the t_a."""
         term = {}
         for a in elts:
-            term[col[a]] = term.get(col[a], 0) + 1
+            k = col[a]
+            term[k] = term.get(k, 0) + 1
         return term
 
     relations = []
@@ -199,8 +215,9 @@ def grs_lift(P: Pasture) -> LiftResult:
         if binv not in col or c not in col:
             raise LiftCheckFailed(
                 "fundamental elements are not closed under the pair relations")
-        relations.append((t(a), t(b), minus))                      # G3
         relations.append((t(a, binv, c), one, None))               # G4
+    for a, b in map(min, P.orbit_pairs):
+        relations.append((t(a), t(b), minus))                      # G3
     for a in F:
         ainv = g.inv(a)
         if ainv not in col:

@@ -175,16 +175,19 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
     it.  The next generator is the unassigned one with the smallest domain,
     the lowest on ties.
     """
-    gs, gt, form = source.units, target.units, target.indexed
+    gs, gt = source.units, target.units
+    # a search over the cap is refused before the target is indexed
+    pools = hom_pools(gs, gt, cap=cap)
+    form = target.indexed
     n, nt, ng = len(gt.torsion), len(gs.torsion), gs.ngens
     size = len(form.coords)
     exponent = form.radix[-1] if form.radix else 1
     # c times generator k's image depends on c modulo orders[k] only
     orders = [math.gcd(d, exponent) for d in gs.torsion] + \
         [exponent] * gs.free_rank
-    pools = [range(size) if len(pool) == size else
+    pools = [range(size) if pool is None or len(pool) == size else
              tuple(sum(map(mul, e, form.strides)) for e in pool)
-             for pool in hom_pools(gs, gt, cap=cap)]
+             for pool in pools]
     orbits = [tuple(tuple(a - c for a, c in zip(w, z)) for w in (x, y))
               for x, y, z in source.null_orbits]
     # check ch: -1 -> -1 for ch = 0, else orbit ch - 1; its vectors are 2 ch

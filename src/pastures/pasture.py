@@ -44,8 +44,9 @@ from .groups import (
     AbelianGroup,
     GroupMap,
     identity_rows,
-    reduce_presentation,
+    WorkRows,
     quotient_by,
+    reduce_presentation,
 )
 from .record import Record, set_field as _set
 
@@ -343,49 +344,65 @@ def presented(n: int, relations) -> QuotientResult:
     """F1pm with n free units t_1 .. t_n modulo ``relations``.
 
     A relation is a triple of terms, at least two nonzero.  A term is an
-    exponent map {0: e, 1 + i: c_i}, zero entries left out, for the unit
-    (-1)^e t_1^c_1 .. t_n^c_n, or None for zero; any other term raises
-    :class:`BadRelationShape`.  Its test oracle is ``tests/oracles.py``:
-    there ``quotient_full`` by the same terms as elements of
+    exponent map {0: e, 1 + i: c_i}, int exponents, zero entries left out,
+    for the unit (-1)^e t_1^c_1 .. t_n^c_n, or None for zero; any other
+    term raises :class:`BadRelationShape` in the one pass of
+    :func:`_quotient`.  Its test oracle is ``tests/oracles.py``: there
+    ``quotient_full`` by the same terms as elements of
     ``free_algebra(named("F1pm"), names)``, for n names, gives the same
     result, with ``unit_map`` and ``sections`` over its coordinates.
     """
-    relations = [tuple(tri) for tri in relations]
-    terms = [t for tri in relations for t in tri if t is not None]
-    if not (set(map(type, terms)) <= {dict} and set(map(type, itertools.chain(
-            *terms, *map(dict.values, terms)))) <= {int}
-            and set(itertools.chain(*terms)) <= set(range(n + 1))):
-        raise BadRelationShape(f"a term is not an exponent map over 0..{n}")
     return _quotient(AbelianGroup((2,), n, (1,) + (0,) * n), relations)
 
 
 def _quotient(units, relations) -> QuotientResult:
     """The pasture on ``units`` modulo relations of sparse terms (None for
-    zero).  A 2-term relation x + y = 0 forces y = -x, so it kills -x/y: its
-    dense row x - y + e, e the coordinates of -1, is built once from the
-    nonzero entries, and all kills go into one ``quotient_by``, in relation
-    order.  A 3-term relation adjoins a null orbit, each member projected by
-    summing the projection rows of its nonzero coordinates.
+    zero), read in one pass.  A 2-term relation x + y = 0 forces y = -x, so
+    it kills -x/y: its row x - y + e, e the coordinates of -1, is built
+    from the nonzero entries as they are checked, and the rows go to one
+    ``quotient_by``, in relation order, as ``WorkRows`` that the Smith
+    normal form reduces without copying.  A 3-term relation adjoins a null
+    orbit, its terms checked in the pass and each member projected after
+    it by summing the projection rows of its nonzero coordinates.  A term
+    that is not a map of int exponents over the coordinates 0 .. ngens - 1
+    raises :class:`BadRelationShape`.
     """
-    eps, torsion = units.epsilon, units.torsion
-    adjoin, kill = [], []
-    for tri in relations:
-        parts = [c for c in tri if c is not None]
-        if len(parts) == 2:
-            x, y = parts
-            row = list(eps)
-            for k, c in x.items():
-                row[k] += c
-            for k, c in y.items():
-                row[k] -= c
-            for k, d in enumerate(torsion):
-                row[k] %= d
-            kill.append(row)
-        elif len(parts) == 3:
-            adjoin.append(parts)
-        else:
-            raise BadRelationShape(
-                "a relation needs at least two nonzero terms")
+    eps, width = units.epsilon, units.ngens
+    reduce_at = tuple(enumerate(units.torsion))
+    shape = f"a term is not an exponent map over 0..{width - 1}"
+    adjoin, kill = [], WorkRows()
+    try:
+        for tri in relations:
+            parts = [c for c in tri if c is not None]
+            if len(parts) == 2:
+                x, y = parts
+                row = list(eps)
+                for k, c in x.items():
+                    if c.__class__ is not int or not 0 <= k < width:
+                        raise BadRelationShape(shape)
+                    row[k] += c
+                for k, c in y.items():
+                    if c.__class__ is not int or not 0 <= k < width:
+                        raise BadRelationShape(shape)
+                    row[k] -= c
+                for k, d in reduce_at:
+                    row[k] %= d
+                kill.append(row)
+            elif len(parts) == 3:
+                for term in parts:
+                    for k, c in term.items():
+                        # a key a row would not take as an index is refused,
+                        # as in the rows of 2-term relations
+                        k = operator.index(k)
+                        if c.__class__ is not int or not 0 <= k < width:
+                            raise BadRelationShape(shape)
+                adjoin.append(parts)
+            else:
+                raise BadRelationShape(
+                    "a relation needs at least two nonzero terms")
+    except (AttributeError, TypeError) as exc:
+        # a term without items(), or a key that is not an int
+        raise BadRelationShape(shape) from exc
 
     if kill:
         red = quotient_by(units, kill)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 import pastures
+from pastures import gf
 from pastures.gf import (GF, MAX_Q, FieldConstructionFailed, FieldTooLarge,
                          NotPrimePower, field, prime_power)
 from oracles import gf_inv, gf_minus_one, gf_neg, gf_sub
@@ -162,10 +163,13 @@ def test_import_does_not_load_sympy():
 
 
 def test_construction_failure_is_a_typed_error(monkeypatch):
-    # no element of full order: a typed error, not an assert, under -O too
-    monkeypatch.setattr(GF, "mul", lambda self, a, b: 1)
-    with pytest.raises(FieldConstructionFailed):
-        GF(5)
+    # no element of full order: a typed error, not an assert, under -O too;
+    # with 1 as the only prime divisor of q - 1 the order test asks for
+    # a^(q-1) != 1, which no unit passes, in a prime and an extension field
+    monkeypatch.setattr(gf, "_prime_divisors", lambda n: [1])
+    for q in (5, 9):
+        with pytest.raises(FieldConstructionFailed):
+            GF(q)
 
 
 @pytest.mark.parametrize("q", [65537, 2**17, 1000000007, 2**127 - 1])

@@ -5,11 +5,12 @@ from sympy import Matrix, ZZ, factorint
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from pastures import groups
-from pastures.groups import (AbelianGroup, EpsilonOrderError, GroupMap,
-                             InfiniteTargetError, enumerate_homs,
-                             evaluate_word, is_surjective, quotient_by,
-                             identity_rows, reduce_presentation,
-                             smith_normal_form, snf_transforms)
+from pastures.groups import (DEFAULT_CAP, AbelianGroup, EpsilonOrderError,
+                             GroupMap, InfiniteTargetError,
+                             SearchSpaceExceeded, enumerate_homs,
+                             evaluate_word, hom_pools, is_surjective,
+                             quotient_by, identity_rows, reduce_presentation,
+                             smith_normal_form, snf_transforms, WorkRows)
 from pastures.lifts import grs_lift, ternary_lift, wlum_lift
 from pastures.pasture import finite_field, named, product
 from oracles import reference_inv, reference_mul
@@ -597,3 +598,50 @@ def test_enumerate_homs_infinite_target():
     # all-torsion source into an infinite target is fine
     homs = enumerate_homs(c2, AbelianGroup((2,), 1, (1, 0)))
     assert homs == [((1, 0),)]
+
+
+def test_hom_pools_refuse_before_building(monkeypatch):
+    """The pool sizes are counted before any pool is built: U -> F65536
+    units, 65535^2 candidates, is refused without listing the target's
+    torsion elements, and a free generator's pool is None, which only
+    ``enumerate_homs`` expands."""
+    def listed(self):
+        raise AssertionError("torsion elements listed")
+
+    monkeypatch.setattr(AbelianGroup, "torsion_elements", listed)
+    u = named("U").units
+    assert (u.torsion, u.free_rank, u.sign_generator) == ((2,), 2, 0)
+    with pytest.raises(SearchSpaceExceeded, match="^4294836225 "):
+        hom_pools(u, AbelianGroup((65535,), 0, (0,)), cap=10**9)
+    assert hom_pools(u, AbelianGroup((6,), 0, (3,)), cap=36) == \
+        [[(3,)], None, None]
+
+
+@pytest.mark.parametrize("source, target", [
+    (AbelianGroup((2, 4), 1, (1, 0, 0)), AbelianGroup((2, 6), 0, (0, 3))),
+    (AbelianGroup((6,), 2, (3, 0, 0)), AbelianGroup((4,), 1, (2, 0))),
+    (AbelianGroup((3, 9), 0, (0, 0)), AbelianGroup((3, 3, 9), 0, (0, 0, 0))),
+    (AbelianGroup((), 3, ()), AbelianGroup((5,), 0, (0,)))])
+def test_hom_pools_cap_is_the_product_of_the_built_pools(source, target):
+    """The counted sizes are those of the pools: the product of the pool
+    lengths, every torsion element for None, passes as the cap and one
+    less is refused."""
+    pools = hom_pools(source, target, cap=DEFAULT_CAP)
+    total = 1
+    for pool in pools:
+        total *= len(target.torsion_elements() if pool is None else pool)
+    assert hom_pools(source, target, cap=total) == pools
+    with pytest.raises(SearchSpaceExceeded):
+        hom_pools(source, target, cap=total - 1)
+
+
+@given(small_matrices)
+@settings(max_examples=200, deadline=None)
+def test_snf_of_work_rows_matches_a_copy(case):
+    """``WorkRows`` are reduced in place with the same ``(diag, ops)`` as a
+    copy of them, and rows of any other type are left as they were."""
+    rows, n = case
+    before = [list(r) for r in rows]
+    want = smith_normal_form(rows, n)
+    assert rows == before
+    assert smith_normal_form(WorkRows(map(list, rows)), n) == want

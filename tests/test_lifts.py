@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import factorint
 
 from pastures import lifts
@@ -10,7 +12,7 @@ from pastures.lifts import (KindMismatch, LiftCheckFailed, NotFinitary,
                             _check_pair_bijection, binary_lift, grs_lift,
                             lift_descriptor_iso, ternary_lift, wlum_lift)
 from pastures.morphisms import hom_set, is_isomorphism, iso_check
-from pastures.pasture import finite_field, named, product
+from pastures.pasture import finite_field, named, presented, product
 from pastures.tables import LIFT_TABLE, WLUM_TABLE
 
 
@@ -98,17 +100,10 @@ def test_grs_lift_matches_reference_g5_loop(monkeypatch):
         assert got.lam.unit_map.rows == want.lam.unit_map.rows, P.label
 
 
-def on_tuple_path(g):
-    """A copy of ``g`` with ``cyclic`` cleared, so that ``_g5_triples``,
-    ``mul`` and ``inv`` take the coordinate-tuple path, the reference."""
-    h = AbelianGroup(g.torsion, g.free_rank, g.epsilon)
-    object.__setattr__(h, "cyclic", 0)
-    return h
-
-
 def test_g5_exponent_path_matches_tuple_path():
-    """The same triples in the same order, for the units of F_q (q <= 64)
-    and of its GRS lift (q <= 32), all cyclic past F2."""
+    """The same triples in the same order as the reference, which multiplies
+    coordinate tuples, for the units of F_q (q <= 64) and of its GRS lift
+    (q <= 32), all cyclic past F2."""
     prime_powers = [q for q in range(3, 65) if len(factorint(q)) == 1]
     pastures = [finite_field(q) for q in prime_powers]
     pastures += [grs_lift(finite_field(q)).lift for q in prime_powers
@@ -118,22 +113,96 @@ def test_g5_exponent_path_matches_tuple_path():
         assert g.cyclic == g.size() > 1, P.label
         F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
         assert list(lifts._g5_triples(g, F)) == \
-            list(lifts._g5_triples(on_tuple_path(g), F)), P.label
+            list(reference_g5_triples(g, F)), P.label
 
 
-def test_g5_non_cyclic_units_take_the_tuple_path(monkeypatch):
-    """F5 x F19: units (2, 36), one tuple product per pair i <= j."""
-    P = product(finite_field(5), finite_field(19))
-    g = P.units
-    assert g.torsion == (2, 36) and g.cyclic == 0
-    F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
-    want = list(reference_g5_triples(g, F))
+def count_products(monkeypatch):
+    """Patch ``AbelianGroup.mul`` to count its calls in the returned
+    list."""
     products = []
     mul = AbelianGroup.mul
     monkeypatch.setattr(AbelianGroup, "mul", lambda self, a, b:
                         products.append(1) or mul(self, a, b))
+    return products
+
+
+@pytest.mark.parametrize("pair", [(5, 19), (4, 4), (8, 23), (3, 5)],
+                         ids=lambda p: f"F{p[0]}xF{p[1]}")
+def test_g5_finite_units_take_the_packed_path(pair, monkeypatch):
+    """F5 x F19, F4 x F4 and F8 x F23 have units of two invariant factors,
+    (2, 36), (3, 3) and (7, 22), and F3 x F5 has cyclic units; all find
+    their triples on packed exponents, with no ``AbelianGroup.mul``."""
+    P = product(*map(finite_field, pair))
+    g = P.units
+    assert g.is_finite
+    F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
+    want = list(reference_g5_triples(g, F))
+    products = count_products(monkeypatch)
+    assert list(lifts._g5_triples(g, F)) == want
+    assert not products
+
+
+def test_g5_free_units_take_the_tuple_path(monkeypatch):
+    """A unit group with free rank keeps the tuple path: one product per
+    pair i <= j of fundamental elements of the GRS lift of U."""
+    P = grs_lift(named("U")).lift
+    g = P.units
+    assert g.free_rank
+    F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
+    want = list(reference_g5_triples(g, F))
+    products = count_products(monkeypatch)
     assert list(lifts._g5_triples(g, F)) == want
     assert len(products) == len(F) * (len(F) + 1) // 2
+
+
+@st.composite
+def finite_groups_and_inverse_closed_sets(draw):
+    """A finite group of 1 to 3 invariant factors, each dividing the next,
+    and a set of its elements closed under inversion, sorted by key."""
+    factors, d = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        d *= draw(st.integers(2, 4)) if not factors or draw(st.booleans()) \
+            else 1
+        factors.append(d)
+    g = AbelianGroup(tuple(factors), 0, (0,) * len(factors))
+    elements = g.elements()
+    chosen = draw(st.lists(st.sampled_from(elements), max_size=12))
+    F = sorted(set(chosen) | set(map(g.inv, chosen)), key=g.key)
+    return g, F
+
+
+@given(finite_groups_and_inverse_closed_sets())
+@settings(max_examples=200, deadline=None)
+def test_g5_packed_path_matches_reference(case):
+    g, F = case
+    assert list(lifts._g5_triples(g, F)) == list(reference_g5_triples(g, F))
+
+
+GRS_CORPUS = [finite_field(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 27)] + \
+    [product(finite_field(4), finite_field(5)),
+     product(finite_field(5), finite_field(19))] + \
+    [named(n) for n in ("K", "U", "D", "H", "F3")]
+
+
+@pytest.mark.parametrize("P", GRS_CORPUS, ids=lambda P: P.label)
+def test_grs_lift_one_g3_per_hexagon_matches_every_pair(P, monkeypatch):
+    """G3 for one pair of each hexagon adjoins the same orbits as G3 for
+    every fundamental pair: adding the other pairs' relations changes
+    neither the lift nor lambda, and the same holds for the lift of the
+    lift."""
+    for P in (P, grs_lift(P).lift):
+        got = grs_lift(P)
+        g = P.units
+        F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
+        col = {a: 1 + i for i, a in enumerate(F)}
+        every_pair = [({col[a]: 1}, {col[b]: 1}, {0: 1})
+                      for a, b in fundamental_pairs(P)]
+        monkeypatch.setattr(lifts, "presented", lambda n, relations:
+                            presented(n, [*relations, *every_pair]))
+        want = grs_lift(P)
+        monkeypatch.undo()
+        assert got.lift == want.lift, P.label
+        assert got.lam.unit_map.rows == want.lam.unit_map.rows, P.label
 
 
 def test_grs_guard(monkeypatch):

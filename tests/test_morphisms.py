@@ -252,6 +252,18 @@ def test_hom_set_guard_counts_every_candidate():
     assert len(hom_set(named("U"), finite_field(7), cap=36)) == 5
 
 
+def test_hom_set_refuses_before_indexing_the_target():
+    """A refused search builds nothing of the target: its torsion units
+    are indexed (``Pasture.indexed``, a list of every one) only after the
+    pool sizes pass the cap."""
+    P = finite_field(128)
+    with pytest.raises(SearchSpaceExceeded):
+        hom_set(named("U"), P, cap=127 ** 2 - 1)
+    assert "indexed" not in vars(P)
+    assert len(hom_set(named("U"), P, cap=127 ** 2)) == 126
+    assert "indexed" in vars(P)
+
+
 def counts(stats):
     return {n: getattr(stats, n) for n in SearchStats.__slots__}
 

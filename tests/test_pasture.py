@@ -528,14 +528,25 @@ def test_grs_lift_matches_reference_quotient(monkeypatch, text):
 
 
 @pytest.mark.parametrize("term", [{2: 1}, {-1: 1}, {"1": 1}, [0, 1],
-                                  {1: 0.5}, {1: "1"}, {0: None}])
+                                  {1: 0.5}, {1: "1"}, {0: None}, {1.0: 1}])
 def test_presented_refuses_malformed_terms(term):
     """A coordinate outside 0..n, a non-integer exponent or a term that is
-    not an exponent map raises BadRelationShape, not an IndexError."""
-    with pytest.raises(BadRelationShape):
-        presented(1, [(term, {}, None)])
-    with pytest.raises(BadRelationShape):
-        presented(1, [({1: 1}, {0: 1}, term)])
+    not an exponent map raises BadRelationShape, not an IndexError: in
+    each slot of a 2-term and of a 3-term relation, checked as the rows are
+    built, and after 500 well-formed relations."""
+    well = ([({1: 1}, {0: 1}, None), ({1: 2}, {}, None),
+             ({1: 1}, {}, {0: 1})] * 167)[:500]
+    presented(1, well)
+    for slot in range(3):
+        two = [{1: 1}] * 3
+        two[slot], two[slot - 1] = term, None
+        three = [{1: 1}, {0: 1}, {}]
+        three[slot] = term
+        for relation in (two, three):
+            with pytest.raises(BadRelationShape):
+                presented(1, [tuple(relation)])
+            with pytest.raises(BadRelationShape):
+                presented(1, well + [tuple(relation)])
 
 
 def test_product_and_tensor_identities():
