@@ -125,6 +125,9 @@ GOLDEN_CASES = [
     # GF(5^3): D and twenty U factors, the first odd-p extension field
     (["lift", "--kind", "ternary", "F125", "--json"],
      "golden_lift_ternary_F125.json"),
+    # the WLUM lift: -1 = 1 in F64, so the tensor carries an extra F2 factor
+    (["lift", "--kind", "wlum", "F64", "--json"],
+     "golden_lift_wlum_F64.json"),
     (["hom", "H", "F7", "--list", "--json"], "golden_hom_H_F7.json"),
     (["iso", "F4", "F4", "--json"], "golden_iso_F4_F4.json"),
     (["reps", "--matroid", "U24", "--pasture", "F5", "--list", "--json"],
