@@ -466,7 +466,8 @@ def is_isomorphism(m: PastureMorphism) -> bool:
             and len(m.source.null_orbits) == len(m.target.null_orbits))
 
 
-def iso_check(P: Pasture, Q: Pasture, *, cap: int = DEFAULT_CAP):
+def iso_check(P: Pasture, Q: Pasture, *, cap: int = DEFAULT_CAP,
+              stats: SearchStats | None = None):
     """Decide isomorphism.  Returns Iso(morphism), NotIso(reason) or
     Unknown(reason).
 
@@ -477,7 +478,9 @@ def iso_check(P: Pasture, Q: Pasture, *, cap: int = DEFAULT_CAP):
     Every isomorphism is a morphism, and at free rank one it sends the free
     generator z to t*z or t/z for a torsion unit t: the candidates are the
     morphisms of ``_pruned_images`` with those free parts, in that order,
-    and the first that ``is_isomorphism`` accepts is returned.
+    and the first that ``is_isomorphism`` accepts is returned.  A ``stats``
+    record, when given, gets the counters of that search added to it; an
+    answer found before any search adds nothing.
     """
     gs, gt = P.units, Q.units
     if gs.torsion != gt.torsion or gs.free_rank != gt.free_rank:
@@ -494,7 +497,7 @@ def iso_check(P: Pasture, Q: Pasture, *, cap: int = DEFAULT_CAP):
         return NotIso("hexagon type multisets differ")
     try:
         for m in _pruned_images(P, Q, cap, [((1,),), ((-1,),)]
-                                if gs.free_rank else [()]):
+                                if gs.free_rank else [()], stats):
             if is_isomorphism(m):
                 return Iso(m)
     except SearchSpaceExceeded as e:

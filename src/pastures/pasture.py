@@ -22,9 +22,11 @@ Membership is answered by the fundamental pairs instead: an all-unit triple
 (``x + y - 1 = 0``).  Each pasture reads these pairs off its orbits once, into
 the cached ``Pasture.orbit_pairs``, one set (a hexagon) of at most six pairs
 per orbit, and their union ``Pasture.null_pairs`` makes a null test one set
-lookup.  The hom search (``morphisms.hom_set``) uses the same pairs with the
-torsion units indexed as integers, cached once per pasture as
-``Pasture.indexed``.
+lookup.  A tensor, the coproduct, carries its factors' hexagons through the
+inclusions instead, each computed on the columns its inclusion touches and
+kept with the factor (``tensor_full``).  The hom search
+(``morphisms.hom_set``) uses the same pairs with the torsion units indexed
+as integers, cached once per pasture as ``Pasture.indexed``.
 
 A presentation, F1pm with n free units modulo 2- and 3-term relations, is
 built by ``presented`` from sparse terms {0: sign, 1 + i: exponent of t_i}:
@@ -115,7 +117,8 @@ def canonical_orbit(group: AbelianGroup, triple):
 class Pasture(Record):
     """Unit group, null orbits and an optional ``label``, which equality and
     hash ignore; the ``__dict__`` holds the cached ``orbit_pairs``,
-    ``null_pairs``, ``indexed`` and the tuple of ``hexagons.hexagons``."""
+    ``null_pairs``, ``indexed``, the tuple of ``hexagons.hexagons`` and the
+    orbits and hexagons carried into tensors (``_on_columns``)."""
 
     __slots__ = ("units", "null_orbits", "label", "__dict__")
     _fields = __slots__[:3]
@@ -468,7 +471,13 @@ def product(*pastures) -> Pasture:
 def tensor_full(factors) -> TensorResult:
     """Tensor product over F1pm: unit groups are glued along -1 and the
     nullset is generated by the factors' nullsets.  The empty tensor is
-    F1pm."""
+    F1pm.
+
+    The tensor is the coproduct, so its orbits and hexagons are the
+    factors' carried through the inclusions: each factor's are computed on
+    the columns of the tensor's group that its inclusion rows touch (at
+    most 3 for a model; ``_on_columns``), then widened once to the full
+    width, and the hexagons fill the tensor's cached ``orbit_pairs``."""
     factors = tuple(factors)
     if not factors:
         return TensorResult(named("F1pm"), (), ())
@@ -493,12 +502,60 @@ def tensor_full(factors) -> TensorResult:
     # so each factor's orbits go through that factor's own rows
     proj = red.project.rows
     inclusions = tuple(GroupMap(R, proj[o:o + n]) for o, n in zip(offs, ngs))
-    orbits = frozenset(canonical_orbit(R, tuple(map(inc, o)))
-                       for inc, F in zip(inclusions, factors)
-                       for o in F.null_orbits)
+    zero = [0] * R.ngens
+    orbits, hexes = set(), set()
+    for inc, F in zip(inclusions, factors):
+        if not F.null_orbits:
+            continue
+        cols, local_orbits, local_hexes = _on_columns(F, inc)
+        wide = {}
+
+        def widen(x):
+            w = wide.get(x)
+            if w is None:
+                w = zero[:]
+                for c, v in zip(cols, x):
+                    w[c] = v
+                w = wide[x] = tuple(w)
+            return w
+
+        orbits.update(tuple(map(widen, o)) for o in local_orbits)
+        hexes.update(frozenset((widen(a), widen(b)) for a, b in h)
+                     for h in local_hexes)
     labels = [F.label for F in factors]
     label = " ox ".join(labels) if all(labels) else None
-    return TensorResult(Pasture(R, orbits, label), inclusions, red.sections)
+    T = Pasture(R, frozenset(orbits), label)
+    vars(T)["orbit_pairs"] = frozenset(hexes)
+    return TensorResult(T, inclusions, red.sections)
+
+
+def _on_columns(F: Pasture, inc: GroupMap):
+    """(cols, orbits, hexagons): the columns of the tensor's group that the
+    inclusion ``inc`` of ``F`` touches, and the null orbits and
+    ``orbit_pairs`` of F's image in the subgroup on those columns.  Group
+    operations act coordinate by coordinate, the other coordinates stay 0,
+    and keys compare on the columns as on the full tuple, so widened to
+    the full width these are F's orbits and hexagons carried into the
+    tensor.  Kept in F's ``__dict__``, keyed by the inclusion restricted to
+    the columns: its rows and torsion, which fix its -1, the image of
+    F's."""
+    R = inc.target
+    cols = sorted({c for r in inc.rows
+                   for c in itertools.compress(range(R.ngens), r)})
+    nt = len(R.torsion)
+    key = (tuple(tuple(r[c] for c in cols) for r in inc.rows),
+           tuple(R.torsion[c] for c in cols if c < nt))
+    cache = vars(F).setdefault("on_columns", {})
+    got = cache.get(key)
+    if got is None:
+        rows, torsion = key
+        G = AbelianGroup(torsion, len(cols) - len(torsion),
+                         tuple(R.epsilon[c] for c in cols))
+        inc = GroupMap(G, rows)
+        image = Pasture(G, frozenset(canonical_orbit(G, tuple(map(inc, o)))
+                                     for o in F.null_orbits))
+        got = cache[key] = (image.null_orbits, image.orbit_pairs)
+    return (cols, *got)
 
 
 def tensor(*pastures) -> Pasture:

@@ -13,6 +13,7 @@ from pastures.morphisms import (EpsilonViolation, GroupHomViolation, Iso,
                                 SearchStats, Unknown, compose, hom_set,
                                 identity_morphism, is_isomorphism, iso_check,
                                 make)
+from pastures.lifts import grs_lift
 from pastures.matroids import (_foundation, mk4, representation_classes,
                                uniform)
 from pastures.pasture import NAMED, ZERO, Pasture, canonical_orbit, \
@@ -294,6 +295,31 @@ def test_search_counters_are_pinned():
     assert counts(stats) == {"nodes": 39710, "floor": 21583,
                              "prunes": 431893, "solves": 175525,
                              "survivors": 1200}
+
+
+def test_iso_counters_are_pinned():
+    """The work of iso searches that run.  Lg(Lg(F7)) and Lg(F7) both have
+    units C6, so the one generator has 6 candidate images: the checks cut
+    5 before the search, which assigns the last, a morphism that is an
+    isomorphism.  Lg(Lg(F9)) to Lg(F9) keeps two candidates, both
+    morphisms.  An answer found before any search (Lg(F5) == F5) adds
+    nothing, and without a record the answer is the same."""
+    L = grs_lift(finite_field(7)).lift
+    stats = SearchStats()
+    assert iso_check(grs_lift(L).lift, L, stats=stats)
+    assert counts(stats) == {"nodes": 1, "floor": 1, "prunes": 5,
+                             "solves": 0, "survivors": 1}
+    L = grs_lift(finite_field(9)).lift
+    stats = SearchStats()
+    assert iso_check(grs_lift(L).lift, L, stats=stats)
+    assert counts(stats) == {"nodes": 2, "floor": 2, "prunes": 6,
+                             "solves": 0, "survivors": 2}
+    assert iso_check(grs_lift(L).lift, L) == iso_check(
+        grs_lift(L).lift, L, stats=SearchStats())
+    F5 = finite_field(5)
+    stats = SearchStats()
+    assert iso_check(grs_lift(F5).lift, F5, stats=stats)
+    assert counts(stats) == dict.fromkeys(SearchStats.__slots__, 0)
 
 
 def test_search_counters_add_up_and_default_off():

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
@@ -276,9 +276,21 @@ def test_tensor_orbits_match_padded_words(names):
 PRIME_POWERS_256 = [q for q in range(2, 257) if len(factorint(q)) == 1]
 
 
+def assert_carried_hexagons_match_reference(T):
+    """The ``orbit_pairs`` a tensor carries from its factors, and the
+    hexagons read off them, against those recomputed by one scaling per
+    rotation on a fresh pasture with the same units and orbits."""
+    assert "orbit_pairs" in vars(T)
+    fresh = Pasture(T.units, T.null_orbits)
+    vars(fresh)["orbit_pairs"] = reference_orbit_pairs(fresh)
+    assert T.orbit_pairs == fresh.orbit_pairs
+    assert hexagons(T) == hexagons(fresh)
+
+
 def test_lift_tensor_orbits_match_padded_words_up_to_256():
     """The hexagon models of the ternary lift of F_q and, when -1 = 1, the
-    WLUM lift's with its F2, for every prime power q <= 256."""
+    WLUM lift's with its F2, for every prime power q <= 256: the orbits, and
+    the hexagons the tensor carries from its factors."""
     assert len(PRIME_POWERS_256) == 70
     for q in PRIME_POWERS_256:
         models = lift_factors(q)
@@ -286,8 +298,59 @@ def test_lift_tensor_orbits_match_padded_words_up_to_256():
         if q % 2 == 0:
             lists.append(models + [named("F2")])
         for factors in lists:
-            assert (tensor_full(factors).pasture.null_orbits
+            T = tensor_full(factors).pasture
+            assert (T.null_orbits
                     == reference_tensor_orbits(factors)), (q, len(factors))
+            if factors:     # no factors give the stock F1pm
+                assert_carried_hexagons_match_reference(T)
+    for kind in (lifts.ternary_lift, lifts.wlum_lift):
+        assert_carried_hexagons_match_reference(kind(finite_field(256)).lift)
+
+
+# factors that are not models: named pastures, finite fields, products and a
+# GRS lift (G, of F4 x F5); drawn with repetition, so that the orbits of
+# equal factors, such as the one orbit of each F3, can land on one orbit
+TENSOR_FACTORS = [named(n) for n in NAMED] + [
+    finite_field(q) for q in (3, 4, 5, 7, 8, 9, 13, 16)] + [
+    product(finite_field(3), finite_field(5)),
+    product(named("S"), named("S")), product(named("U"), named("F3")),
+    grs_lift(product(finite_field(4), finite_field(5))).lift]
+
+
+@given(st.lists(st.sampled_from(TENSOR_FACTORS), min_size=1, max_size=4))
+@example([named("F3"), named("F3")])
+@example([finite_field(4), named("H"), finite_field(4)])
+@settings(max_examples=150, deadline=None)
+def test_tensor_carries_factor_hexagons(factors):
+    """Orbits and hexagons carried from factors that are not models, on
+    the columns their inclusions touch, against the padded words and the
+    hexagons recomputed on the full unit group."""
+    T = tensor_full(factors).pasture
+    assert T.null_orbits == reference_tensor_orbits(factors)
+    assert_carried_hexagons_match_reference(T)
+
+
+def test_tensor_canonicalises_each_factor_orbit_once(monkeypatch):
+    """The orbits and hexagons of a factor are kept with it, keyed by its
+    inclusion restricted to the columns it touches: a second tensor of the
+    same models canonicalises no orbit, and a tensor of fresh copies
+    canonicalises one orbit per distinct restricted inclusion."""
+    calls = []
+    canonical = pasture_mod.canonical_orbit
+
+    def counted(*args):
+        calls.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(pasture_mod, "canonical_orbit", counted)
+    models = lift_factors(128)
+    first = tensor_full(models).pasture
+    calls.clear()
+    assert tensor_full(models).pasture == first
+    assert calls == []
+    copies = [Pasture(F.units, F.null_orbits, F.label) for F in models]
+    assert tensor_full(copies).pasture == first
+    assert len(calls) == len(models)
 
 
 @pytest.mark.parametrize("factors", TENSOR_CASES.values(), ids=TENSOR_CASES)
