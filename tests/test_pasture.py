@@ -333,8 +333,8 @@ def test_tensor_carries_factor_hexagons(factors):
 def test_tensor_canonicalises_each_factor_orbit_once(monkeypatch):
     """The orbits and hexagons of a factor are kept with it, keyed by its
     inclusion restricted to the columns it touches: a second tensor of the
-    same models canonicalises no orbit, and a tensor of fresh copies
-    canonicalises one orbit per distinct restricted inclusion."""
+    same models canonicalises no orbit, and a tensor of fresh copies, which
+    keep nothing yet, canonicalises the one orbit of each copy once."""
     calls = []
     canonical = pasture_mod.canonical_orbit
 
