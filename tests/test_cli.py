@@ -139,6 +139,9 @@ GOLDEN_CASES = [
      "golden_lift_grs_F4xF5.json"),
     (["lift", "--kind", "grs", "F5 x F19", "--json"],
      "golden_lift_grs_F5xF19.json"),
+    # units C2 x C4 x Z: G5 triples of fundamental elements with free rank
+    (["lift", "--kind", "grs", "G x F5", "--json"],
+     "golden_lift_grs_GxF5.json"),
     # the orbits and coordinates of a product and of a tensor
     (["pasture", "S x S", "--json"], "golden_pasture_SxS.json"),
     (["pasture", "D ox H ox F3", "--json"], "golden_pasture_DoxHoxF3.json"),
