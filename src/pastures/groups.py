@@ -296,30 +296,24 @@ class AbelianGroup(Record):
         return out + tuple(vec[len(t):]) if len(vec) > len(t) else out
 
     def mul(self, a, b) -> tuple[int, ...]:
-        """The product: coordinates added, torsion ones reduced.  With free
-        coordinates (or any past ``ngens``) on both sides, all are added in
-        one pass and only the torsion entries reduced in place."""
+        """The product: coordinates added, torsion ones reduced as in
+        ``reduce``, and the free ones (and any past ``ngens``) appended when
+        both sides have them; in Z/N, one exponent sum mod N."""
         if self.cyclic and len(a) == 1 == len(b):
             return ((a[0] + b[0]) % self.cyclic,)
         t = self.torsion
-        if len(a) > len(t) < len(b):
-            out = list(map(_add, a, b))
-            for i, d in enumerate(t):
-                out[i] %= d
-            return tuple(out)
-        return tuple(map(_mod, map(_add, a, b), t))
+        out = tuple(map(_mod, map(_add, a, b), t))
+        n = len(t)
+        return out + tuple(map(_add, a[n:], b[n:])) if len(a) > n else out
 
     def inv(self, a) -> tuple[int, ...]:
-        """The inverse, by the one pass of ``mul``."""
+        """The inverse: coordinates negated, torsion ones reduced as in
+        ``mul``."""
         if self.cyclic and len(a) == 1:
             return (-a[0] % self.cyclic,)
         t = self.torsion
-        if len(a) > len(t):
-            out = list(map(_neg, a))
-            for i, d in enumerate(t):
-                out[i] %= d
-            return tuple(out)
-        return tuple(map(_mod, map(_neg, a), t))
+        out = tuple(map(_mod, map(_neg, a), t))
+        return out + tuple(map(_neg, a[len(t):])) if len(a) > len(t) else out
 
     def power(self, a, k: int) -> tuple[int, ...]:
         return self.reduce([k * x for x in a])

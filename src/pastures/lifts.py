@@ -11,8 +11,6 @@ the induced multiplicative relations.
 
 from __future__ import annotations
 
-from operator import add
-
 from .groups import GroupMap
 from .pasture import Pasture, named, presented, tensor_full
 from .hexagons import Hexagon, fundamental_pairs, hexagons
@@ -47,12 +45,10 @@ def binary_lift(P: Pasture) -> LiftResult:
     """F2 when -1 = 1 in P, else F1pm, with the unique morphism to P."""
     g = P.units
     if g.epsilon == g.identity():
-        lift = named("F2")
-        lam = make(lift, P, ())
-        return LiftResult(lift, lam, "binary", None)
-    lift = named("F1pm")
-    lam = make(lift, P, (g.epsilon,))
-    return LiftResult(lift, lam, "binary", None)
+        lift, images = named("F2"), ()
+    else:
+        lift, images = named("F1pm"), (g.epsilon,)
+    return LiftResult(lift, make(lift, P, images), "binary", None)
 
 
 def _model_and_images(P: Pasture, h: Hexagon):
@@ -79,27 +75,28 @@ _MODEL_KEYS = {"ternary": "F3", "dyadic": "D", "hexagonal": "H",
                "near-regular": "U"}
 
 
-def _tensor_lift(P: Pasture, extra_f2: bool):
-    hexes = hexagons(P)
-    models = []
-    gen_images = []
+def _tensor_lift(P: Pasture, kind: str) -> LiftResult:
+    """The ternary or WLUM lift: the tensor of the models of all hexagons
+    of P, and for the WLUM lift one F2 factor more when -1 = 1 in P."""
+    models, gen_images = [], []
     counts = {"U": 0, "D": 0, "H": 0, "F3": 0, "F2": 0}
-    for h in hexes:
+    for h in hexagons(P):
         model, images = _model_and_images(P, h)
         models.append(model)
         gen_images.extend(images)
         counts[_MODEL_KEYS[h.kind]] += 1
-    if extra_f2:
+    if kind == "wlum" and P.units.epsilon == P.units.identity():
         models.append(named("F2"))   # contributes no generators
         counts["F2"] = 1
-    if not models:
+    if models:
+        res = tensor_full(models)
+        lift = res.pasture
+        lam = make(lift, P, map(GroupMap(P.units, gen_images), res.sections))
+    else:
         lift = named("F1pm")
         lam = make(lift, P, (P.units.epsilon,))
-        return lift, lam, counts
-    res = tensor_full(models)
-    lam = make(res.pasture, P,
-               map(GroupMap(P.units, gen_images), res.sections))
-    return res.pasture, lam, counts
+    _check_pair_bijection(lam)
+    return LiftResult(lift, lam, kind, counts)
 
 
 def _check_pair_bijection(lam: PastureMorphism):
@@ -116,49 +113,49 @@ def _check_pair_bijection(lam: PastureMorphism):
 
 def ternary_lift(P: Pasture) -> LiftResult:
     """Tensor of the models of all hexagons of P."""
-    lift, lam, counts = _tensor_lift(P, extra_f2=False)
-    _check_pair_bijection(lam)
-    return LiftResult(lift, lam, "ternary", counts)
+    return _tensor_lift(P, "ternary")
 
 
 def wlum_lift(P: Pasture) -> LiftResult:
     """The ternary lift, tensored with F2 when -1 = 1 in P (so that the lift
     itself satisfies -1 = 1 and binary data lifts too)."""
-    collapse = P.units.epsilon == P.units.identity()
-    lift, lam, counts = _tensor_lift(P, extra_f2=collapse)
-    _check_pair_bijection(lam)
-    return LiftResult(lift, lam, "wlum", counts)
+    return _tensor_lift(P, "wlum")
 
 
 def _g5_triples(g, F):
     """The triples F[i], F[j], F[k] with i <= j <= k and product 1, in
     lexicographic order; k is looked up by F[i] F[j] among the inverses.
 
-    In a finite group each element is packed into one integer, coordinate
-    t in a field wide enough for the sum of two exponents below d_t, the
-    t-th invariant factor, so a product is one integer sum with no carry.
-    Its field t holds r or r + d_t, for r the product's exponent, so each
-    inverse is filed under its 2^(number of factors) lifts, one per choice
-    of r or r + d_t in each field (r + d_t = 2 d_t - 1 is never a sum but
-    fits the field).  With free rank, by the product of coordinate tuples,
-    the reference path."""
-    if g.free_rank:
-        e, mul = F, g.mul
-        inverse = {g.inv(c): k for k, c in enumerate(F)}
-    else:
-        e = negs = [0] * len(F)
-        lifts, width = [0], 0
-        for d, xs in zip(g.torsion, zip(*F)):
-            e = [p + (x << width) for p, x in zip(e, xs)]
+    Each element is packed into one integer, each coordinate in a field
+    wide enough for the sum of two entries, so a product is one integer sum
+    with no carry.  Torsion coordinate t holds its exponent, below d_t, the
+    t-th invariant factor; a product's field holds r or r + d_t, for r its
+    exponent, so each inverse is filed under 2^(number of factors) lifts
+    (r + d_t = 2 d_t - 1 is never a sum but fits the field).  A free
+    coordinate holds x - m, m its least entry in F; F is closed under
+    inversion, so a sum of two lies in 0 .. -4m, and the inverse z of a
+    product is filed once, as -z - 2m."""
+    nt = len(g.torsion)
+    e = negs = [0] * len(F)
+    lifts, width = [0], 0
+    for t, xs in enumerate(zip(*F)):
+        if t < nt:
+            d, m = g.torsion[t], 0
             negs = [p + (-x % d << width) for p, x in zip(negs, xs)]
             lifts += [s + (d << width) for s in lifts]
-            width += (2 * d - 2).bit_length()
-        inverse, mul = {}, add
-        for s in lifts:
-            inverse.update(zip([x + s for x in negs], range(len(F))))
+            top = 2 * d - 2
+        else:
+            m = min(xs)
+            negs = [p + (-x - 2 * m << width) for p, x in zip(negs, xs)]
+            top = -4 * m
+        e = [p + (x - m << width) for p, x in zip(e, xs)]
+        width += top.bit_length()
+    inverse = {}
+    for s in lifts:
+        inverse.update(zip([x + s for x in negs], range(len(F))))
     for i, x in enumerate(e):
         for j in range(i, len(e)):
-            k = inverse.get(mul(x, e[j]))
+            k = inverse.get(x + e[j])
             if k is not None and k >= j:
                 yield F[i], F[j], F[k]
 

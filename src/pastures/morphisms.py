@@ -50,9 +50,6 @@ class PastureMorphism(Record):
         _set(self, "target", target)
         _set(self, "unit_map", unit_map)
 
-    def apply_unit(self, coords):
-        return self.unit_map(coords)
-
     def images(self):
         return self.unit_map.rows
 
@@ -158,7 +155,9 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
     source vectors and the allowed pairs of their images: -1 -> -1 (with a
     zero vector), and for each null orbit (x, y, z) that the images of x/z
     and y/z are -1 times a fundamental pair; the entry fixes the free parts
-    of those images, so only the pairs filed under them are allowed.
+    of those images, so only the pairs filed under them in
+    ``IndexedUnits.partners`` are allowed.  Every check reads its pairs
+    there, by the partners of one image or of the other.
 
     Running images: every vector keeps its image over the generators
     assigned so far, all of them packed in one integer, one field per
@@ -222,8 +221,8 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         the whole integer.  For a solve, s = +-1: the vector at offset a
         has no g, ``table`` maps its image to the allowed images of the
         other, at offset b, which has coefficient s on g.  For a test,
-        s = 0: a and b are g's coefficients and ``table`` the allowed
-        pairs."""
+        s = 0: a and b are g's coefficients and ``table`` maps the image of
+        the vector at offset 0 to the allowed images of the other."""
         c0, c1 = coefs[2 * ch].get(g, 0), coefs[2 * ch + 1].get(g, 0)
         unit = (1, orders[g] - 1)
         sh = 2 * ch * width
@@ -232,7 +231,7 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
             return g, low, sh, 1 - 2 * (c1 != 1), 0, width, by1[ch]
         if c1 == 0 and c0 in unit:
             return g, low, sh, 1 - 2 * (c0 != 1), width, 0, by0[ch]
-        return g, low, sh, 0, c0, c1, pairs[ch]
+        return g, low, sh, 0, c0, c1, by1[ch]
 
     def plan(assigned, checks):
         """(closing, targets): the way of each of ``checks`` that has one
@@ -269,9 +268,8 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
                                        for e in sol] if i in dom]
             else:
                 x, y = x & mask, x >> width
-                new = [i for i in dom if ((x + a * packed[i]) % modulus,
-                                          (y + b * packed[i]) % modulus)
-                       in table]
+                new = [i for i in dom if (y + b * packed[i]) % modulus
+                       in table.get((x + a * packed[i]) % modulus, ())]
             sizes[g] = len(new)
             if not new:
                 solves += count
@@ -333,14 +331,12 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         # the free part of a source vector's image from its free coordinates
         free = [(0,) * gt.free_rank] * nt + list(part)
         cols = [tuple(f[t] for f in part) for t in range(gt.free_rank)]
-        # per check: the allowed image pairs, and the tables solving vector
+        # per check: the allowed image pairs, as the tables solving vector
         # 0 from vector 1's image and vector 1 from vector 0's
-        pairs = [{(form.eps, 0)}]
         by0, by1 = [{0: [form.eps]}], [{form.eps: [0]}]
         for vw in orbits:
             key = tuple(tuple(sum(map(mul, w[nt:], c)) for c in cols)
                         for w in vw)
-            pairs.append(form.pairs.get(key, ()))
             by0.append(form.partners.get(key[::-1], {}))
             by1.append(form.partners.get(key, {}))
         doms = list(pools)
@@ -355,7 +351,7 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         found = []
         # checks on no generator hold or fail outright, and checks on one
         # narrow its domain before the search
-        holds = all(masks[ch] or (0, 0) in pairs[ch]
+        holds = all(masks[ch] or 0 in by1[ch].get(0, ())
                     for ch in range(nchecks))
         if holds:
             holds = narrow(0, plan(0, range(nchecks))[0])

@@ -246,19 +246,19 @@ class IndexedUnits:
     the invariant factors ``radix``, and free coordinates 0, so index order
     is ``key`` order, and coordinate t of a product of powers is the sum of
     ``c * (i // strides[t])`` mod radix[t].  ``coords`` lists the torsion
-    units in index order and ``eps`` is the index of -1.  ``pairs`` files
-    the fundamental pairs times -1, the (a, b) with ``x/z = a`` and
+    units in index order and ``eps`` is the index of -1.  ``partners``
+    files the fundamental pairs times -1, the (a, b) with ``x/z = a`` and
     ``y/z = b`` for some null triple x + y + z = 0, by the free parts of a
-    and b: ``pairs[(fa, fb)]`` holds the index pairs of the torsion parts of
-    those with free parts fa and fb, and ``partners[(fa, fb)][a]`` lists
-    ascending the b with (a, b) in it.  The pair set is symmetric, so
-    ``pairs[(fb, fa)]`` holds the same pairs swapped.  A finite pasture
-    files all its pairs under ``((), ())``.  Indices are computed from the
-    coordinates, and -u from u by adding the coordinates of -1 digit by
-    digit, so no unit is multiplied or looked up.
+    and b: ``partners[(fa, fb)][a]`` lists ascending the indices b of the
+    torsion parts of the pairs with free parts fa and fb whose first entry
+    has torsion part of index a, each pair once.  The pair set is
+    symmetric, so ``partners[(fb, fa)]`` files the same pairs swapped.  A
+    finite pasture files all its pairs under ``((), ())``.  Indices are
+    computed from the coordinates, and -u from u by adding the coordinates
+    of -1 digit by digit, so no unit is multiplied or looked up.
     """
 
-    __slots__ = ("radix", "strides", "coords", "eps", "pairs", "partners")
+    __slots__ = ("radix", "strides", "coords", "eps", "partners")
 
     def __init__(self, P: Pasture):
         g = P.units
@@ -278,17 +278,14 @@ class IndexedUnits:
         # one coordinate
         index = (operator.itemgetter(0) if strides == (1,) else
                  lambda u: sum(map(operator.mul, u, strides)))
-        pairs, partners = {}, {}
+        # distinct pairs with the same free parts differ in torsion parts
+        self.partners = partners = {}
         for a, b in P.null_pairs:
-            pairs.setdefault((a[n:], b[n:]), set()).add(
-                (neg[index(a)], neg[index(b)]))
-        for key, filed in pairs.items():
-            table = partners[key] = {}
-            for a, b in filed:
-                table.setdefault(a, []).append(b)
+            partners.setdefault((a[n:], b[n:]), {}).setdefault(
+                neg[index(a)], []).append(neg[index(b)])
+        for table in partners.values():
             for bs in table.values():
                 bs.sort()
-        self.pairs, self.partners = pairs, partners
 
 
 # -- construction results ----------------------------------------------------
@@ -492,10 +489,12 @@ def tensor_full(factors) -> TensorResult:
     for i, F in enumerate(factors):
         for r in F.units.relation_rows():
             rows.append(pad(i, r))
+    # -1 of factor i minus -1 of factor i + 1, in one padded row
     for i in range(len(factors) - 1):
-        a = pad(i, factors[i].units.epsilon)
-        b = pad(i + 1, factors[i + 1].units.epsilon)
-        rows.append([x - y for x, y in zip(a, b)])
+        row = pad(i, factors[i].units.epsilon)
+        row[offs[i + 1]:offs[i + 1] + ngs[i + 1]] = map(
+            operator.neg, factors[i + 1].units.epsilon)
+        rows.append(row)
     red = reduce_presentation(total, rows, pad(0, factors[0].units.epsilon))
     R = red.group
     # the projection of a unit vector is its (reduced) row of red.project,

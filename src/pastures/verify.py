@@ -89,13 +89,18 @@ def table1_suite(*, max_q: int = 64, **_) -> VerifyReport:
     return VerifyReport("table1", tuple(items))
 
 
+def _pasture_by_name(name):
+    if name.startswith("F") and name[1:].isdigit():
+        return finite_field(int(name[1:]))
+    return named(name)
+
+
 # One witness pasture per hexagon orbit length.
 _WITNESS = {1: "F3", 2: "F4", 3: "F5", 6: "F8"}
 
 
 def _witness(mu, sub):
-    name = "S" if sub else _WITNESS[mu]
-    return named(name) if name == "S" else finite_field(int(name[1:]))
+    return _pasture_by_name("S" if sub else _WITNESS[mu])
 
 
 def _fiber_check(P1, P2, mu1, mu2):
@@ -137,28 +142,16 @@ def table2_suite(**_) -> VerifyReport:
     return VerifyReport("table2", tuple(items))
 
 
-def _pasture_by_name(name):
-    if name.startswith("F") and name[1:].isdigit():
-        return finite_field(int(name[1:]))
-    return named(name)
-
-
 def lift_table_suite(**_) -> VerifyReport:
     items = []
-    for name in tables.LIFT_TABLE:
-        res = ternary_lift(_pasture_by_name(name))
-        want = {k: tables.LIFT_TABLE[name].get(k, 0)
-                for k in res.factor_descriptor}
-        ok = res.factor_descriptor == want
-        items.append(_item(f"Lt({name})", ok,
-                           "" if ok else f"descriptor {res.factor_descriptor}"))
-    for name in tables.WLUM_TABLE:
-        res = wlum_lift(_pasture_by_name(name))
-        want = {k: tables.WLUM_TABLE[name].get(k, 0)
-                for k in res.factor_descriptor}
-        ok = res.factor_descriptor == want
-        items.append(_item(f"Lw({name})", ok,
-                           "" if ok else f"descriptor {res.factor_descriptor}"))
+    for tag, lift, table in (("Lt", ternary_lift, tables.LIFT_TABLE),
+                             ("Lw", wlum_lift, tables.WLUM_TABLE)):
+        for name in table:
+            res = lift(_pasture_by_name(name))
+            want = {k: table[name].get(k, 0) for k in res.factor_descriptor}
+            ok = res.factor_descriptor == want
+            items.append(_item(f"{tag}({name})", ok, "" if ok else
+                               f"descriptor {res.factor_descriptor}"))
     for name in ("U", "D", "H", "F3"):
         res = ternary_lift(_pasture_by_name(name))
         ok = (res.factor_descriptor.get(name, 0) == 1

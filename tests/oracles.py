@@ -11,8 +11,9 @@ with.  The library itself never calls them.
   other than 1.
 * ``reference_product``: ``product_full`` built by projecting each
   orbit word over the concatenated factor coordinates.
-* ``reference_mul`` and ``reference_inv``: group arithmetic with the torsion
-  and free coordinates handled in separate passes.
+* ``reference_mul`` and ``reference_inv``: group arithmetic with every
+  coordinate added or negated in one pass and the torsion ones reduced in
+  place after.
 * ``reference_orbit_pairs``: a pasture's hexagons by one scaling per
   choice of the last entry of each null triple.
 * ``reference_tensor_orbits``: the null orbits of ``tensor_full`` from
@@ -157,26 +158,28 @@ def reference_product(P: Pasture, Q: Pasture) -> ProductResult:
 
 
 def reference_mul(g, a, b):
-    """``AbelianGroup.mul`` with the torsion coordinates reduced in one
-    pass and the rest added in a second; the result is as long as the
-    shorter input when both go past the torsion, else as long as the
-    shortest of the two inputs and the torsion."""
-    if g.cyclic and len(a) == 1 == len(b):
-        return ((a[0] + b[0]) % g.cyclic,)
+    """``AbelianGroup.mul`` with all coordinates added in one pass and the
+    torsion ones reduced in place: as long as the shorter input when both
+    go past the torsion, else as long as the shortest of the two inputs
+    and the torsion."""
     t = g.torsion
-    out = tuple(map(mod, map(add, a, b), t))
-    n = len(t)
-    return (out + tuple(map(add, a[n:], b[n:]))
-            if len(a) > n < len(b) else out)
+    if len(a) > len(t) < len(b):
+        out = list(map(add, a, b))
+        for i, d in enumerate(t):
+            out[i] %= d
+        return tuple(out)
+    return tuple(map(mod, map(add, a, b), t))
 
 
 def reference_inv(g, a):
-    """``AbelianGroup.inv`` in the two passes of ``reference_mul``."""
-    if g.cyclic and len(a) == 1:
-        return (-a[0] % g.cyclic,)
+    """``AbelianGroup.inv`` in the one pass of ``reference_mul``."""
     t = g.torsion
-    out = tuple(map(mod, map(neg, a), t))
-    return out + tuple(map(neg, a[len(t):])) if len(a) > len(t) else out
+    if len(a) > len(t):
+        out = list(map(neg, a))
+        for i, d in enumerate(t):
+            out[i] %= d
+        return tuple(out)
+    return tuple(map(mod, map(neg, a), t))
 
 
 def reference_orbit_pairs(P: Pasture) -> frozenset:

@@ -415,10 +415,11 @@ def _with_vectors(tf):
 @example((AbelianGroup((6,), 2, (3, 0, 0)), (5, -1, 2, 7), (4, 3, -2, 1)))
 @example((AbelianGroup((2, 4), 0, (1, 0)), (3, 5, -1), (1, 7, 2)))
 @settings(max_examples=400, deadline=None)
-def test_mul_inv_match_two_pass_reference(case):
-    """The one-pass ``mul`` and ``inv`` against the torsion-then-rest
-    passes they replaced, on torsion-only, cyclic, free-only and mixed
-    groups, with vectors shorter than, as long as and past ``ngens``."""
+def test_mul_inv_match_one_pass_reference(case):
+    """``mul`` and ``inv``, which reduce the torsion coordinates and append
+    the rest, against adding or negating all coordinates in one pass, on
+    torsion-only, cyclic, free-only and mixed groups, with vectors shorter
+    than, as long as and past ``ngens``."""
     g, a, b = case
     assert g.mul(a, b) == reference_mul(g, a, b)
     assert g.inv(a) == reference_inv(g, a)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sympy import factorint
 
 from pastures import lifts
+from pastures.expr import pasture_of
 from pastures.groups import AbelianGroup
 from pastures.hexagons import fundamental_pairs
 from pastures.lifts import (KindMismatch, LiftCheckFailed, NotFinitary,
@@ -24,7 +25,7 @@ def test_binary_lift_cases():
     assert res.lift.label == "F2"       # char 2: -1 = 1
     res = binary_lift(finite_field(5))
     assert res.lift.label == "F1pm"
-    assert res.lam.apply_unit((1,)) == (2,)
+    assert res.lam.unit_map((1,)) == (2,)
 
 
 def test_ternary_descriptors_match_table():
@@ -60,7 +61,7 @@ def test_lambda_restricts_to_pair_bijection():
     P = finite_field(9)
     res = ternary_lift(P)
     lam = res.lam
-    down = {tuple(map(lam.apply_unit, p)) for p in
+    down = {tuple(map(lam.unit_map, p)) for p in
             fundamental_pairs(res.lift)}
     assert down == set(fundamental_pairs(P))
     assert len(fundamental_pairs(res.lift)) == len(fundamental_pairs(P))
@@ -116,14 +117,16 @@ def test_g5_exponent_path_matches_tuple_path():
             list(reference_g5_triples(g, F)), P.label
 
 
-def count_products(monkeypatch):
-    """Patch ``AbelianGroup.mul`` to count its calls in the returned
-    list."""
-    products = []
-    mul = AbelianGroup.mul
+def count_group_calls(monkeypatch):
+    """Patch ``AbelianGroup.mul`` and ``inv`` to count their calls in the
+    returned list."""
+    calls = []
+    mul, inv = AbelianGroup.mul, AbelianGroup.inv
     monkeypatch.setattr(AbelianGroup, "mul", lambda self, a, b:
-                        products.append(1) or mul(self, a, b))
-    return products
+                        calls.append(1) or mul(self, a, b))
+    monkeypatch.setattr(AbelianGroup, "inv", lambda self, a:
+                        calls.append(1) or inv(self, a))
+    return calls
 
 
 @pytest.mark.parametrize("pair", [(5, 19), (4, 4), (8, 23), (3, 5)],
@@ -131,47 +134,55 @@ def count_products(monkeypatch):
 def test_g5_finite_units_take_the_packed_path(pair, monkeypatch):
     """F5 x F19, F4 x F4 and F8 x F23 have units of two invariant factors,
     (2, 36), (3, 3) and (7, 22), and F3 x F5 has cyclic units; all find
-    their triples on packed exponents, with no ``AbelianGroup.mul``."""
+    their triples on packed exponents, with no ``AbelianGroup`` call."""
     P = product(*map(finite_field, pair))
     g = P.units
     assert g.is_finite
     F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
     want = list(reference_g5_triples(g, F))
-    products = count_products(monkeypatch)
+    calls = count_group_calls(monkeypatch)
     assert list(lifts._g5_triples(g, F)) == want
-    assert not products
+    assert not calls
 
 
-def test_g5_free_units_take_the_tuple_path(monkeypatch):
-    """A unit group with free rank keeps the tuple path: one product per
-    pair i <= j of fundamental elements of the GRS lift of U."""
-    P = grs_lift(named("U")).lift
+@pytest.mark.parametrize("text,triples", [
+    ("Lg(U)", 0), ("G", 4), ("G x F5", 16), ("G ox H", 4)],
+    ids=["Lg(U)", "G", "G x F5", "G ox H"])
+def test_g5_free_units_take_the_packed_path(text, triples, monkeypatch):
+    """Units with free rank, C2 x Z^2, C2 x Z, C2 x C4 x Z and C6 x Z,
+    pack their free coordinates beside the torsion ones: the triples of
+    the reference, with no ``AbelianGroup`` call."""
+    P = pasture_of(text)
     g = P.units
     assert g.free_rank
     F = sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
     want = list(reference_g5_triples(g, F))
-    products = count_products(monkeypatch)
+    assert len(want) == triples
+    calls = count_group_calls(monkeypatch)
     assert list(lifts._g5_triples(g, F)) == want
-    assert len(products) == len(F) * (len(F) + 1) // 2
+    assert not calls
 
 
 @st.composite
-def finite_groups_and_inverse_closed_sets(draw):
-    """A finite group of 1 to 3 invariant factors, each dividing the next,
-    and a set of its elements closed under inversion, sorted by key."""
+def groups_and_inverse_closed_sets(draw):
+    """A group of 0 to 3 invariant factors, each dividing the next, and 0
+    to 2 free coordinates, and a set of its elements closed under
+    inversion, sorted by key."""
     factors, d = [], 1
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         d *= draw(st.integers(2, 4)) if not factors or draw(st.booleans()) \
             else 1
         factors.append(d)
-    g = AbelianGroup(tuple(factors), 0, (0,) * len(factors))
-    elements = g.elements()
-    chosen = draw(st.lists(st.sampled_from(elements), max_size=12))
+    free = draw(st.integers(0, 2))
+    g = AbelianGroup(tuple(factors), free, (0,) * (len(factors) + free))
+    element = st.tuples(*[st.integers(0, d - 1) for d in factors],
+                        *[st.integers(-6, 6)] * free)
+    chosen = draw(st.lists(element, max_size=12))
     F = sorted(set(chosen) | set(map(g.inv, chosen)), key=g.key)
     return g, F
 
 
-@given(finite_groups_and_inverse_closed_sets())
+@given(groups_and_inverse_closed_sets())
 @settings(max_examples=200, deadline=None)
 def test_g5_packed_path_matches_reference(case):
     g, F = case

@@ -316,7 +316,7 @@ def test_pushforward_preserves_acceptance():
     res = ternary_lift(finite_field(4))
     lam = res.lam
     for c in representation_classes(u24(), res.lift):
-        image = tuple(PastureElement(lam.apply_unit(v.coords))
+        image = tuple(PastureElement(lam.unit_map(v.coords))
                       for v in c.representative.values)
         ok, _ = plucker_check(Representation(u24(), lam.target, image))
         assert ok

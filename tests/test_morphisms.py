@@ -26,7 +26,7 @@ def test_make_validates_nullset():
     F7 = finite_field(7)
     # zeta -> 3 and zeta -> 5 are the two embeddings
     m = make(H, F7, ((1,),))
-    assert m.apply_unit((1,)) == (1,)
+    assert m.unit_map((1,)) == (1,)
     with pytest.raises(NullsetViolation):
         make(H, F7, ((3,),))        # 1 + zeta^2 + zeta^4 -> 1 + 1 + 1 != 0
     with pytest.raises(EpsilonViolation):
@@ -56,7 +56,7 @@ def test_identity_and_compose():
     g = make(named("F1pm"), H, ((3,),))
     fg = compose(f, g)
     assert fg.source is g.source
-    assert fg.apply_unit((1,)) == (3,)  # -1 goes to -1
+    assert fg.unit_map((1,)) == (3,)  # -1 goes to -1
 
 
 def test_hom_set_counts():
@@ -79,7 +79,7 @@ def test_hom_set_infinite_source_torsion_only_images():
     # z -> 2, 4, or the other dyadic support points; check they all validate
     assert homs
     for m in homs:
-        assert m.apply_unit(D.units.epsilon) == (3,)
+        assert m.unit_map(D.units.epsilon) == (3,)
 
 
 def test_iso_check_finite():

@@ -415,23 +415,25 @@ def test_indexed_units(P):
     # (a, b) is filed under (fa, fb) exactly when x + y + 1 = 0 for the
     # units x, y with torsion parts a, b and free parts fa, fb
     filed = {(units[a][:n] + fa, units[b][:n] + fb)
-             for (fa, fb), pairs in form.pairs.items() for a, b in pairs}
-    assert sum(map(len, form.pairs.values())) == len(filed)
+             for (fa, fb), table in form.partners.items()
+             for a, bs in table.items() for b in bs}
+    # one entry per filed pair
+    assert sum(len(bs) for table in form.partners.values()
+               for bs in table.values()) == len(filed)
     assert filed == {(g.mul(g.epsilon, x), g.mul(g.epsilon, y))
                      for x, y in P.null_pairs}
     assert all(P._null3(x, y, g.identity()) for x, y in filed)
     if P.is_finite:
-        assert set(form.pairs) <= {((), ())}
+        assert set(form.partners) <= {((), ())}
         assert filed == {(x, y) for x in units for y in units
                          if P._null3(x, y, g.identity())}
-    # the files are symmetric, and partners files each by its first entry
-    for (fa, fb), pairs in form.pairs.items():
-        assert form.pairs[(fb, fa)] == {(b, a) for a, b in pairs}
-        partners = form.partners[(fa, fb)]
-        assert {(a, b) for a, bs in partners.items() for b in bs} == \
-            pairs
-        assert all(bs == sorted(bs) for bs in partners.values())
-    assert set(form.partners) == set(form.pairs)
+    # the files are symmetric: each is the transpose of its swap, and each
+    # list ascends
+    for (fa, fb), table in form.partners.items():
+        swapped = form.partners[(fb, fa)]
+        assert {(a, b) for a, bs in table.items() for b in bs} == \
+            {(a, b) for b, xs in swapped.items() for a in xs}
+        assert all(bs == sorted(bs) for bs in table.values())
     if P == named("U"):
         assert units == [(0, 0, 0), (1, 0, 0)]
 
