@@ -145,6 +145,9 @@ GOLDEN_CASES = [
     # the orbits and coordinates of a product and of a tensor
     (["pasture", "S x S", "--json"], "golden_pasture_SxS.json"),
     (["pasture", "D ox H ox F3", "--json"], "golden_pasture_DoxHoxF3.json"),
+    # a chain of tensors read left-nested: the n-ary tensor(H, H, G) has the
+    # same units, C3 x C6 x Z, but other null orbit coordinates
+    (["pasture", "H ox H ox G", "--json"], "golden_pasture_HoxHoxG.json"),
     # the answer order of a source with two components, and of a four-deep
     # representation search
     (["hom", "U ox U", "F16", "--list", "--json"],
