@@ -99,15 +99,9 @@ def mk4() -> Matroid:
 
 
 def _sorted_with_parity(seq):
-    seq = list(seq)
-    parity = 0
-    for i in range(1, len(seq)):
-        j = i
-        while j > 0 and seq[j - 1] > seq[j]:
-            seq[j - 1], seq[j] = seq[j], seq[j - 1]
-            parity ^= 1
-            j -= 1
-    return tuple(seq), parity
+    """``seq`` sorted, and the parity of its inversions (0 or 1)."""
+    pairs = itertools.combinations(seq, 2)
+    return tuple(sorted(seq)), sum(a > b for a, b in pairs) & 1
 
 
 class Representation(Record):

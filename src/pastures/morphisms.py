@@ -98,7 +98,9 @@ class SearchStats:
     which is the least any search in the same order visits; ``prunes``,
     the candidate images a check cut from a domain; ``solves``, the checks
     that solved a domain from a pair table instead of testing each
-    candidate; and ``survivors``, the morphisms found."""
+    candidate; and ``survivors``, the morphisms found.  Each free-part
+    entry adds its counters when its search ends, before its first
+    morphism is handed out; entries a caller stops before add nothing."""
 
     __slots__ = ("nodes", "floor", "prunes", "solves", "survivors")
 
@@ -131,25 +133,28 @@ def hom_set(source: Pasture, target: Pasture, *, cap: int = DEFAULT_CAP,
     directly; ``make`` stays the constructor for generator images from
     elsewhere and is the oracle the tests compare this search with.
     SearchSpaceExceeded is raised when the product of the pool sizes
-    exceeds ``cap``.  A ``stats`` record, when given, gets the search's
-    counters added to it.
+    exceeds ``cap``.  The list holds all that the search yields, and a
+    ``stats`` record, when given, gets the search's counters added to it.
     """
     gs, gt = source.units, target.units
     if gs.free_rank and not gt.is_finite:
         raise InfiniteTargetError("free source generator with infinite target")
-    return _pruned_images(source, target, cap,
-                          [((0,) * gt.free_rank,) * gs.free_rank], stats)
+    return list(_pruned_images(source, target, cap,
+                               [((0,) * gt.free_rank,) * gs.free_rank], stats))
 
 
 def _pruned_images(source: Pasture, target: Pasture, cap: int,
-                   free_parts, stats: SearchStats | None = None) -> list:
-    """The morphisms source -> target whose free source generators have the
-    free parts of their images given by an entry of ``free_parts``: one row
-    of target free coordinates per free source generator.  The torsion parts
-    are searched, over the torsion units indexed by ``Pasture.indexed``;
-    the morphisms come sorted within each entry, in the order of
-    ``itertools.product`` over the pools, and the entries in the order
-    given.
+                   free_parts, stats: SearchStats | None = None):
+    """Yield the morphisms source -> target whose free source generators
+    have the free parts of their images given by an entry of
+    ``free_parts``: one row of target free coordinates per free source
+    generator.  The torsion parts are searched, over the torsion units
+    indexed by ``Pasture.indexed``; the morphisms come sorted within each
+    entry, in the order of ``itertools.product`` over the pools, and the
+    entries in the order given.  An entry is searched whole and its rows
+    sorted, its counters are added to ``stats``, and only then are its
+    morphisms built, one as each is asked for; a caller that stops leaves
+    the later entries unsearched.
 
     The domains start as the pools of ``hom_pools``.  A check is a pair of
     source vectors and the allowed pairs of their images: -1 -> -1 (with a
@@ -210,8 +215,6 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
                 if not j or g not in coefs[2 * ch]:
                     through[g].append(ch)
     done = size + 1     # the domain size of an assigned generator
-    nodes = floor = prunes = solves = survivors = 0
-    homs = []
 
     def way(ch, g):
         """(g, low, shift, s, a, b, table): how check ch narrows the
@@ -327,6 +330,7 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         return got
 
     for part in free_parts:
+        nodes = floor = prunes = solves = 0
         # the free part of each generator's image, and the columns that give
         # the free part of a source vector's image from its free coordinates
         free = [(0,) * gt.free_rank] * nt + list(part)
@@ -365,16 +369,15 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
             else:
                 found.append(())
         found.sort()
-        survivors += len(found)
-        homs += [PastureMorphism(source, target, GroupMap(
-            gt, tuple(map(getitem, cells, row)))) for row in found]
-    if stats is not None:
-        stats.nodes += nodes
-        stats.floor += floor
-        stats.prunes += prunes
-        stats.solves += solves
-        stats.survivors += survivors
-    return homs
+        if stats is not None:
+            stats.nodes += nodes
+            stats.floor += floor
+            stats.prunes += prunes
+            stats.solves += solves
+            stats.survivors += len(found)
+        for row in found:
+            yield PastureMorphism(source, target, GroupMap(
+                gt, tuple(map(getitem, cells, row))))
 
 
 def _packing(form, terms: int):
@@ -474,9 +477,10 @@ def iso_check(P: Pasture, Q: Pasture, *, cap: int = DEFAULT_CAP,
     Every isomorphism is a morphism, and at free rank one it sends the free
     generator z to t*z or t/z for a torsion unit t: the candidates are the
     morphisms of ``_pruned_images`` with those free parts, in that order,
-    and the first that ``is_isomorphism`` accepts is returned.  A ``stats``
-    record, when given, gets the counters of that search added to it; an
-    answer found before any search adds nothing.
+    each built and tested in turn, and the first that ``is_isomorphism``
+    accepts is returned: the t/z entry is searched only when no t*z
+    candidate is one.  A ``stats`` record, when given, gets the counters of
+    the entries searched; an answer found before any search adds nothing.
     """
     gs, gt = P.units, Q.units
     if gs.torsion != gt.torsion or gs.free_rank != gt.free_rank:

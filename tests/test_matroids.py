@@ -80,6 +80,23 @@ def test_constraints_are_cached():
     assert _constraints(uniform(1, 3)) == ()
 
 
+@given(st.lists(st.integers(-3, 3), max_size=8))
+def test_sort_parity_is_the_sign_of_the_permutation(seq):
+    """The parity is that of the stable sorting permutation, read off its
+    cycles: a permutation of n points with c cycles has sign (-1)^(n - c).
+    Equal entries keep their order, so they count as no inversion."""
+    perm = sorted(range(len(seq)), key=seq.__getitem__)
+    cycles, seen = 0, set()
+    for start in perm:
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    assert _sorted_with_parity(seq) == (tuple(sorted(seq)),
+                                        (len(seq) - cycles) % 2)
+
+
 def test_from_bases_validation():
     M = u24()
     assert M.n == 4 and M.rank == 2 and len(M.bases) == 6

@@ -322,6 +322,48 @@ def test_iso_counters_are_pinned():
     assert counts(stats) == dict.fromkeys(SearchStats.__slots__, 0)
 
 
+def test_iso_check_builds_only_the_candidates_it_tests(monkeypatch):
+    """The search hands out one morphism at a time, so ``iso_check`` builds
+    candidates only up to the first isomorphism.  Lg(Lg(F81)) to Lg(F81)
+    has four morphisms and the first is an isomorphism: one is built,
+    though the entry's search, searched whole, counts all four."""
+    from pastures import morphisms
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return PastureMorphism(*args)
+
+    L = grs_lift(finite_field(81)).lift
+    LL = grs_lift(L).lift
+    monkeypatch.setattr(morphisms, "PastureMorphism", counting)
+    stats = SearchStats()
+    found = iso_check(LL, L, stats=stats)
+    monkeypatch.undo()
+    assert len(built) == 1
+    assert found.morphism.images() == ((53,),)
+    assert counts(stats) == {"nodes": 4, "floor": 4, "prunes": 76,
+                             "solves": 0, "survivors": 4}
+
+
+@pytest.mark.parametrize("P, Q, solves", [
+    ("D", "F1pm<z>//(-z-z-1)", 1), ("G", "F1pm<z>//(z^-2+z^-1-1)", 2)])
+def test_iso_stops_before_the_inverse_entry(P, Q, solves):
+    """At free rank one the free generator z goes to t*z or to t/z.  Here
+    the t*z entry holds an isomorphism, so the t/z entry is never searched
+    and adds no counters: the whole search took 3 and 4 nodes."""
+    stats = SearchStats()
+    found = iso_check(pasture_of(P), pasture_of(Q), stats=stats)
+    assert found.morphism.images() == ((1, 0), (1, 1))
+    assert counts(stats) == {"nodes": 2, "floor": 2, "prunes": 1,
+                             "solves": solves, "survivors": 1}
+
+
+def test_hom_set_is_a_list():
+    homs = hom_set(named("U"), finite_field(7))
+    assert type(homs) is list and len(homs) == 5
+
+
 def test_search_counters_add_up_and_default_off():
     stats = SearchStats()
     assert repr(stats) == ("SearchStats(nodes=0, floor=0, prunes=0, "
