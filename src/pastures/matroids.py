@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from operator import gt
 
 from .groups import DEFAULT_CAP
 from .morphisms import SearchStats, compose, hom_set
@@ -100,8 +101,8 @@ def mk4() -> Matroid:
 
 def _sorted_with_parity(seq):
     """``seq`` sorted, and the parity of its inversions (0 or 1)."""
-    pairs = itertools.combinations(seq, 2)
-    return tuple(sorted(seq)), sum(a > b for a, b in pairs) & 1
+    inversions = sum(itertools.starmap(gt, itertools.combinations(seq, 2)))
+    return tuple(sorted(seq)), inversions & 1
 
 
 class Representation(Record):
