@@ -67,6 +67,7 @@ class Lift(Record):
 NAMED_ATOMS = ("F1pm", "K", "S", "W", "U", "D", "H", "G")
 LIFT_KEYWORDS = {"Lb": "binary", "Lt": "ternary", "Lw": "wlum", "Lg": "grs"}
 _KIND_LETTER = {v: k for k, v in LIFT_KEYWORDS.items()}
+MAX_DEPTH = 100     # nested parentheses and lift calls, 4 parser frames each
 
 
 # -- lexer -------------------------------------------------------------------
@@ -106,9 +107,9 @@ def _found(val):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _lex(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -145,18 +146,12 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.peek()
         if (kind, val) == ("sym", "("):
-            self.next()
-            node = self.expr()
-            self.expect(")")
-            return node
+            return self.group()
         if kind != "ident":
             self.fail(f"expected a pasture expression, found {_found(val)}")
         self.next()
         if val in LIFT_KEYWORDS:
-            self.expect("(")
-            node = self.expr()
-            self.expect(")")
-            return Lift(LIFT_KEYWORDS[val], node)
+            return Lift(LIFT_KEYWORDS[val], self.group())
         if val == "F1pm":
             return self.presentation_tail()
         if val in NAMED_ATOMS:
@@ -165,6 +160,17 @@ class _Parser:
         if m:
             return Fq(int(m.group(1)))
         raise ExprError(f"unknown pasture {val!r}", pos)
+
+    def group(self):
+        pos = self.peek()[2]
+        self.expect("(")
+        if self.depth == MAX_DEPTH:
+            raise ExprError(f"nested more than {MAX_DEPTH} deep", pos)
+        self.depth += 1
+        node = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return node
 
     # presentation level
 

@@ -67,13 +67,15 @@ def smith_normal_form(rows, width):
     elimination, but no step does work whose outcome is known: the pivot
     search (first minimum in row-major order) stops at an entry of absolute
     value 1 and re-scans only the rows changed since their last scan, a
-    row found zero becoming one shared zero row that later scans skip; a
-    row reduction updates the pivot row's support only; a column reduction
-    updates only rows nonzero in the pivot column (after a swap-free row
-    pass, the pivot row alone); a column swap is logged and swaps two
-    entries of a column map, not two entries of every row; the divisibility
-    sweep is skipped for a pivot of +-1.  The rows are copied first, and
-    their widths checked, unless they are :class:`WorkRows`.
+    row found zero becoming one shared zero row that later scans and the
+    divisibility sweep skip; a row reduction updates the pivot row's support
+    off the pivot column, writes the remainder into that column, and adds
+    or subtracts the pivot row without a multiply when the entry is +-pivot;
+    a column reduction updates only rows nonzero in the pivot column (after
+    a swap-free row pass, the pivot row alone); a column swap is logged and
+    swaps two entries of a column map, not two entries of every row; the
+    divisibility sweep is skipped for a pivot of +-1.  The rows are copied
+    first, and their widths checked, unless they are :class:`WorkRows`.
 
     >>> smith_normal_form([[4, 6]], 2)
     ([2, 0], [(0, 1, -1), (0, 1), (0, 1, -2)])
@@ -136,19 +138,31 @@ def smith_normal_form(rows, width):
         while True:
             dirty = False
             p, pt = a[t], col[t]
+            d = p[pt]
             support = list(itertools.compress(range(n), p))
+            support.remove(pt)
             for i in range(t + 1, m):
                 r = a[i]
                 if r[pt]:
-                    low[i] = 0
-                    q = r[pt] // p[pt]
-                    for j in support:
-                        r[j] -= q * p[j]
-                    if r[pt]:
-                        a[t], a[i] = r, p
-                        p = r
-                        support = list(itertools.compress(range(n), p))
-                        dirty = True
+                    x = r[pt]
+                    low[i] = r[pt] = 0
+                    if x == d:
+                        for j in support:
+                            r[j] -= p[j]
+                    elif x == -d:
+                        for j in support:
+                            r[j] += p[j]
+                    else:
+                        q, x = divmod(x, d)
+                        for j in support:
+                            r[j] -= q * p[j]
+                        if x:
+                            r[pt] = x
+                            a[t], a[i] = r, p
+                            p, d = r, x
+                            support = list(itertools.compress(range(n), p))
+                            support.remove(pt)
+                            dirty = True
             hits = [r for r in a if r[pt]] if dirty else [p]
             for j in range(t + 1, n):
                 cj = col[j]
@@ -169,10 +183,9 @@ def smith_normal_form(rows, width):
                         dirty = True
             if dirty:
                 continue
-            d = p[pt]
             bad = None if abs(d) == 1 else next(
-                (i for i in range(t + 1, m)
-                 if any(x % d for x in filter(None, a[i]))), None)
+                (i for i in range(t + 1, m) if a[i] is not zero
+                 and any(x % d for x in filter(None, a[i]))), None)
             if bad is None:
                 break
             a[t] = list(map(_add, p, a[bad]))

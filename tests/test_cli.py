@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from pastures import cli
-from pastures.expr import pasture_of
+from pastures.expr import MAX_DEPTH, pasture_of
 from pastures.groups import DEFAULT_CAP, AbelianGroup, enumerate_homs
 from pastures.matroids import lift_bijection_check, representation_classes
 from pastures.morphisms import hom_set, iso_check
@@ -261,6 +261,29 @@ def test_iso_guard_counts_the_hom_pools(capsys):
     code, out, err = run(capsys, argv + ["2"])
     assert (code, err) == (0, "")
     assert out.endswith(" are isomorphic\n")
+
+
+def nested(depth, inner="F3"):
+    return "(" * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize("argv", [["pasture", nested(400)],
+                                  ["iso", nested(400), "F3"],
+                                  ["iso", "F3", nested(MAX_DEPTH + 1)]],
+                         ids=["pasture", "iso-first", "iso-second"])
+def test_deep_nesting_is_a_usage_error(capsys, argv):
+    """Nesting past the bound exits 3 with one line, not with a traceback
+    and exit 1, which ``iso`` would read as "not isomorphic"."""
+    assert run(capsys, argv) == (
+        3, "", f"error: nested more than {MAX_DEPTH} deep "
+               f"(at position {MAX_DEPTH})\n")
+
+
+def test_nesting_up_to_the_bound_is_accepted(capsys):
+    code, out, _ = run(capsys, ["pasture", nested(MAX_DEPTH)])
+    assert (code, out.splitlines()[0]) == (0, "pasture: F3")
+    code, out, _ = run(capsys, ["iso", nested(MAX_DEPTH - 1), "F3"])
+    assert code == 0 and out.endswith(" are isomorphic\n")
 
 
 def test_guard_message_goes_to_stderr(capsys):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pastures.expr import (ExprError, Fq, Lift, Name, Presentation, Product,
-                           Tensor, evaluate, parse, pasture_of, print_expr)
+from pastures.expr import (MAX_DEPTH, ExprError, Fq, Lift, Name, Presentation,
+                           Product, Tensor, evaluate, parse, pasture_of,
+                           print_expr)
 from pastures.gf import NotPrimePower
 from pastures.morphisms import hom_set, iso_check
 from pastures.pasture import named
@@ -91,6 +92,35 @@ def test_syntax_error_messages(text, message):
     with pytest.raises(ExprError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+def test_nesting_is_bounded_at_the_offending_paren():
+    k = MAX_DEPTH
+    assert parse("(" * k + "F3" + ")" * k) == Fq(3)
+    inner = Fq(3)
+    for _ in range(k):
+        inner = Lift("ternary", inner)
+    assert parse("Lt(" * k + "F3" + ")" * k) == inner
+    for text in ["(" * (k + 1) + "F3" + ")" * (k + 1),
+                 "(" * 400 + "F3" + ")" * 400,
+                 "Lt(" * (k + 1) + "F3" + ")" * (k + 1),
+                 "(Lt(" * k + "F3" + "))" * k]:
+        with pytest.raises(ExprError) as exc:
+            parse(text)
+        # the position of the paren that opens level k + 1
+        assert exc.value.position == \
+            [i for i, c in enumerate(text) if c == "("][k]
+        assert str(exc.value).startswith(
+            f"nested more than {MAX_DEPTH} deep")
+
+
+def test_long_chains_are_not_nesting():
+    """``x`` and ``ox`` chains are parsed by a loop, so their length is not
+    bounded by MAX_DEPTH."""
+    node = parse(" x ".join(["F3"] * 2000))
+    assert node.right == Fq(3) and node.left.right == Fq(3)
+    node = parse(" ox ".join(["(F3)"] * 2000))
+    assert node.right == Fq(3) and isinstance(node.left, Tensor)
 
 
 def test_unknown_names_rejected():

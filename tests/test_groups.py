@@ -248,7 +248,7 @@ def test_kept_replay_slices_full_replay(monkeypatch):
 # value up to 3, so that pivots other than +-1 occur: those make the dirty
 # row and column swaps and the divisibility sweep run on sparse input.  At
 # most 7 columns: with 8 or more, some draws of this density make the
-# transform's entries grow to many thousands of digits (ROADMAP item 4).
+# transform's entries grow to many thousands of digits (ROADMAP item 6).
 sparse_tall_matrices = st.integers(1, 7).flatmap(
     lambda n: st.lists(
         st.lists(st.sampled_from((0,) * 16 + (1, -1, 2, -2, 3, -3)),
@@ -259,6 +259,29 @@ sparse_tall_matrices = st.integers(1, 7).flatmap(
 @given(sparse_tall_matrices)
 @settings(max_examples=300, deadline=None)
 def test_snf_matches_reference_on_sparse_tall_matrices(case):
+    rows, n = case
+    assert full_smith_normal_form(rows, n) == \
+        reference_smith_normal_form(rows, n)
+
+
+# Rows drawn from a pool of at most four, each with either sign, so that
+# duplicate rows are common, as they are in GRS presentations: a row equal
+# to the pivot row or to its negative is cancelled by one subtraction or
+# addition of it.
+pooled_rows = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from((0,) * 8 + (1, -1, 2, -2, 3, -3, 4)),
+                 min_size=n, max_size=n),
+        min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from((1, -1))).map(
+                lambda rs: [rs[1] * x for x in rs[0]]),
+            max_size=20).map(lambda rows: (rows, n))))
+
+
+@given(pooled_rows)
+@settings(max_examples=300, deadline=None)
+def test_snf_matches_reference_on_pooled_rows(case):
     rows, n = case
     assert full_smith_normal_form(rows, n) == \
         reference_smith_normal_form(rows, n)
@@ -314,7 +337,21 @@ def test_snf_known_values():
     # pivot column, so no row pass touches it, and its row minimum kept from
     # the last scan, 3, must still be dropped
     [[3, 5, 4, 3], [0, 3, 7, 3]],
-], ids=["quotient-0", "zero-row-at-pivot", "column-pass-changes-a-row"])
+    # under pivot 2, row 1 is cancelled by subtracting the pivot row and
+    # row 2 by adding it
+    [[2, 4, 6], [2, 6, 2], [-2, 4, 8]],
+    # under pivot 2, rows with 4 and -4 in the pivot column: quotient +-2,
+    # remainder 0
+    [[2, 2, 4], [4, 6, 10], [-4, 2, 2]],
+    # under pivot 2, -3 leaves remainder 1, so row 1 becomes the pivot row
+    # and row 2 is reduced by the new pivot 1
+    [[2, 4, 0], [-3, 5, 2], [7, 4, 4]],
+    # rows 1 and 2 become the shared zero row in the first pivot search; the
+    # divisibility sweep of pivot 2 passes them and stops at row 3
+    [[2, 0, 0], [0, 0, 0], [0, 0, 0], [0, 3, 5]],
+], ids=["quotient-0", "zero-row-at-pivot", "column-pass-changes-a-row",
+        "cancel-plus-and-minus-d", "quotient-2-remainder-0",
+        "remainder-becomes-pivot", "zero-rows-before-sweep"])
 def test_snf_regression_cases(rows):
     width = len(rows[0])
     assert full_smith_normal_form(rows, width) == \
