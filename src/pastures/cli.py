@@ -2,7 +2,8 @@
 
 Commands: pasture, hexagons, lift, hom, iso, reps, lift-check, verify.
 Exit codes: 0 success, 1 verified false, 2 unknown or guard tripped,
-3 usage error.
+3 usage error, 4 internal error: a check of the library's own invariants
+failed, which is a bug, not an answer.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import os
 import sys
 
 from .expr import ExprError, pasture_of
-from .gf import FieldTooLarge
+from .gf import FieldConstructionFailed, FieldTooLarge
 from .groups import DEFAULT_CAP, InfiniteTargetError, SearchSpaceExceeded
-from .hexagons import hexagons
-from .lifts import LIFTS, NotFinitary
+from .hexagons import HexagonsInconsistent, hexagons
+from .lifts import LIFTS, LiftCheckFailed, NotFinitary
 from .matroids import (lift_bijection_check, matroid_from_json, mk4,
                        representation_classes, u24)
 from .morphisms import Iso, NotIso, hom_set, iso_check
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 BUILTIN_MATROIDS = {"U24": u24, "MK4": mk4}
 
@@ -302,6 +304,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (FieldConstructionFailed, HexagonsInconsistent,
+            LiftCheckFailed) as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -67,7 +67,9 @@ class Lift(Record):
 NAMED_ATOMS = ("F1pm", "K", "S", "W", "U", "D", "H", "G")
 LIFT_KEYWORDS = {"Lb": "binary", "Lt": "ternary", "Lw": "wlum", "Lg": "grs"}
 _KIND_LETTER = {v: k for k, v in LIFT_KEYWORDS.items()}
-MAX_DEPTH = 100     # nested parentheses and lift calls, 4 parser frames each
+# nested parentheses and lift calls, 4 parser frames each; also the operands
+# of one chain of x or ox, each one evaluator frame deeper than the last
+MAX_DEPTH = 100
 
 
 # -- lexer -------------------------------------------------------------------
@@ -129,16 +131,26 @@ class _Parser:
 
     # expression level
 
+    def bound_chain(self, count):
+        """Refuse operand ``count`` of a chain, at its operator, past
+        MAX_DEPTH."""
+        if count > MAX_DEPTH:
+            self.fail(f"a chain has more than {MAX_DEPTH} operands")
+
     def expr(self):
-        node = self.tensor()
+        node, count = self.tensor(), 1
         while self.peek()[:2] == ("ident", "x"):
+            count += 1
+            self.bound_chain(count)
             self.next()
             node = Product(node, self.tensor())
         return node
 
     def tensor(self):
-        node = self.atom()
+        node, count = self.atom(), 1
         while self.peek()[:2] == ("ident", "ox"):
+            count += 1
+            self.bound_chain(count)
             self.next()
             node = Tensor(node, self.atom())
         return node

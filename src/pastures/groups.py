@@ -43,12 +43,6 @@ def identity_rows(n):
     return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
-class WorkRows(list):
-    """Relation rows, each a list of the full width, built for one Smith
-    normal form: :func:`smith_normal_form` reduces them in place instead of
-    copying them, so nothing may read them after."""
-
-
 def smith_normal_form(rows, width):
     """Diagonalize an integer relation matrix, logging its column operations.
 
@@ -74,8 +68,11 @@ def smith_normal_form(rows, width):
     a column reduction updates only rows nonzero in the pivot column (after
     a swap-free row pass, the pivot row alone); a column swap is logged and
     swaps two entries of a column map, not two entries of every row; the
-    divisibility sweep is skipped for a pivot of +-1.  The rows are copied
-    first, and their widths checked, unless they are :class:`WorkRows`.
+    divisibility sweep is skipped for a pivot of +-1.
+
+    The rows, lists of ``width`` entries (checked), are reduced in place, so
+    a caller passes rows it does not read after; the list holding them is
+    copied, so its length stays as it was.
 
     >>> smith_normal_form([[4, 6]], 2)
     ([2, 0], [(0, 1, -1), (0, 1), (0, 1, -2)])
@@ -83,13 +80,10 @@ def smith_normal_form(rows, width):
     [1, 6]
     """
     n = width
-    if rows.__class__ is WorkRows:
-        a = list(rows)      # the rows themselves, in a list faster to index
-    else:
-        a = [list(row) for row in rows]
-        for row in a:
-            if len(row) != n:
-                raise ValueError("relation row of wrong width")
+    a = list(rows)
+    for row in a:
+        if row.__class__ is not list or len(row) != n:
+            raise ValueError("relation row is not a list of the full width")
     m = len(a)
     zero = [0] * n
     ops = []
@@ -412,6 +406,7 @@ class Reduction(Record):
 
 def reduce_presentation(num_gens, relation_rows, epsilon_row) -> Reduction:
     """Collapse ``Z^num_gens`` modulo the rows to canonical coordinates.
+    The rows, lists, are reduced in place by :func:`smith_normal_form`.
 
     ``epsilon_row`` is the sign element as a word in the presentation
     generators; it must have order at most 2 in the quotient, else
@@ -439,18 +434,6 @@ def reduce_presentation(num_gens, relation_rows, epsilon_row) -> Reduction:
     return Reduction(group, proj, sections)
 
 
-def quotient_by(group: AbelianGroup, kill) -> Reduction:
-    """Quotient by the subgroup generated by ``kill`` (canonical coordinate
-    rows).  The returned projection maps old canonical coordinates to new
-    ones and the sections express new canonical generators over the old.
-    ``WorkRows`` stay ``WorkRows``, after the group's own relation rows, so
-    the Smith normal form reduces them in place."""
-    rows = (WorkRows if kill.__class__ is WorkRows else list)(
-        group.relation_rows())
-    rows += kill
-    return reduce_presentation(group.ngens, rows, list(group.epsilon))
-
-
 def evaluate_word(target: AbelianGroup, gen_images, word) -> tuple[int, ...]:
     """Evaluate a presentation word given images for presentation generators."""
     acc = target.identity()
@@ -465,8 +448,8 @@ def is_surjective(gmap: GroupMap) -> bool:
     generate the target."""
     tgt = gmap.target
     rows = tgt.relation_rows() + [list(r) for r in gmap.rows]
-    red = reduce_presentation(tgt.ngens, rows, [0] * tgt.ngens)
-    return red.group.is_trivial
+    diag, _ = smith_normal_form(rows, tgt.ngens)
+    return all(d == 1 for d in diag)
 
 
 def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):

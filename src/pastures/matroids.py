@@ -232,23 +232,18 @@ def _foundation(M: Matroid):
                               for i in range(len(M.bases)))
 
 
-def _least(M: Matroid, P: Pasture, values) -> tuple:
-    """The least rescaling of ``values``, a representation normalized at
-    B0 = ``M.bases[0]``, in the order of ``P.units.key``.
+def _least_columns(M: Matroid, torsion, cols) -> tuple:
+    """The least rescaling of a representation normalized at B0 =
+    ``M.bases[0]``, in the order of ``units.key`` of finite units with
+    invariant factors ``torsion``; the values are given by coordinate:
+    ``cols[k]`` holds coordinate k, of order ``torsion[k]``, of every basis
+    value.
 
     Rescaling element e and renormalizing adds [e in b] - [e in B0] to the
-    value of basis b, in each torsion coordinate Z/d of the (finite) units
-    separately, so the class is a coset of a span in (Z/d)^bases for each
-    coordinate, and its least member is the coset's reduction by the Howell
-    form of that span, columns taken in basis order (``_howell``)."""
-    torsion = P.units.torsion
-    return _least_columns(M, torsion, [[v.coords[k] for v in values]
-                                       for k in range(len(torsion))])
-
-
-def _least_columns(M: Matroid, torsion, cols) -> tuple:
-    """``_least`` of the values given by coordinate: ``cols[k]`` holds
-    coordinate k, of order ``torsion[k]``, of every basis value."""
+    value of basis b, in each torsion coordinate Z/d separately, so the
+    class is a coset of a span in (Z/d)^bases for each coordinate, and its
+    least member is the coset's reduction by the Howell form of that span,
+    columns taken in basis order (``_howell``)."""
     for k, d in enumerate(torsion):
         col = cols[k]
         for j, g, inv, piv in _howell(M, d):
@@ -263,11 +258,11 @@ def _least_columns(M: Matroid, torsion, cols) -> tuple:
 
 @functools.lru_cache
 def _howell(M: Matroid, d: int) -> tuple:
-    """The reduction of ``_least`` in one coordinate Z/d, which does not
-    depend on the values: for each pivot column j of the Howell form of the
-    rescaling span, (j, g, inv, row), where row is the pivot row, g the gcd
-    of its entry in column j with d and inv that entry over g inverted mod
-    d / g.  Subtracting ``value[j] // g * inv`` times the row from a value
+    """The reduction of ``_least_columns`` in one coordinate Z/d, which
+    does not depend on the values: for each pivot column j of the Howell
+    form of the rescaling span, (j, g, inv, row), where row is the pivot
+    row, g the gcd of its entry in column j with d and inv that entry over
+    g inverted mod d / g.  Subtracting ``value[j] // g * inv`` times the row from a value
     reduces its column j below g.  Cached per matroid and modulus."""
     B0 = M.bases[0]
     rows = [[((e in b) - (e in B0)) % d for b in M.bases]
@@ -301,8 +296,8 @@ def representation_classes(M: Matroid, P: Pasture, *,
     The classes are the morphisms F_M -> P out of the foundation (see
     ``_foundation``), enumerated by ``morphisms.hom_set``; the basis values
     of each are read off the images of the basis units.  Each result is one
-    class; its representative is the least member (``_least``), its size
-    |U|^(n - c) by formula; no member is enumerated.  Raises
+    class; its representative is the least member (``_least_columns``),
+    its size |U|^(n - c) by formula; no member is enumerated.  Raises
     InfinitePasture for infinite P, and SearchSpaceExceeded when the
     product of the candidate pool sizes of F_M's generators exceeds ``cap``.
     A ``stats`` record, when given, gets the counters of the search.

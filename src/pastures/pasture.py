@@ -45,9 +45,6 @@ from . import gf as gf_mod
 from .groups import (
     AbelianGroup,
     GroupMap,
-    identity_rows,
-    WorkRows,
-    quotient_by,
     reduce_presentation,
 )
 from .record import Record, set_field as _set
@@ -359,18 +356,21 @@ def _quotient(units, relations) -> QuotientResult:
     """The pasture on ``units`` modulo relations of sparse terms (None for
     zero), read in one pass.  A 2-term relation x + y = 0 forces y = -x, so
     it kills -x/y: its row x - y + e, e the coordinates of -1, is built
-    from the nonzero entries as they are checked, and the rows go to one
-    ``quotient_by``, in relation order, as ``WorkRows`` that the Smith
-    normal form reduces without copying.  A 3-term relation adjoins a null
-    orbit, its terms checked in the pass and each member projected after
-    it by summing the projection rows of its nonzero coordinates.  A term
-    that is not a map of int exponents over the coordinates 0 .. ngens - 1
-    raises :class:`BadRelationShape`.
+    from the nonzero entries as they are checked, and the rows go, in
+    relation order after the relation rows of ``units``, to one
+    ``reduce_presentation``, whose Smith normal form reduces them in place.
+    With no 2-term relation, the Smith normal form of a canonical group's
+    own rows logs no column operation, so the projection and sections are
+    the identity.  A 3-term relation adjoins a null orbit, its terms
+    checked in the pass and each member projected after it by summing the
+    projection rows of its nonzero coordinates.  A term that is not a map
+    of int exponents over the coordinates 0 .. ngens - 1 raises
+    :class:`BadRelationShape`.
     """
     eps, width = units.epsilon, units.ngens
     reduce_at = tuple(enumerate(units.torsion))
     shape = f"a term is not an exponent map over 0..{width - 1}"
-    adjoin, kill = [], WorkRows()
+    adjoin, kill = [], []
     try:
         for tri in relations:
             parts = [c for c in tri if c is not None]
@@ -404,12 +404,9 @@ def _quotient(units, relations) -> QuotientResult:
         # a term without items(), or a key that is not an int
         raise BadRelationShape(shape) from exc
 
-    if kill:
-        red = quotient_by(units, kill)
-        units, cum, sections = red.group, red.project, red.sections
-    else:
-        cum = GroupMap(units, identity_rows(units.ngens))
-        sections = identity_rows(units.ngens)
+    red = reduce_presentation(units.ngens, units.relation_rows() + kill,
+                              list(units.epsilon))
+    units, cum, sections = red.group, red.project, red.sections
     proj, zero = cum.rows, [0] * units.ngens
 
     def project(term):

@@ -15,9 +15,12 @@ import sys
 
 import pytest
 
-from pastures import cli
+from pastures import cli, lifts
 from pastures.expr import MAX_DEPTH, pasture_of
+from pastures.gf import FieldConstructionFailed
 from pastures.groups import DEFAULT_CAP, AbelianGroup, enumerate_homs
+from pastures.hexagons import HexagonsInconsistent
+from pastures.lifts import LiftCheckFailed
 from pastures.matroids import lift_bijection_check, representation_classes
 from pastures.morphisms import hom_set, iso_check
 
@@ -284,6 +287,57 @@ def test_nesting_up_to_the_bound_is_accepted(capsys):
     assert (code, out.splitlines()[0]) == (0, "pasture: F3")
     code, out, _ = run(capsys, ["iso", nested(MAX_DEPTH - 1), "F3"])
     assert code == 0 and out.endswith(" are isomorphic\n")
+
+
+def chain(op, n):
+    return f" {op} ".join(["F3"] * n)
+
+
+@pytest.mark.parametrize("op", ["x", "ox"])
+def test_long_chains_are_a_usage_error(capsys, op):
+    """A chain of 1000 operands exits 3 with one line, at the operator
+    before operand MAX_DEPTH + 1, not with a RecursionError in evaluation
+    and exit 1."""
+    at = len(chain(op, MAX_DEPTH)) + 1
+    assert run(capsys, ["pasture", chain(op, 1000)]) == (
+        3, "", f"error: a chain has more than {MAX_DEPTH} operands "
+               f"(at position {at})\n")
+
+
+def test_chains_up_to_the_bound_are_evaluated(capsys):
+    """Chains of MAX_DEPTH operands are evaluated: F3^100 has units C2^100,
+    -1 = (1, .., 1) and one null orbit, and its tensor power is F3."""
+    k = MAX_DEPTH
+    zero, ones = ", ".join(["0"] * k), ", ".join(["1"] * k)
+    assert run(capsys, ["pasture", chain("x", k)]) == (0, "\n".join([
+        f"pasture: {chain('x', k)}",
+        f"units: {' x '.join(['C2'] * k)} (order {2 ** k})",
+        f"epsilon: ({ones})",
+        "null orbits (1):",
+        f"  ({zero}), ({zero}), ({zero})\n"]), "")
+    assert run(capsys, ["pasture", chain("ox", k)]) == (0, "\n".join([
+        f"pasture: {chain('ox', k)}", "units: C2 (order 2)", "epsilon: (1)",
+        "null orbits (1):", "  (0), (0), (0)\n"]), "")
+
+
+@pytest.mark.parametrize("error", [LiftCheckFailed, HexagonsInconsistent,
+                                   FieldConstructionFailed])
+@pytest.mark.parametrize("argv", [
+    ["lift", "--kind", "ternary", "F9"],
+    ["lift-check", "--matroid", "U24", "--pasture", "F4", "--kind", "wlum"]],
+    ids=["lift", "lift-check"])
+def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv,
+                                            error):
+    """A failed check of the library's own invariants exits 4 with one
+    line that names it, not 1 with a traceback, which ``lift-check`` would
+    read as "not a bijection"."""
+    def broken(lam):
+        raise error("lambda does not cover the fundamental pairs")
+
+    monkeypatch.setattr(lifts, "_check_pair_bijection", broken)
+    assert run(capsys, argv) == (
+        4, "", f"internal error: {error.__name__}: lambda does not cover "
+               "the fundamental pairs\n")
 
 
 def test_guard_message_goes_to_stderr(capsys):

@@ -114,13 +114,32 @@ def test_nesting_is_bounded_at_the_offending_paren():
             f"nested more than {MAX_DEPTH} deep")
 
 
-def test_long_chains_are_not_nesting():
-    """``x`` and ``ox`` chains are parsed by a loop, so their length is not
-    bounded by MAX_DEPTH."""
-    node = parse(" x ".join(["F3"] * 2000))
-    assert node.right == Fq(3) and node.left.right == Fq(3)
-    node = parse(" ox ".join(["(F3)"] * 2000))
+def test_long_chains_are_bounded_at_the_offending_operator():
+    """A chain of ``x`` or ``ox`` takes MAX_DEPTH operands, each chain
+    counted apart, and refuses operand MAX_DEPTH + 1 at the operator
+    before it."""
+    k = MAX_DEPTH
+    node = parse(" x ".join(["F3"] * k))
+    for _ in range(k - 1):
+        assert node.right == Fq(3)
+        node = node.left
+    assert node == Fq(3)
+    node = parse(" ox ".join(["(F3)"] * k))
     assert node.right == Fq(3) and isinstance(node.left, Tensor)
+    # k products of k-operand tensors, and a chain inside parentheses
+    parse(" x ".join([" ox ".join(["F3"] * k)] * k))
+    parse(" x ".join(["F3"] * (k - 1) + ["(" + " x ".join(["F3"] * k) + ")"]))
+    for op, atom in (("x", "F3"), ("ox", "(F3)"), ("ox", "D")):
+        for n in (k + 1, 2000):
+            text = f" {op} ".join([atom] * n)
+            with pytest.raises(ExprError) as exc:
+                parse(text)
+            # the position of operator k, which opens operand k + 1
+            starts = [i for i in range(len(text))
+                      if text.startswith(f" {op} ", i)]
+            assert exc.value.position == starts[k - 1] + 1
+            assert str(exc.value).startswith(
+                f"a chain has more than {MAX_DEPTH} operands")
 
 
 def test_unknown_names_rejected():

@@ -9,8 +9,8 @@ from pastures.groups import (DEFAULT_CAP, AbelianGroup, EpsilonOrderError,
                              GroupMap, InfiniteTargetError,
                              SearchSpaceExceeded, enumerate_homs,
                              evaluate_word, hom_pools, is_surjective,
-                             quotient_by, identity_rows, reduce_presentation,
-                             smith_normal_form, snf_transforms, WorkRows)
+                             identity_rows, reduce_presentation,
+                             smith_normal_form, snf_transforms)
 from pastures.lifts import grs_lift, ternary_lift, wlum_lift
 from pastures.pasture import finite_field, named, product
 from oracles import reference_inv, reference_mul
@@ -28,8 +28,9 @@ def mat_mul(a, b):
 
 def full_smith_normal_form(rows, width):
     """``(diag, v, vinv)``: the diagonal with its column operations replayed
-    for every coordinate."""
-    diag, ops = smith_normal_form(rows, width)
+    for every coordinate.  The Smith normal form reduces its rows in place,
+    so it gets a copy, and ``rows`` can go to the reference after."""
+    diag, ops = smith_normal_form([list(r) for r in rows], width)
     v, vinv = snf_transforms(ops, width, range(width))
     return diag, v, [list(r) for r in vinv]
 
@@ -188,7 +189,7 @@ def test_snf_matches_reference_on_tensor_presentations(monkeypatch):
     q <= 128: relation rows 2 e_j (6 e_j for H) before the +-1 glue rows, so
     the row minima the pivot search keeps between pivots are used.  The
     models are built first, so that only the tensors are recorded."""
-    for name in ("U", "D", "H", "F3", "F2"):
+    for name in ("U", "D", "H", "F3", "F2", "F1pm"):
         named(name)
     inputs = record_snf_inputs(monkeypatch)
     for q in range(2, 129):
@@ -211,7 +212,7 @@ def test_snf_matches_reference_on_largest_benchmark_lifts(monkeypatch):
     for P in (finite_field(53), product(finite_field(5), finite_field(19))):
         grs_lift(grs_lift(P).lift)
     assert (553, 52) in {(len(rows), width) for rows, width in inputs}
-    assert any(smith_normal_form(rows, width)[0][-1] == 52
+    assert any(full_smith_normal_form(rows, width)[0][-1] == 52
                for rows, width in inputs)
     for rows, width in inputs:
         assert full_smith_normal_form(rows, width) == \
@@ -325,6 +326,11 @@ def test_snf_known_values():
     assert smith_normal_form([], 3)[0] == [0, 0, 0]
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2, 3]], 2)
+    # rows are reduced in place, so a tuple row is refused before any step
+    rows = [[2, 4], (1, 3)]
+    with pytest.raises(ValueError):
+        smith_normal_form(rows, 2)
+    assert rows == [[2, 4], (1, 3)]
 
 
 @pytest.mark.parametrize("rows", [
@@ -498,8 +504,11 @@ def test_key_orders_free_coords_positive_first():
 
 
 def test_quotient_by():
+    """The quotient of a canonical group by a row: its relation rows, then
+    the row, reduced as one presentation."""
     g = AbelianGroup((), 2, (0, 0))
-    r = quotient_by(g, [(0, 2)])
+    r = reduce_presentation(g.ngens, g.relation_rows() + [[0, 2]],
+                            list(g.epsilon))
     assert r.group.torsion == (2,)
     assert r.group.free_rank == 1
     assert r.project((0, 2)) == r.group.identity()
@@ -675,11 +684,18 @@ def test_hom_pools_cap_is_the_product_of_the_built_pools(source, target):
 
 @given(small_matrices)
 @settings(max_examples=200, deadline=None)
-def test_snf_of_work_rows_matches_a_copy(case):
-    """``WorkRows`` are reduced in place with the same ``(diag, ops)`` as a
-    copy of them, and rows of any other type are left as they were."""
+def test_snf_reduces_rows_in_place(case):
+    """The rows given are reduced in place, with the ``(diag, ops)`` of the
+    reference on a copy: the list holding them keeps its length and its
+    rows, and each row is left with at most one nonzero entry (a pivot, or
+    a pivot row that the divisibility sweep replaced), so none keeps a
+    second nonzero entry of the input."""
     rows, n = case
-    before = [list(r) for r in rows]
-    want = smith_normal_form(rows, n)
-    assert rows == before
-    assert smith_normal_form(WorkRows(map(list, rows)), n) == want
+    want = reference_smith_normal_form(rows, n)
+    held = list(rows)
+    diag, ops = smith_normal_form(rows, n)
+    v, vinv = snf_transforms(ops, n, range(n))
+    assert (diag, v, [list(r) for r in vinv]) == want
+    assert len(rows) == len(held)
+    assert all(r is h for r, h in zip(rows, held))
+    assert all(sum(map(bool, r)) <= 1 for r in rows)

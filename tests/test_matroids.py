@@ -10,7 +10,8 @@ from pastures.groups import SearchSpaceExceeded
 from pastures.lifts import binary_lift, ternary_lift, wlum_lift
 from pastures.matroids import (ExchangeAxiomViolation, Matroid,
                                Representation, RepresentationClass,
-                               _constraints, _foundation, _gauge, _least,
+                               _constraints, _foundation, _gauge,
+                               _least_columns,
                                _sorted_with_parity, lift_bijection_check,
                                matroid_from_json, mk4,
                                representation_classes, u24, uniform)
@@ -475,6 +476,14 @@ def test_column_matroids_match_reference(q, data):
     assert_matches_reference(draw_column_matroid(q, data), finite_field(q))
 
 
+def least_rescaling(M, P, values):
+    """The least rescaling of ``values`` by ``_least_columns``, which takes
+    the values coordinate by coordinate."""
+    torsion = P.units.torsion
+    return _least_columns(M, torsion, [[v.coords[k] for v in values]
+                                       for k in range(len(torsion))])
+
+
 @pytest.mark.parametrize("q", (3, 5))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
@@ -484,7 +493,7 @@ def test_least_is_the_least_member(q, data):
     classes = representation_classes(M, P)
     for c in classes:
         least = min(c.members, key=lambda t: tuple(key(v.coords) for v in t))
-        assert all(_least(M, P, t) == least for t in c.members)
+        assert all(least_rescaling(M, P, t) == least for t in c.members)
     units = [PastureElement(u) for u in P.units.elements()]
     for rest in data.draw(st.lists(st.lists(st.sampled_from(units),
                                             min_size=len(M.bases) - 1,
@@ -492,14 +501,15 @@ def test_least_is_the_least_member(q, data):
                                    max_size=5)):
         t = (P.one(), *rest)
         for c in classes:
-            assert ((_least(M, P, t) == c.representative.values)
+            assert ((least_rescaling(M, P, t) == c.representative.values)
                     == (t in c.members))
 
 
-# With the bases in lex order, every pivot of the reduction in ``_least``
-# was 1 on every matroid tried.  These orders (built directly, since
-# from_bases sorts the bases) reach the other branches: a pivot -1 in Z/4 (U24), and a pivot 2 in Z/4 with its
-# annihilator row (MK4).
+# With the bases in lex order, every pivot of the reduction in
+# ``_least_columns`` was 1 on every matroid tried.  These orders (built
+# directly, since from_bases sorts the bases) reach the other branches: a
+# pivot -1 in Z/4 (U24), and a pivot 2 in Z/4 with its annihilator row
+# (MK4).
 SHUFFLED_BASES = [
     pytest.param(Matroid(4, 2, ((1, 4), (2, 3), (1, 3), (2, 4), (3, 4),
                                 (1, 2))),
@@ -522,8 +532,8 @@ def test_least_in_any_basis_order(M, P, data):
                                       max_size=len(M.bases) - 1)))
     orbit = RepresentationClass(Representation(M, P, t), 0).members
     key = P.units.key
-    assert _least(M, P, t) == min(orbit, key=lambda m: tuple(key(v.coords)
-                                                              for v in m))
+    assert least_rescaling(M, P, t) == min(
+        orbit, key=lambda m: tuple(key(v.coords) for v in m))
 
 
 @pytest.mark.parametrize("M", [u24(), mk4(), uniform(2, 3), uniform(3, 5),

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +12,12 @@ from pastures import pasture as pasture_mod
 from pastures.expr import pasture_of
 from pastures.gf import field
 from pastures.groups import (AbelianGroup, GroupMap, identity_rows,
-                             quotient_by, reduce_presentation)
+                             reduce_presentation, smith_normal_form)
 from pastures.hexagons import hexagons
-from pastures.lifts import _model_and_images, grs_lift
-from pastures.matroids import _foundation, mk4, u24
+from pastures.lifts import (_model_and_images, grs_lift, ternary_lift,
+                            wlum_lift)
+from pastures.matroids import (_foundation, matroid_from_json, mk4, u24,
+                               uniform)
 from pastures.morphisms import iso_check
 from pastures.pasture import (NAMED, ZERO, BadRelationShape, Pasture,
                               canonical_orbit, finite_field, named,
@@ -525,7 +529,9 @@ def reference_quotient(P, relations):
         else:
             orbits.append(tuple(e.coords for e in parts))
     if kill:
-        red = quotient_by(P.units, kill)
+        red = reduce_presentation(P.units.ngens, P.units.relation_rows()
+                                  + [list(k) for k in kill],
+                                  list(P.units.epsilon))
         g, cum, sections = red.group, red.project, red.sections
     else:
         g, sections = P.units, identity_rows(P.units.ngens)
@@ -533,6 +539,34 @@ def reference_quotient(P, relations):
     orbits = frozenset(reference_canonical_orbit(g, tuple(map(cum, o)))
                        for o in orbits)
     return Pasture(g, orbits), cum, sections
+
+
+def test_canonical_units_reduce_with_no_column_operation():
+    """On a canonical group the Smith normal form of its own relation rows
+    is its torsion and logs no column operation, so a quotient by 3-term
+    relations alone keeps the coordinates: ``quotient_full`` by none gives
+    P back with identity maps.  Checked on every named pasture, the fields
+    up to 32, a product, a tensor, lifts, and the foundations of the
+    matroids the tests use."""
+    data = pathlib.Path(__file__).parent / "data"
+    matroids = [u24(), mk4(), uniform(1, 3), uniform(2, 5), uniform(3, 6)]
+    matroids += [matroid_from_json(json.loads((data / f).read_text()))
+                 for f in ("u18.json", "u24.json", "u26.json", "mk4.json")]
+    cases = [named(n) for n in NAMED]
+    cases += [finite_field(q) for q in range(2, 33) if len(factorint(q)) == 1]
+    cases += [product(finite_field(4), finite_field(5)),
+              tensor(named("D"), named("H")), grs_lift(finite_field(8)).lift,
+              ternary_lift(finite_field(8)).lift,
+              wlum_lift(finite_field(9)).lift]
+    cases += [_foundation(M)[0] for M in matroids]
+    for P in cases:
+        g = P.units
+        assert smith_normal_form(g.relation_rows(), g.ngens) == (
+            list(g.torsion) + [0] * g.free_rank, [])
+        res = quotient_full(P, [])
+        assert (res.pasture.units, res.pasture.null_orbits) == (
+            g, P.null_orbits)
+        assert res.unit_map.rows == res.sections == identity_rows(g.ngens)
 
 
 def as_elements(n, relations):
