@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from .expr import ExprError, pasture_of
+from .expr import pasture_of
 from .gf import FieldConstructionFailed, FieldTooLarge
 from .groups import DEFAULT_CAP, InfiniteTargetError, SearchSpaceExceeded
 from .hexagons import HexagonsInconsistent, hexagons
@@ -60,7 +60,7 @@ def _load_matroid(source: str):
     key = source.upper()
     if key in BUILTIN_MATROIDS:
         return BUILTIN_MATROIDS[key]()
-    raise ExprError(f"no matroid file or builtin named {source!r}", 0)
+    raise ValueError(f"no matroid file or builtin named {source!r}")
 
 
 def _int_at_least(low: int):
@@ -298,9 +298,6 @@ def main(argv=None) -> int:
             SearchSpaceExceeded) as e:
         print(f"guard tripped: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except ExprError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

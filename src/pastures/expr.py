@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 
 from .pasture import Pasture, finite_field, named, presented, product, tensor
-from .lifts import LIFTS, LiftResult
+from .lifts import LIFTS
 from .record import Record
 
 
@@ -67,9 +67,10 @@ class Lift(Record):
 NAMED_ATOMS = ("F1pm", "K", "S", "W", "U", "D", "H", "G")
 LIFT_KEYWORDS = {"Lb": "binary", "Lt": "ternary", "Lw": "wlum", "Lg": "grs"}
 _KIND_LETTER = {v: k for k, v in LIFT_KEYWORDS.items()}
-# nested parentheses and lift calls, 4 parser frames each; also the operands
-# of one chain of x or ox, each one evaluator frame deeper than the last
-MAX_DEPTH = 100
+# atoms, parenthesised groups and lift calls, counted together: this bounds
+# the parser's recursion (4 frames a part), the evaluator's and printer's
+# (1 frame a part) and the factors of any product or tensor
+MAX_PARTS = 100
 
 
 # -- lexer -------------------------------------------------------------------
@@ -111,7 +112,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _lex(text)
         self.i = 0
-        self.depth = 0
+        self.parts = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -131,32 +132,25 @@ class _Parser:
 
     # expression level
 
-    def bound_chain(self, count):
-        """Refuse operand ``count`` of a chain, at its operator, past
-        MAX_DEPTH."""
-        if count > MAX_DEPTH:
-            self.fail(f"a chain has more than {MAX_DEPTH} operands")
-
     def expr(self):
-        node, count = self.tensor(), 1
+        node = self.tensor()
         while self.peek()[:2] == ("ident", "x"):
-            count += 1
-            self.bound_chain(count)
             self.next()
             node = Product(node, self.tensor())
         return node
 
     def tensor(self):
-        node, count = self.atom(), 1
+        node = self.atom()
         while self.peek()[:2] == ("ident", "ox"):
-            count += 1
-            self.bound_chain(count)
             self.next()
             node = Tensor(node, self.atom())
         return node
 
     def atom(self):
         kind, val, pos = self.peek()
+        self.parts += 1
+        if self.parts > MAX_PARTS:
+            self.fail(f"an expression has more than {MAX_PARTS} parts")
         if (kind, val) == ("sym", "("):
             return self.group()
         if kind != "ident":
@@ -174,14 +168,9 @@ class _Parser:
         raise ExprError(f"unknown pasture {val!r}", pos)
 
     def group(self):
-        pos = self.peek()[2]
         self.expect("(")
-        if self.depth == MAX_DEPTH:
-            raise ExprError(f"nested more than {MAX_DEPTH} deep", pos)
-        self.depth += 1
         node = self.expr()
         self.expect(")")
-        self.depth -= 1
         return node
 
     # presentation level
@@ -327,15 +316,8 @@ def print_expr(node) -> str:
 
 # -- evaluation --------------------------------------------------------------
 
-def as_pasture(value) -> Pasture:
-    """A pasture from an evaluation result (a lift contributes its lift)."""
-    if isinstance(value, LiftResult):
-        return value.lift
-    return value
-
-
-def evaluate(node):
-    """Evaluate an AST to a Pasture, or a LiftResult for lift nodes."""
+def evaluate(node) -> Pasture:
+    """Evaluate an AST to a Pasture; a lift node to the lift itself."""
     if isinstance(node, Name):
         return named(node.name)
     if isinstance(node, Fq):
@@ -354,16 +336,14 @@ def evaluate(node):
                                      for rel in node.relations])
         return res.pasture.with_label(print_expr(node))
     if isinstance(node, Product):
-        return product(as_pasture(evaluate(node.left)),
-                       as_pasture(evaluate(node.right)))
+        return product(evaluate(node.left), evaluate(node.right))
     if isinstance(node, Tensor):
-        return tensor(as_pasture(evaluate(node.left)),
-                      as_pasture(evaluate(node.right)))
+        return tensor(evaluate(node.left), evaluate(node.right))
     if isinstance(node, Lift):
-        return LIFTS[node.kind](as_pasture(evaluate(node.inner)))
+        return LIFTS[node.kind](evaluate(node.inner)).lift
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def pasture_of(text: str) -> Pasture:
     node = parse(text)
-    return as_pasture(evaluate(node)).with_label(print_expr(node))
+    return evaluate(node).with_label(print_expr(node))

@@ -11,12 +11,12 @@ the highest degree down, which is the order used for all canonical choices:
 
 For prime q the generator is the least primitive root and the encoding is the
 usual residue 0..p-1.  It is found by the order test: a has order q - 1
-exactly when a^((q-1)/r) != 1 for each prime r dividing q - 1.  Its powers
-give the exponent tables ``exp`` and ``dlog``, and from them the Zech
-logarithms ``zech``, the logarithm of 1 + g^j for each j.  Multiplying by
-a is F_p-linear on base-p digits, so in an extension field each power, in
-the test and in the tables, is the digits of the last times the k products
-T^i * a, packed one digit per field of w bits; ``mul`` is not used.
+exactly when a^((q-1)/r) != 1 for each prime r dividing q - 1, each power
+by square and multiply with ``mul``.  Its powers give the exponent tables
+``exp`` and ``dlog``, and from them the Zech logarithms ``zech``, the
+logarithm of 1 + g^j for each j.  Multiplying by a is F_p-linear on base-p
+digits, so in an extension field each power of the tables is the digits of
+the last times the k products T^i * a, packed one digit per field of w bits.
 """
 
 from __future__ import annotations
@@ -163,22 +163,15 @@ class GF:
         return out
 
     def _least_generator(self):
-        """The least a of order q - 1, by the order test, and its powers
-        1, a, a^2, ..., a^(q-2).  In a prime field each power of the test
-        is three-argument ``pow``; in an extension field, where each a < p
-        lies in the prime field and has an order dividing p - 1, square and
-        multiply on packed digits."""
-        n, p = self.q - 1, self.p
+        """The least a of order q - 1, by the order test with ``power``,
+        and its powers 1, a, a^2, ..., a^(q-2).  An extension field starts
+        at a = p: each a < p lies in the prime field and has an order
+        dividing p - 1."""
+        n = self.q - 1
         primes = _prime_divisors(n)
-        if self.k == 1:
-            for a in range(1, self.q):
-                if all(pow(a, n // r, p) != 1 for r in primes):
-                    return a, self._powers(a, n)
-        else:
-            one = self._digits(1)
-            for a in range(p, self.q):
-                if all(self._power_digits(a, n // r) != one for r in primes):
-                    return a, self._powers(a, n)
+        for a in range(1 if self.k == 1 else self.p, self.q):
+            if all(self.power(a, n // r) != 1 for r in primes):
+                return a, self._powers(a, n)
         raise FieldConstructionFailed("no generator found")
 
     # -- packed digits of extension fields: y * x is the sum of y_i T^i x,
@@ -205,25 +198,10 @@ class GF:
                 x = [(c - top * d) % p for c, d in zip(x, m)]
         return out
 
-    def _product(self, y, cols):
-        """The digits of y times x, for the digits y and ``_columns(x)``."""
-        p, (mask, shifts) = self.p, self._packing
-        acc = sum(map(_mul, y, cols))
-        return [(acc >> s & mask) % p for s in shifts]
-
-    def _power_digits(self, a, e):
-        """The digits of a^e, e >= 1, by square and multiply."""
-        x = self._digits(a)
-        cols = self._columns(x)
-        for bit in bin(e)[3:]:
-            x = self._product(x, self._columns(x))
-            if bit == "1":
-                x = self._product(x, cols)
-        return x
-
     def _powers(self, a, n):
         """1, a, ..., a^(n-1); in an extension field each power is the
-        last times a on packed digits, as in ``_product``."""
+        last times a on packed digits: the sum of its digits times the
+        ``_columns`` of a, one digit per field."""
         p, out, x = self.p, [1], 1
         if self.k == 1:
             for _ in range(n - 1):

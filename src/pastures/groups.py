@@ -386,10 +386,7 @@ class GroupMap(Record):
                 zip(vec, self.rows), vec)]) % self.target.cyclic,)
         acc = [0] * self.target.ngens
         for c, row in itertools.compress(zip(vec, self.rows), vec):
-            if c == 1:
-                acc = list(map(_add, acc, row))
-            else:
-                acc = [a + c * r for a, r in zip(acc, row)]
+            acc = [a + c * r for a, r in zip(acc, row)]
         return self.target.reduce(acc)
 
     def then(self, other: "GroupMap") -> "GroupMap":

@@ -6,7 +6,9 @@ against golden files under tests/data, which were produced by the same
 commands and reviewed by hand.
 """
 
+import contextlib
 import inspect
+import io
 import json
 import os
 import pathlib
@@ -14,9 +16,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pastures import cli, lifts
-from pastures.expr import MAX_DEPTH, pasture_of
+from pastures.expr import MAX_PARTS, pasture_of
 from pastures.gf import FieldConstructionFailed
 from pastures.groups import DEFAULT_CAP, AbelianGroup, enumerate_homs
 from pastures.hexagons import HexagonsInconsistent
@@ -99,6 +103,11 @@ def test_malformed_json_file_is_usage_error(capsys, tmp_path):
     assert code == 3
     assert "error" in err
 
+
+def test_unknown_matroid_is_a_usage_error(capsys):
+    """A matroid name is not an expression, so the line gives no position."""
+    assert run(capsys, ["reps", "--matroid", "nosuch", "--pasture", "F4"]) \
+        == (3, "", "error: no matroid file or builtin named 'nosuch'\n")
 
 
 @pytest.mark.parametrize("argv, loads", [
@@ -270,22 +279,26 @@ def nested(depth, inner="F3"):
     return "(" * depth + inner + ")" * depth
 
 
+def budget_error(at):
+    return f"error: an expression has more than {MAX_PARTS} parts " \
+           f"(at position {at})\n"
+
+
 @pytest.mark.parametrize("argv", [["pasture", nested(400)],
                                   ["iso", nested(400), "F3"],
-                                  ["iso", "F3", nested(MAX_DEPTH + 1)]],
+                                  ["iso", "F3", nested(MAX_PARTS)]],
                          ids=["pasture", "iso-first", "iso-second"])
 def test_deep_nesting_is_a_usage_error(capsys, argv):
-    """Nesting past the bound exits 3 with one line, not with a traceback
-    and exit 1, which ``iso`` would read as "not isomorphic"."""
-    assert run(capsys, argv) == (
-        3, "", f"error: nested more than {MAX_DEPTH} deep "
-               f"(at position {MAX_DEPTH})\n")
+    """Nesting past the budget exits 3 with one line, not with a traceback
+    and exit 1, which ``iso`` would read as "not isomorphic": each '(' is
+    a part and so is F3, so part MAX_PARTS + 1 starts at MAX_PARTS."""
+    assert run(capsys, argv) == (3, "", budget_error(MAX_PARTS))
 
 
 def test_nesting_up_to_the_bound_is_accepted(capsys):
-    code, out, _ = run(capsys, ["pasture", nested(MAX_DEPTH)])
+    code, out, _ = run(capsys, ["pasture", nested(MAX_PARTS - 1)])
     assert (code, out.splitlines()[0]) == (0, "pasture: F3")
-    code, out, _ = run(capsys, ["iso", nested(MAX_DEPTH - 1), "F3"])
+    code, out, _ = run(capsys, ["iso", nested(MAX_PARTS - 1), "F3"])
     assert code == 0 and out.endswith(" are isomorphic\n")
 
 
@@ -295,19 +308,17 @@ def chain(op, n):
 
 @pytest.mark.parametrize("op", ["x", "ox"])
 def test_long_chains_are_a_usage_error(capsys, op):
-    """A chain of 1000 operands exits 3 with one line, at the operator
-    before operand MAX_DEPTH + 1, not with a RecursionError in evaluation
-    and exit 1."""
-    at = len(chain(op, MAX_DEPTH)) + 1
+    """A chain of 1000 operands exits 3 with one line, at operand
+    MAX_PARTS + 1, not with a RecursionError in evaluation and exit 1."""
+    at = len(chain(op, MAX_PARTS + 1)) - len("F3")
     assert run(capsys, ["pasture", chain(op, 1000)]) == (
-        3, "", f"error: a chain has more than {MAX_DEPTH} operands "
-               f"(at position {at})\n")
+        3, "", budget_error(at))
 
 
 def test_chains_up_to_the_bound_are_evaluated(capsys):
-    """Chains of MAX_DEPTH operands are evaluated: F3^100 has units C2^100,
+    """Chains of MAX_PARTS operands are evaluated: F3^100 has units C2^100,
     -1 = (1, .., 1) and one null orbit, and its tensor power is F3."""
-    k = MAX_DEPTH
+    k = MAX_PARTS
     zero, ones = ", ".join(["0"] * k), ", ".join(["1"] * k)
     assert run(capsys, ["pasture", chain("x", k)]) == (0, "\n".join([
         f"pasture: {chain('x', k)}",
@@ -318,6 +329,72 @@ def test_chains_up_to_the_bound_are_evaluated(capsys):
     assert run(capsys, ["pasture", chain("ox", k)]) == (0, "\n".join([
         f"pasture: {chain('ox', k)}", "units: C2 (order 2)", "epsilon: (1)",
         "null orbits (1):", "  (0), (0), (0)\n"]), "")
+
+
+def nested_chains(levels):
+    """``levels`` groups, each holding a MAX_PARTS-operand ``x`` chain whose
+    first operand is the next group in."""
+    text = "F3"
+    for _ in range(levels):
+        text = "(" + text + " x F3" * (MAX_PARTS - 1) + ")"
+    return text
+
+
+# twelve '(' and F3 are 13 parts, so the F3 of the 88th ' x F3' is part 101;
+# after one 100-operand ox chain, ' x ' comes before part 101
+FOUND_AT = 12 + len("F3") + 88 * len(" x F3") - len("F3")
+X_OF_OX_AT = len(chain("ox", MAX_PARTS)) + len(" x ")
+
+
+@pytest.mark.parametrize("argv, at", [
+    (["pasture", nested_chains(12)], FOUND_AT),
+    (["iso", nested_chains(12), "F3"], FOUND_AT),
+    (["iso", "F3", nested_chains(12)], FOUND_AT),
+    (["pasture", " x ".join([chain("ox", MAX_PARTS)] * MAX_PARTS)],
+     X_OF_OX_AT)],
+    ids=["pasture", "iso-first", "iso-second", "x-of-ox"])
+def test_nested_chains_share_one_budget(capsys, argv, at):
+    """Chains and groups that each stay within MAX_PARTS but together pass
+    it exit 3 with one line, at part MAX_PARTS + 1.  Twelve groups of
+    100-operand chains (5966 characters) parsed when nesting and each
+    chain were bounded apart, and then evaluation died with a
+    RecursionError."""
+    assert len(nested_chains(12)) == 5966
+    assert run(capsys, argv) == (3, "", budget_error(at))
+
+
+@st.composite
+def near_budget(draw):
+    """Texts of one to three levels of nested groups around chains of F2
+    and F3, each level one operand of the next, from one part to about
+    3.5 * MAX_PARTS, so the budget is met, passed and missed; F2 and F3
+    keep a product of MAX_PARTS factors under a second."""
+    text = draw(st.sampled_from(["F2", "F3"]))
+    for _ in range(draw(st.integers(1, 3))):
+        depth, n = draw(st.integers(0, 60)), draw(st.integers(1, 60))
+        operands = draw(st.lists(st.sampled_from(["F2", "F3"]),
+                                 min_size=n - 1, max_size=n - 1))
+        operands.insert(draw(st.integers(0, n - 1)), text)
+        op = f" {draw(st.sampled_from(['x', 'ox']))} "
+        text = "(" * depth + op.join(operands) + ")" * depth
+    return text
+
+
+@given(near_budget())
+@settings(max_examples=100, deadline=None)
+def test_texts_near_the_budget_end_closed(text):
+    """Every text is evaluated (exit 0) or refused with one line (exit 3,
+    or 2 for a guard), never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["pasture", text])
+    parts = text.count("(") + text.count("F")
+    if parts <= MAX_PARTS:
+        assert (code, err.getvalue()) == (0, "")
+    else:
+        assert code in (2, 3) and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("error", [LiftCheckFailed, HexagonsInconsistent,

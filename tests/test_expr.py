@@ -1,15 +1,17 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pastures.expr import (MAX_DEPTH, ExprError, Fq, Lift, Name, Presentation,
+from pastures.expr import (MAX_PARTS, ExprError, Fq, Lift, Name, Presentation,
                            Product, Tensor, evaluate, parse, pasture_of,
                            print_expr)
 from pastures.gf import NotPrimePower
 from pastures.morphisms import hom_set, iso_check
-from pastures.pasture import named
+from pastures.lifts import ternary_lift
+from pastures.pasture import finite_field, named
 
 atoms = st.one_of(
     st.sampled_from(["F1pm", "K", "S", "W", "U", "D", "H", "G"]).map(Name),
@@ -94,52 +96,74 @@ def test_syntax_error_messages(text, message):
     assert str(exc.value) == message
 
 
+def part_starts(text):
+    """Where each part of ``text`` starts, for texts of named atoms, finite
+    fields, lift calls and parentheses: its atom name, its lift keyword or
+    its '(' (a lift's own '(' belongs to the keyword)."""
+    return [m.start() for m in re.finditer(r"[A-Z]\w*\(?|\(", text)]
+
+
+def refused_at_part(text):
+    """Parsing ``text`` is refused at the token of part MAX_PARTS + 1."""
+    with pytest.raises(ExprError) as exc:
+        parse(text)
+    assert str(exc.value) == (
+        f"an expression has more than {MAX_PARTS} parts "
+        f"(at position {part_starts(text)[MAX_PARTS]})")
+
+
 def test_nesting_is_bounded_at_the_offending_paren():
-    k = MAX_DEPTH
+    """Each parenthesised group and lift call is one part, and so is the
+    atom inside: nesting MAX_PARTS - 1 deep is read, and part MAX_PARTS + 1
+    is refused at its token, the '(' or lift keyword that opens it or the
+    atom."""
+    k = MAX_PARTS - 1
     assert parse("(" * k + "F3" + ")" * k) == Fq(3)
-    inner = Fq(3)
+    lifts = [Fq(3)]
     for _ in range(k):
-        inner = Lift("ternary", inner)
-    assert parse("Lt(" * k + "F3" + ")" * k) == inner
+        lifts.append(Lift("ternary", lifts[-1]))
+    assert parse("Lt(" * k + "F3" + ")" * k) == lifts[k]
+    assert parse("(Lt(" * (k // 2) + "F3" + "))" * (k // 2)) == lifts[k // 2]
     for text in ["(" * (k + 1) + "F3" + ")" * (k + 1),
+                 "(" * (k + 2) + "F3" + ")" * (k + 2),
                  "(" * 400 + "F3" + ")" * 400,
                  "Lt(" * (k + 1) + "F3" + ")" * (k + 1),
+                 "Lt(" * 400 + "F3" + ")" * 400,
                  "(Lt(" * k + "F3" + "))" * k]:
-        with pytest.raises(ExprError) as exc:
-            parse(text)
-        # the position of the paren that opens level k + 1
-        assert exc.value.position == \
-            [i for i, c in enumerate(text) if c == "("][k]
-        assert str(exc.value).startswith(
-            f"nested more than {MAX_DEPTH} deep")
+        refused_at_part(text)
+    assert part_starts("(" * 400 + "F3")[MAX_PARTS] == MAX_PARTS
 
 
-def test_long_chains_are_bounded_at_the_offending_operator():
-    """A chain of ``x`` or ``ox`` takes MAX_DEPTH operands, each chain
-    counted apart, and refuses operand MAX_DEPTH + 1 at the operator
-    before it."""
-    k = MAX_DEPTH
+def test_long_chains_are_bounded_at_the_offending_operand():
+    """Every operand of every chain of ``x`` or ``ox`` is a part, counted
+    with the parentheses around and inside it, so an expression takes
+    MAX_PARTS atoms in all and part MAX_PARTS + 1 is refused at its
+    token."""
+    k = MAX_PARTS
     node = parse(" x ".join(["F3"] * k))
     for _ in range(k - 1):
         assert node.right == Fq(3)
         node = node.left
     assert node == Fq(3)
-    node = parse(" ox ".join(["(F3)"] * k))
+    node = parse(" ox ".join(["(F3)"] * (k // 2)))
     assert node.right == Fq(3) and isinstance(node.left, Tensor)
-    # k products of k-operand tensors, and a chain inside parentheses
-    parse(" x ".join([" ox ".join(["F3"] * k)] * k))
-    parse(" x ".join(["F3"] * (k - 1) + ["(" + " x ".join(["F3"] * k) + ")"]))
+    # 10 products of 10-operand tensors, and a chain inside parentheses
+    node = parse(" x ".join([" ox ".join(["F3"] * 10)] * 10))
+    assert isinstance(node, Product) and isinstance(node.right, Tensor)
+    parse(" x ".join(["F3"] * (k - 51) + ["(" + " x ".join(["F3"] * 50) + ")"]))
     for op, atom in (("x", "F3"), ("ox", "(F3)"), ("ox", "D")):
         for n in (k + 1, 2000):
-            text = f" {op} ".join([atom] * n)
-            with pytest.raises(ExprError) as exc:
-                parse(text)
-            # the position of operator k, which opens operand k + 1
-            starts = [i for i in range(len(text))
-                      if text.startswith(f" {op} ", i)]
-            assert exc.value.position == starts[k - 1] + 1
-            assert str(exc.value).startswith(
-                f"a chain has more than {MAX_DEPTH} operands")
+            refused_at_part(f" {op} ".join([atom] * n))
+    # chains that each stay within the budget but together pass it: k
+    # products of k-operand tensors, two 60-operand chains side by side,
+    # and 12 nested groups that each hold a k-operand chain
+    refused_at_part(" x ".join([" ox ".join(["F3"] * k)] * k))
+    refused_at_part(" x ".join(["(" + " x ".join(["F3"] * 60) + ")"] * 2))
+    text = "F3"
+    for _ in range(12):
+        text = "(" + text + " x F3" * (k - 1) + ")"
+    refused_at_part(text)
+    assert part_starts(text)[MAX_PARTS] == 452
 
 
 def test_unknown_names_rejected():
@@ -157,7 +181,9 @@ def test_evaluate_errors():
 
 
 def test_lift_expressions_evaluate():
+    """A lift node evaluates to the lift, a pasture, as every node does."""
     P = pasture_of("Lt(F9)")
+    assert evaluate(parse("Lt(F9)")) == ternary_lift(finite_field(9)).lift
     assert P.units.free_rank == 2
     assert P.units.torsion == (2,)
     assert bool(iso_check(pasture_of("Lg(F4 x F5)"), named("G")))
