@@ -281,8 +281,9 @@ class AbelianGroup(Record):
         >>> AbelianGroup((6,), 0, (3,)).sign_generator is None
         True
         """
+        eps = self.epsilon
         for i, d in enumerate(self.torsion):
-            if d == 2 and self.epsilon == identity_rows(self.ngens)[i]:
+            if d == 2 and eps[i] == 1 and eps.count(0) == len(eps) - 1:
                 return i
         return None
 

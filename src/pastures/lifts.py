@@ -11,8 +11,8 @@ the induced multiplicative relations.
 
 from __future__ import annotations
 
-from .groups import GroupMap
-from .pasture import Pasture, named, presented, tensor_full
+from .groups import AbelianGroup, GroupMap
+from .pasture import Pasture, _reduced, named, tensor_full
 from .hexagons import Hexagon, fundamental_pairs, hexagons
 from .morphisms import PastureMorphism, make
 from .record import Record
@@ -123,8 +123,8 @@ def wlum_lift(P: Pasture) -> LiftResult:
 
 
 def _g5_triples(g, F):
-    """The triples F[i], F[j], F[k] with i <= j <= k and product 1, in
-    lexicographic order; k is looked up by F[i] F[j] among the inverses.
+    """The index triples (i, j, k) with i <= j <= k and F[i] F[j] F[k] = 1,
+    in lexicographic order; k is looked up by F[i] F[j] among the inverses.
 
     Each element is packed into one integer, each coordinate in a field
     wide enough for the sum of two entries, so a product is one integer sum
@@ -157,7 +157,7 @@ def _g5_triples(g, F):
         for j in range(i, len(e)):
             k = inverse.get(x + e[j])
             if k is not None and k >= j:
-                yield F[i], F[j], F[k]
+                yield i, j, k
 
 
 MAX_FUNDAMENTAL = 512      # grs_lift raises NotFinitary past this many
@@ -176,10 +176,12 @@ def grs_lift(P: Pasture) -> LiftResult:
       G5  t_a t_b t_c = 1 for every unordered triple (with repetition) from
           F whose product is 1
 
-    The relations go to ``pasture.presented`` as sparse exponent maps over
-    (-1, t_a for a in F).  G3 adjoins null orbits; the others are 2-term
-    relations, killed in the order G1, G4, G2, G5: G1 is 1 + 1 = 0, G4 is
-    w + 1 = 0 and G2 and G5 are w - 1 = 0, for w the product of the t's.
+    The unit group is F1pm's with the free units (t_a for a in F), so an
+    exponent vector has the sign at 0 and t_a at the column of a, 1 + its
+    index in F.  G3 adjoins null orbits; the others are 2-term relations,
+    and each is written as the Smith normal form row it kills, in the
+    order G1, G4, G2, G5: the relation w = (-1)^s, for w the product of the
+    t's, kills the row with s at 0 and 1 added at a column per factor.
     G3 is passed for one pair of each hexagon of P: by G2 and G4 the triple
     (t_a, t_b, -1) of any other pair of the hexagon is a rescaling of a
     permutation of it, so it adjoins the same orbit.  lambda sends t_a to
@@ -188,47 +190,45 @@ def grs_lift(P: Pasture) -> LiftResult:
     g = P.units
     pairs = fundamental_pairs(P)
     F = sorted({a for a, _ in pairs}, key=g.key)
-    if len(F) > MAX_FUNDAMENTAL:
+    n = len(F)
+    if n > MAX_FUNDAMENTAL:
         raise NotFinitary(
-            f"{len(F)} fundamental elements exceed the cap of "
-            f"{MAX_FUNDAMENTAL}")
-    col = {a: 1 + i for i, a in enumerate(F)}
-    one, minus = {}, {0: 1}
-
-    def t(*elts):
-        """The exponent map of the product of the t_a."""
-        term = {}
-        for a in elts:
-            k = col[a]
-            term[k] = term.get(k, 0) + 1
-        return term
-
-    relations = []
-    if g.epsilon == g.identity():
-        relations.append((one, one, None))                         # G1
+            f"{n} fundamental elements exceed the cap of {MAX_FUNDAMENTAL}")
+    col = {a: i for i, a in enumerate(F, 1)}
+    kill = [[1] + [0] * n] if g.epsilon == g.identity() else []    # G1
     for a, b in sorted(pairs, key=lambda p: (g.key(p[0]), g.key(p[1]))):
         binv = g.inv(b)
         c = g.mul(g.epsilon, g.inv(g.mul(a, binv)))
         if binv not in col or c not in col:
             raise LiftCheckFailed(
                 "fundamental elements are not closed under the pair relations")
-        relations.append((t(a, binv, c), one, None))               # G4
-    for a, b in map(min, P.orbit_pairs):
-        relations.append((t(a), t(b), minus))                      # G3
+        row = [1] + [0] * n                                         # G4
+        for k in (col[a], col[binv], col[c]):
+            row[k] += 1
+        kill.append(row)
     for a in F:
         ainv = g.inv(a)
         if ainv not in col:
             raise LiftCheckFailed(
                 "fundamental elements are not closed under inversion")
-        relations.append((t(a, ainv), minus, None))                # G2
-    for a, b, c in _g5_triples(g, F):
-        relations.append((t(a, b, c), minus, None))                # G5
-    res = presented(len(F), relations)
+        row = [0] * (n + 1)                                         # G2
+        row[col[a]] += 1
+        row[col[ainv]] += 1
+        kill.append(row)
+    for i, j, k in _g5_triples(g, F):
+        row = [0] * (n + 1)                                         # G5
+        row[i + 1] += 1
+        row[j + 1] += 1
+        row[k + 1] += 1
+        kill.append(row)
+    adjoin = [({col[a]: 1}, {col[b]: 1}, {0: 1})                    # G3
+              for a, b in map(min, P.orbit_pairs)]
+    res = _reduced(AbelianGroup((2,), n, (1,) + (0,) * n), kill, adjoin)
     lift = res.pasture
     lam = make(lift, P, map(GroupMap(g, (g.epsilon, *F)), res.sections))
     lifted_F = {a for a, _ in fundamental_pairs(lift)}
     mapped = {lam.unit_map(a) for a in lifted_F}
-    if not (len(mapped) == len(lifted_F) == len(F) and mapped == set(F)):
+    if not (len(mapped) == len(lifted_F) == n and mapped == set(F)):
         raise LiftCheckFailed(
             "lambda is not a bijection on fundamental elements")
     return LiftResult(lift, lam, "grs", None)

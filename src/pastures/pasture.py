@@ -30,8 +30,9 @@ as integers, cached once per pasture as ``Pasture.indexed``.
 
 A presentation, F1pm with n free units modulo 2- and 3-term relations, is
 built by ``presented`` from sparse terms {0: sign, 1 + i: exponent of t_i}:
-the named pastures, ``F1pm<...>//(...)`` expressions, GRS lifts and matroid
-foundations all are, and ``quotient_full`` shares its core.
+the named pastures, ``F1pm<...>//(...)`` expressions and matroid
+foundations all are, and ``quotient_full`` shares its checks.  Both then
+reduce through ``_reduced``, to which a GRS lift writes its rows directly.
 """
 
 from __future__ import annotations
@@ -354,18 +355,12 @@ def presented(n: int, relations) -> QuotientResult:
 
 def _quotient(units, relations) -> QuotientResult:
     """The pasture on ``units`` modulo relations of sparse terms (None for
-    zero), read in one pass.  A 2-term relation x + y = 0 forces y = -x, so
-    it kills -x/y: its row x - y + e, e the coordinates of -1, is built
-    from the nonzero entries as they are checked, and the rows go, in
-    relation order after the relation rows of ``units``, to one
-    ``reduce_presentation``, whose Smith normal form reduces them in place.
-    With no 2-term relation, the Smith normal form of a canonical group's
-    own rows logs no column operation, so the projection and sections are
-    the identity.  A 3-term relation adjoins a null orbit, its terms
-    checked in the pass and each member projected after it by summing the
-    projection rows of its nonzero coordinates.  A term that is not a map
-    of int exponents over the coordinates 0 .. ngens - 1 raises
-    :class:`BadRelationShape`.
+    zero), checked in one pass and passed on to :func:`_reduced`.  A
+    2-term relation x + y = 0 forces y = -x, so it kills -x/y: its row
+    x - y + e, e the coordinates of -1, is built from the nonzero entries
+    as they are checked.  A 3-term relation adjoins a null orbit, its
+    terms checked.  A term that is not a map of int exponents over the
+    coordinates 0 .. ngens - 1 raises :class:`BadRelationShape`.
     """
     eps, width = units.epsilon, units.ngens
     reduce_at = tuple(enumerate(units.torsion))
@@ -403,7 +398,20 @@ def _quotient(units, relations) -> QuotientResult:
     except (AttributeError, TypeError) as exc:
         # a term without items(), or a key that is not an int
         raise BadRelationShape(shape) from exc
+    return _reduced(units, kill, adjoin)
 
+
+def _reduced(units, kill, adjoin) -> QuotientResult:
+    """The pasture on ``units`` modulo the ``kill`` rows, lists of ngens
+    entries with the torsion ones reduced, and with the null orbits the
+    ``adjoin`` triples of exponent maps give; neither is checked here.
+    The rows go, in order after the relation rows of ``units``, to one
+    ``reduce_presentation``, whose Smith normal form reduces them in place.
+    With no row to kill, the Smith normal form of a canonical group's own
+    rows logs no column operation, so the projection and sections are the
+    identity.  Each member of an adjoined triple is projected by summing
+    the projection rows of its nonzero coordinates.
+    """
     red = reduce_presentation(units.ngens, units.relation_rows() + kill,
                               list(units.epsilon))
     units, cum, sections = red.group, red.project, red.sections

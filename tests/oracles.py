@@ -18,6 +18,8 @@ with.  The library itself never calls them.
   choice of the last entry of each null triple.
 * ``reference_tensor_orbits``: the null orbits of ``tensor_full`` from
   words padded to the width of all factors.
+* ``reference_grs_relations``: the relations of ``lifts.grs_lift`` as the
+  sparse terms of ``pasture.presented``, which the lift writes as rows.
 * ``gf_neg``, ``gf_sub``, ``gf_inv``, ``gf_minus_one`` and ``minus_one``:
   field and pasture operations that only the tests use.
 """
@@ -26,7 +28,8 @@ import itertools
 from operator import add, concat, mod, neg
 
 from pastures.groups import GroupMap, reduce_presentation
-from pastures.hexagons import Hexagon, hexagons
+from pastures.hexagons import Hexagon, fundamental_pairs, hexagons
+from pastures.lifts import _g5_triples
 from pastures.pasture import (Pasture, PastureElement, ProductResult,
                               canonical_orbit, quotient_full)
 
@@ -221,6 +224,42 @@ def reference_tensor_orbits(factors) -> frozenset:
     return frozenset(
         canonical_orbit(red.group, tuple(red.project(pad(i, x)) for x in o))
         for i, F in enumerate(factors) for o in F.null_orbits)
+
+
+def reference_grs_relations(P: Pasture) -> list:
+    """The relations G1 to G5 of ``lifts.grs_lift(P)`` as the sparse terms
+    of ``pasture.presented(len(F), ...)``, over (-1, t_a for a in F), F the
+    fundamental elements of P in key order: t_a is the exponent map
+    {1 + its index in F: 1}.  2-term relations in the order G1, G4, G2,
+    G5, and G3 for one pair of each hexagon, between G4 and G2."""
+    g = P.units
+    pairs = fundamental_pairs(P)
+    F = sorted({a for a, _ in pairs}, key=g.key)
+    col = {a: 1 + i for i, a in enumerate(F)}
+    one, minus = {}, {0: 1}
+
+    def t(*elts):
+        """The exponent map of the product of the t_a."""
+        term = {}
+        for a in elts:
+            k = col[a]
+            term[k] = term.get(k, 0) + 1
+        return term
+
+    relations = []
+    if g.epsilon == g.identity():
+        relations.append((one, one, None))                         # G1
+    for a, b in sorted(pairs, key=lambda p: (g.key(p[0]), g.key(p[1]))):
+        binv = g.inv(b)
+        c = g.mul(g.epsilon, g.inv(g.mul(a, binv)))
+        relations.append((t(a, binv, c), one, None))               # G4
+    for a, b in map(min, P.orbit_pairs):
+        relations.append((t(a), t(b), minus))                      # G3
+    for a in F:
+        relations.append((t(a, g.inv(a)), minus, None))           # G2
+    for i, j, k in _g5_triples(g, F):
+        relations.append((t(F[i], F[j], F[k]), minus, None))       # G5
+    return relations
 
 
 def gf_neg(F, a):

@@ -13,7 +13,7 @@ from pastures.lifts import (KindMismatch, LiftCheckFailed, NotFinitary,
                             _check_pair_bijection, binary_lift, grs_lift,
                             lift_descriptor_iso, ternary_lift, wlum_lift)
 from pastures.morphisms import hom_set, is_isomorphism, iso_check
-from pastures.pasture import finite_field, named, presented, product
+from pastures.pasture import _reduced, finite_field, named, product
 from pastures.tables import LIFT_TABLE, WLUM_TABLE
 
 
@@ -76,11 +76,11 @@ def test_grs_small_cases():
 
 
 def reference_g5_triples(g, F):
-    """Every unordered triple (with repetition) from F whose product is 1,
-    found by trying all of them."""
-    for a, b, c in itertools.combinations_with_replacement(F, 3):
-        if g.mul(g.mul(a, b), c) == g.identity():
-            yield a, b, c
+    """The index triples i <= j <= k with F[i] F[j] F[k] = 1, found by
+    trying all of them."""
+    for i, j, k in itertools.combinations_with_replacement(range(len(F)), 3):
+        if g.mul(g.mul(F[i], F[j]), F[k]) == g.identity():
+            yield i, j, k
 
 
 def test_grs_lift_matches_reference_g5_loop(monkeypatch):
@@ -208,8 +208,8 @@ def test_grs_lift_one_g3_per_hexagon_matches_every_pair(P, monkeypatch):
         col = {a: 1 + i for i, a in enumerate(F)}
         every_pair = [({col[a]: 1}, {col[b]: 1}, {0: 1})
                       for a, b in fundamental_pairs(P)]
-        monkeypatch.setattr(lifts, "presented", lambda n, relations:
-                            presented(n, [*relations, *every_pair]))
+        monkeypatch.setattr(lifts, "_reduced", lambda units, kill, adjoin:
+                            _reduced(units, kill, [*adjoin, *every_pair]))
         want = grs_lift(P)
         monkeypatch.undo()
         assert got.lift == want.lift, P.label

@@ -13,7 +13,7 @@ from pastures.expr import pasture_of
 from pastures.gf import field
 from pastures.groups import (AbelianGroup, GroupMap, identity_rows,
                              reduce_presentation, smith_normal_form)
-from pastures.hexagons import hexagons
+from pastures.hexagons import fundamental_pairs, hexagons
 from pastures.lifts import (_model_and_images, grs_lift, ternary_lift,
                             wlum_lift)
 from pastures.matroids import (_foundation, matroid_from_json, mk4, u24,
@@ -23,9 +23,10 @@ from pastures.pasture import (NAMED, ZERO, BadRelationShape, Pasture,
                               canonical_orbit, finite_field, named,
                               presented, product, product_full,
                               quotient_full, tensor, tensor_full, unit)
+from pastures.tables import ZAGIER_TRIPLES
 from oracles import (free_algebra, gf_neg, minus_one, quotient,
-                     reference_orbit_pairs, reference_product,
-                     reference_tensor_orbits, validate)
+                     reference_grs_relations, reference_orbit_pairs,
+                     reference_product, reference_tensor_orbits, validate)
 
 # frozen canonical data: (torsion, free_rank, epsilon, sorted null orbits)
 NAMED_DATA = {
@@ -606,24 +607,75 @@ GRS_SOURCES = ([f"F{q}" for q in range(3, 33) if len(factorint(q)) == 1]
                + ["F4 x F5", "F5 x F5"])
 
 
+def fundamental_elements(P):
+    """The fundamental elements of P in key order, as ``grs_lift`` lists
+    them."""
+    g = P.units
+    return sorted({a for a, _ in fundamental_pairs(P)}, key=g.key)
+
+
 @pytest.mark.parametrize("text", GRS_SOURCES)
 def test_grs_lift_matches_reference_quotient(monkeypatch, text):
-    """The GRS lift's presentation, built from sparse terms, equals the
+    """The GRS lift, its rows written directly, equals the presentation by
+    the sparse terms of ``reference_grs_relations``: the lift, the images
+    of lambda and the sections.  That presentation equals the
     element-arithmetic quotient by the same relations as elements."""
     seen = []
 
-    def record(n, relations):
-        res = presented(n, relations)
-        seen.append((n, relations, res))
-        return res
+    def record(units, kill, adjoin):
+        seen.append(pasture_mod._reduced(units, kill, adjoin))
+        return seen[-1]
 
-    monkeypatch.setattr(lifts, "presented", record)
-    L = grs_lift(pasture_of(text))
-    (n, relations, res), = seen
+    monkeypatch.setattr(lifts, "_reduced", record)
+    P = pasture_of(text)
+    L = grs_lift(P)
+    got, = seen
+    g, F = P.units, fundamental_elements(P)
+    n, relations = len(F), reference_grs_relations(P)
+    res = presented(n, relations)
+    assert got == res
     assert L.lift == res.pasture
+    assert L.lam.unit_map.rows == tuple(
+        map(GroupMap(g, (g.epsilon, *F)), res.sections))
     A = free_algebra(named("F1pm"), [f"t{i}" for i in range(n)])
     want = reference_quotient(A, as_elements(n, relations))
     assert (res.pasture, res.unit_map, res.sections) == want
+
+
+def test_grs_rows_match_reference_relations_on_benchmark_corpus(
+        monkeypatch):
+    """On the sources of the benchmark's presentations workload and more,
+    every F_q and F_p1 x F_p2 of a Zagier triple with q <= 64 and the
+    named pastures, and on the GRS lift of each: the rows and 3-term
+    relations ``grs_lift`` passes to ``_reduced`` are those ``presented``
+    builds from ``reference_grs_relations``, so the Smith normal form reads
+    the same (rows, width)."""
+    inputs = []
+
+    def arguments(units, kill, adjoin):
+        return units, [list(r) for r in kill], [tuple(o) for o in adjoin]
+
+    def record(units, kill, adjoin):
+        inputs.append(arguments(units, kill, adjoin))
+        return reduced(units, kill, adjoin)
+
+    reduced = pasture_mod._reduced
+    monkeypatch.setattr(lifts, "_reduced", record)
+    sources = [finite_field(q) for q in range(2, 65)
+               if len(factorint(q)) == 1]
+    sources += [product(finite_field(p1), finite_field(p2))
+                for q, p1, p2 in ZAGIER_TRIPLES if q <= 64]
+    sources += [named(name) for name in NAMED]
+    for P in sources:
+        for Q in (P, grs_lift(P).lift):
+            inputs.clear()
+            grs_lift(Q)
+            got, = inputs
+            with monkeypatch.context() as m:
+                m.setattr(pasture_mod, "_reduced", arguments)
+                want = presented(len(fundamental_elements(Q)),
+                                 reference_grs_relations(Q))
+            assert got == want, Q
 
 
 @pytest.mark.parametrize("term", [{2: 1}, {-1: 1}, {"1": 1}, [0, 1],
