@@ -14,12 +14,14 @@ import sys
 
 from .expr import pasture_of
 from .gf import FieldConstructionFailed, FieldTooLarge
-from .groups import DEFAULT_CAP, InfiniteTargetError, SearchSpaceExceeded
+from .groups import (DEFAULT_CAP, EpsilonOrderError, InfiniteTargetError,
+                     SearchSpaceExceeded)
 from .hexagons import HexagonsInconsistent, hexagons
 from .lifts import LIFTS, LiftCheckFailed, NotFinitary
 from .matroids import (lift_bijection_check, matroid_from_json, mk4,
                        representation_classes, u24)
-from .morphisms import Iso, NotIso, hom_set, iso_check
+from .morphisms import (ChainMismatch, EpsilonViolation, GroupHomViolation,
+                        Iso, NotIso, NullsetViolation, hom_set, iso_check)
 from .pasture import InfinitePasture
 from . import verify as verify_mod
 
@@ -218,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit machine-readable JSON")
     common.add_argument("--max-candidates", type=_int_at_least(1),
                         metavar="N", default=DEFAULT_CAP,
-                        help="search-space guard (default %(default)s)")
+                        help="hom search steps: target torsion units and "
+                             "generator images tried (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="pastures",
@@ -298,13 +301,15 @@ def main(argv=None) -> int:
             SearchSpaceExceeded) as e:
         print(f"guard tripped: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
+    # a failed check of the library's own invariants, which no input causes
+    except (FieldConstructionFailed, HexagonsInconsistent, LiftCheckFailed,
+            GroupHomViolation, EpsilonViolation, NullsetViolation,
+            ChainMismatch, EpsilonOrderError) as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FieldConstructionFailed, HexagonsInconsistent,
-            LiftCheckFailed) as e:
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -31,10 +31,11 @@ class InfiniteTargetError(ValueError):
 
 
 class SearchSpaceExceeded(RuntimeError):
-    """An enumeration would exceed the configured candidate cap."""
+    """A search passed its cap: the steps of a hom search, or the
+    candidates of ``enumerate_homs``."""
 
 
-DEFAULT_CAP = 10**9     # the default cap of every search, --max-candidates too
+DEFAULT_CAP = 10**6     # the default cap of every search, --max-candidates too
 
 
 def identity_rows(n):
@@ -267,10 +268,6 @@ class AbelianGroup(Record):
         return self.free_rank == 0
 
     @property
-    def is_trivial(self) -> bool:
-        return self.ngens == 0
-
-    @property
     def sign_generator(self):
         """The index of the canonical generator that ``epsilon`` is, when
         epsilon is a generator of order 2, else None.  A homomorphism that
@@ -340,14 +337,9 @@ class AbelianGroup(Record):
             return tuple(a)
         return (*a[:nt], *[c + c if c >= 0 else 1 - c - c for c in a[nt:]])
 
-    def elements(self):
-        """All elements in total order; the group must be finite."""
-        if not self.is_finite:
-            raise InfiniteTargetError("cannot enumerate an infinite group")
-        return list(itertools.product(*(range(d) for d in self.torsion)))
-
     def torsion_elements(self):
-        """Elements of finite order, in total order."""
+        """Elements of finite order, in total order: every element of a
+        finite group."""
         pad = (0,) * self.free_rank
         boxes = itertools.product(*(range(d) for d in self.torsion))
         return [tuple(b) + pad for b in boxes]
@@ -450,34 +442,21 @@ def is_surjective(gmap: GroupMap) -> bool:
     return all(d == 1 for d in diag)
 
 
-def hom_pools(source: AbelianGroup, target: AbelianGroup, *, cap: int):
+def hom_pools(source: AbelianGroup, target: AbelianGroup):
     """The candidate images of each source generator, sorted by
     ``target.key``: the target's epsilon alone for the generator that is
     the source's epsilon (see ``sign_generator``), else the torsion elements
     whose order divides the generator's order, or None for a free generator:
     every torsion element, its free part chosen by the caller (for a finite
-    target these are all the elements).
-
-    The pool sizes are counted first, and :class:`SearchSpaceExceeded` is
-    raised, before any pool is built, when their product exceeds ``cap``.
-    """
+    target these are all the elements)."""
     forced, nt = source.sign_generator, len(source.torsion)
-    # d * c = 0 mod r for gcd(d, r) of the c in range(r)
-    sizes = [1 if i == forced else
-             math.prod(math.gcd(source.torsion[i], r) for r in target.torsion)
-             if i < nt else math.prod(target.torsion)
-             for i in range(source.ngens)]
-    total = math.prod(sizes)
-    if total > cap:
-        raise SearchSpaceExceeded(
-            f"{total} candidate homomorphisms exceed the cap of {cap}")
     per_gen = []
     pad = (0,) * target.free_rank
     for i in range(source.ngens):
         if i == forced:
             pool = [target.epsilon]
         elif i < nt:
-            # those c are the multiples of r / gcd(d, r)
+            # d * c = 0 mod r for the multiples c of r / gcd(d, r)
             d = source.torsion[i]
             steps = (range(0, r, r // math.gcd(d, r)) for r in target.torsion)
             pool = [e + pad for e in itertools.product(*steps)]
@@ -499,16 +478,19 @@ def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
     The target may be infinite provided the source is all-torsion (every
     generator image is then confined to the finite torsion subgroup).  When a
     free source generator meets an infinite target, the hom set has no finite
-    enumeration and :class:`InfiniteTargetError` is raised.  Candidate counts
-    above ``cap`` raise :class:`SearchSpaceExceeded`.
+    enumeration and :class:`InfiniteTargetError` is raised.  More than
+    ``cap`` candidates raise :class:`SearchSpaceExceeded` before any is tried.
     """
     if source.free_rank and not target.is_finite:
         raise InfiniteTargetError("free source generator with infinite target")
-    pools = hom_pools(source, target, cap=cap)
-    torsion = target.torsion_elements() if None in pools else None
+    pools = [target.torsion_elements() if pool is None else pool
+             for pool in hom_pools(source, target)]
+    total = math.prod(map(len, pools))
+    if total > cap:
+        raise SearchSpaceExceeded(
+            f"{total} candidate homomorphisms exceed the cap of {cap}")
     out = []
-    for images in itertools.product(*(torsion if pool is None else pool
-                                      for pool in pools)):
+    for images in itertools.product(*pools):
         if evaluate_word(target, images, source.epsilon) == target.epsilon:
             out.append(tuple(images))
     return out

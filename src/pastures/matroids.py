@@ -165,7 +165,7 @@ class RepresentationClass(Record):
         """The rescalings of the representative with the component roots
         fixed, renormalized at B0: the whole class, each member once."""
         M, P = self.representative.matroid, self.representative.pasture
-        units = [PastureElement(c) for c in P.units.elements()]
+        units = [PastureElement(c) for c in P.units.torsion_elements()]
         roots = _gauge(M)[1]
         out = set()
         for d in itertools.product(*[[P.one()] if e in roots else units
@@ -299,7 +299,7 @@ def representation_classes(M: Matroid, P: Pasture, *,
     class; its representative is the least member (``_least_columns``),
     its size |U|^(n - c) by formula; no member is enumerated.  Raises
     InfinitePasture for infinite P, and SearchSpaceExceeded when the
-    product of the candidate pool sizes of F_M's generators exceeds ``cap``.
+    search takes more than ``cap`` steps (see ``hom_set``).
     A ``stats`` record, when given, gets the counters of the search.
     """
     return [c for c, _ in _classes(M, P, cap, stats)]

@@ -94,13 +94,15 @@ def compose(g: PastureMorphism, f: PastureMorphism) -> PastureMorphism:
 class SearchStats:
     """What the hom searches it is passed to did, summed over them:
     ``nodes``, the generator images assigned, one per node of the search
-    tree below its root; ``floor``, the nodes with an answer below them,
-    which is the least any search in the same order visits; ``prunes``,
+    tree below its root, the steps the cap bounds besides the target's
+    torsion units; ``floor``, the nodes with an answer below them, which
+    is the least any search in the same order visits; ``prunes``,
     the candidate images a check cut from a domain; ``solves``, the checks
     that solved a domain from a pair table instead of testing each
     candidate; and ``survivors``, the morphisms found.  Each free-part
     entry adds its counters when its search ends, before its first
-    morphism is handed out; entries a caller stops before add nothing."""
+    morphism is handed out; entries a caller stops before, or that pass
+    the cap, add nothing."""
 
     __slots__ = ("nodes", "floor", "prunes", "solves", "survivors")
 
@@ -124,17 +126,13 @@ def hom_set(source: Pasture, target: Pasture, *, cap: int = DEFAULT_CAP,
     has empty, and a torsion part, which the search finds.  Into an infinite
     target the source must be all-torsion, and the images lie in the
     finite torsion subgroup; a free source generator raises
-    InfiniteTargetError.  The search assigns one generator image per node,
-    keeps the image of every check vector as a running sum, narrows the
-    domain of a generator as soon as a check has it as its last unassigned
-    generator (forward checking), and takes next the generator with the
-    smallest domain.  It enforces everything ``make`` validates (generator
-    orders, -1 -> -1, every null orbit), so its survivors are built
-    directly; ``make`` stays the constructor for generator images from
-    elsewhere and is the oracle the tests compare this search with.
-    SearchSpaceExceeded is raised when the product of the pool sizes
-    exceeds ``cap``.  The list holds all that the search yields, and a
-    ``stats`` record, when given, gets the search's counters added to it.
+    InfiniteTargetError.  The search enforces everything ``make`` validates
+    (generator orders, -1 -> -1, every null orbit), so its survivors are
+    built directly; ``make`` stays the constructor for generator images
+    from elsewhere and is the oracle the tests compare this search with.
+    Past ``cap`` steps SearchSpaceExceeded is raised.  The list holds all
+    that the search yields, and a ``stats`` record, when given, gets the
+    search's counters added to it.
     """
     gs, gt = source.units, target.units
     if gs.free_rank and not gt.is_finite:
@@ -154,7 +152,9 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
     entries in the order given.  An entry is searched whole and its rows
     sorted, its counters are added to ``stats``, and only then are its
     morphisms built, one as each is asked for; a caller that stops leaves
-    the later entries unsearched.
+    the later entries unsearched.  The steps, one per torsion unit of the
+    target, charged before it is indexed, and one per node, are summed over
+    the entries; past ``cap`` SearchSpaceExceeded is raised.
 
     The domains start as the pools of ``hom_pools``.  A check is a pair of
     source vectors and the allowed pairs of their images: -1 -> -1 (with a
@@ -180,8 +180,12 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
     the lowest on ties.
     """
     gs, gt = source.units, target.units
-    # a search over the cap is refused before the target is indexed
-    pools = hom_pools(gs, gt, cap=cap)
+    # steps left: the torsion units are charged before they are indexed
+    budget = cap - math.prod(gt.torsion)
+    over = f"hom search passed its cap of {cap} steps"
+    if budget < 0:
+        raise SearchSpaceExceeded(over)
+    pools = hom_pools(gs, gt)
     form = target.indexed
     n, nt, ng = len(gt.torsion), len(gs.torsion), gs.ngens
     size = len(form.coords)
@@ -289,6 +293,8 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         k = sizes.index(min(sizes))
         cands = doms[k]
         nodes += len(cands)
+        if nodes > budget:
+            raise SearchSpaceExceeded(over)
         sizes[k] = done
         assigned |= 1 << k
         # the checks k leaves with one generator without an image depend on
@@ -314,10 +320,12 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
                     below = extend(now, depth + 1, assigned)
                 else:
                     below = len(doms[last])
+                    nodes += below
+                    if nodes > budget:
+                        raise SearchSpaceExceeded(over)
                     for j in doms[last]:
                         chosen[last] = j
                         found.append(tuple(chosen))
-                    nodes += below
                     floor += below
                 if below:
                     floor += 1
@@ -368,6 +376,9 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
                 nodes = floor = len(found)
             else:
                 found.append(())
+        budget -= nodes
+        if budget < 0:
+            raise SearchSpaceExceeded(over)
         found.sort()
         if stats is not None:
             stats.nodes += nodes
@@ -479,8 +490,9 @@ def iso_check(P: Pasture, Q: Pasture, *, cap: int = DEFAULT_CAP,
     morphisms of ``_pruned_images`` with those free parts, in that order,
     each built and tested in turn, and the first that ``is_isomorphism``
     accepts is returned: the t/z entry is searched only when no t*z
-    candidate is one.  A ``stats`` record, when given, gets the counters of
-    the entries searched; an answer found before any search adds nothing.
+    candidate is one; past ``cap`` steps of both searches, Unknown.  A
+    ``stats`` record, when given, gets the counters of the entries
+    searched; an answer found before any search adds nothing.
     """
     gs, gt = P.units, Q.units
     if gs.torsion != gt.torsion or gs.free_rank != gt.free_rank:

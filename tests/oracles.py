@@ -127,7 +127,7 @@ def partition_check(P: Pasture):
                 return False, s
             seen[s] = i
     if P.is_finite:
-        expected = set(P.units.elements()) - {P.units.identity()}
+        expected = set(P.units.torsion_elements()) - {P.units.identity()}
         missing = expected - set(seen)
         if missing:
             return False, min(missing, key=P.units.key)

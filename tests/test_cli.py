@@ -22,11 +22,14 @@ from hypothesis import strategies as st
 from pastures import cli, lifts
 from pastures.expr import MAX_PARTS, pasture_of
 from pastures.gf import FieldConstructionFailed
-from pastures.groups import DEFAULT_CAP, AbelianGroup, enumerate_homs
+from pastures.groups import (DEFAULT_CAP, AbelianGroup, EpsilonOrderError,
+                             enumerate_homs)
 from pastures.hexagons import HexagonsInconsistent
 from pastures.lifts import LiftCheckFailed
 from pastures.matroids import lift_bijection_check, representation_classes
-from pastures.morphisms import hom_set, iso_check
+from pastures.morphisms import (ChainMismatch, EpsilonViolation,
+                                GroupHomViolation, NullsetViolation,
+                                hom_set, iso_check)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -53,6 +56,8 @@ EXIT_CASES = [
     (["reps", "--matroid", "MK4", "--pasture", "F16"], 0),
     # 504 classes at the default cap: F_M's -1 is counted once
     (["reps", "--matroid", str(DATA / "u26.json"), "--pasture", "F11"], 0),
+    # 1200 classes in 7 + 39710 steps, refused by the candidate product before
+    (["reps", "--matroid", str(DATA / "u37.json"), "--pasture", "F8"], 0),
     # verified-false answers
     (["iso", "F4", "F5"], 1),
     (["iso", "U", "D"], 1),
@@ -60,6 +65,9 @@ EXIT_CASES = [
     (["reps", "--matroid", "U24", "--pasture", "G"], 2),
     (["reps", "--matroid", "U24", "--pasture", "F9",
       "--max-candidates", "10"], 2),
+    # 2^28 classes by the U(2,n) pattern; the search stops at its cap
+    (["reps", "--matroid", str(DATA / "u37.json"), "--pasture", "W",
+      "--max-candidates", "10000"], 2),
     # a field past gf.MAX_Q, refused before its tables are built
     (["pasture", "F1000000007"], 2),
     # usage errors
@@ -225,31 +233,33 @@ def test_pasture_order_lists_no_unit(capsys, monkeypatch):
     code, expected, err = run(capsys, argv)
     assert (code, err) == (0, "")
     units = pasture_of(argv[1]).units
-    assert f"(order {len(units.elements())})" in expected
+    assert f"(order {len(units.torsion_elements())})" in expected
 
     def refuse(self):
-        raise AssertionError("AbelianGroup.elements called")
+        raise AssertionError("AbelianGroup.torsion_elements called")
 
-    monkeypatch.setattr(AbelianGroup, "elements", refuse)
+    monkeypatch.setattr(AbelianGroup, "torsion_elements", refuse)
     assert run(capsys, argv) == (0, expected, "")
 
 
 def test_hom_guard_message(capsys):
-    code, out, err = run(capsys, ["hom", "U", "F7", "--max-candidates", "10"])
+    # Hom(U, F7) takes 18 steps: F7's 6 torsion units, then 1 + 6 + 5 nodes
+    code, out, err = run(capsys, ["hom", "U", "F7", "--max-candidates", "17"])
     assert code == 2
     assert out == ""
-    assert err == ("guard tripped: 36 candidate homomorphisms exceed the "
-                   "cap of 10\n")
+    assert err == "guard tripped: hom search passed its cap of 17 steps\n"
+    assert run(capsys, ["hom", "U", "F7", "--max-candidates", "18"]) == (
+        0, "5 morphisms U -> F7\n", "")
 
 
 def test_one_default_cap(capsys):
     """Every search and the command line's --max-candidates default to
-    ``DEFAULT_CAP``, 10^9: 127^4 candidates for U ox U into F128 are
-    searched, 127^6 for U ox U ox U are refused."""
+    ``DEFAULT_CAP``, 10^6: U ox U into F128 takes 127 + 32132 steps and
+    answers, U ox U ox U, 2000376 morphisms, is refused."""
     for search in (hom_set, iso_check, enumerate_homs,
                    representation_classes, lift_bijection_check):
         assert inspect.signature(search).parameters["cap"].default \
-            == DEFAULT_CAP == 10**9
+            == DEFAULT_CAP == 10**6
     for argv in (["hom", "H", "F7"], ["iso", "F4", "F5"],
                  ["reps", "--matroid", "U24", "--pasture", "F5"],
                  ["lift-check", "--matroid", "U24", "--pasture", "F4",
@@ -259,18 +269,18 @@ def test_one_default_cap(capsys):
     assert run(capsys, ["hom", "U ox U", "F128"]) == (
         0, "15876 morphisms U ox U -> F128\n", "")
     assert run(capsys, ["hom", "U ox U ox U", "F128"]) == (
-        2, "", "guard tripped: 4195872914689 candidate homomorphisms exceed "
-        "the cap of 1000000000\n")
+        2, "", "guard tripped: hom search passed its cap of 1000000 "
+        "steps\n")
 
 
-def test_iso_guard_counts_the_hom_pools(capsys):
-    # D's -1 is forced and its free generator z takes D's torsion units
-    # 1 and -1 as its torsion part: 1 * 2 candidates, each searched with
-    # z -> t*z and z -> t/z
+def test_iso_guard_counts_the_search_steps(capsys):
+    # the target's 2 torsion units, then 1 node for z -> t*z, which gives
+    # no isomorphism, and 2 for z -> t/z: the steps of the two searches
+    # are summed, so 4 answers unknown and 5 finds the isomorphism
     argv = ["iso", "D", "F1pm<z>//(z^-1+z^-1-1)", "--max-candidates"]
-    assert run(capsys, argv + ["1"]) == (
-        2, "unknown: 2 candidate homomorphisms exceed the cap of 1\n", "")
-    code, out, err = run(capsys, argv + ["2"])
+    assert run(capsys, argv + ["4"]) == (
+        2, "unknown: hom search passed its cap of 4 steps\n", "")
+    code, out, err = run(capsys, argv + ["5"])
     assert (code, err) == (0, "")
     assert out.endswith(" are isomorphic\n")
 
@@ -397,8 +407,10 @@ def test_texts_near_the_budget_end_closed(text):
         assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("error", [LiftCheckFailed, HexagonsInconsistent,
-                                   FieldConstructionFailed])
+@pytest.mark.parametrize("error", [
+    LiftCheckFailed, HexagonsInconsistent, FieldConstructionFailed,
+    GroupHomViolation, EpsilonViolation, NullsetViolation, ChainMismatch,
+    EpsilonOrderError])
 @pytest.mark.parametrize("argv", [
     ["lift", "--kind", "ternary", "F9"],
     ["lift-check", "--matroid", "U24", "--pasture", "F4", "--kind", "wlum"]],

@@ -1,11 +1,13 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, ZZ, factorint
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from pastures import groups
-from pastures.groups import (DEFAULT_CAP, AbelianGroup, EpsilonOrderError,
+from pastures import groups, morphisms
+from pastures.groups import (AbelianGroup, EpsilonOrderError,
                              GroupMap, InfiniteTargetError,
                              SearchSpaceExceeded, enumerate_homs,
                              evaluate_word, hom_pools, is_surjective,
@@ -398,8 +400,8 @@ def test_group_arithmetic():
     assert g.power((1, 2, -1), 3) == (1, 0, -3)
     h = AbelianGroup((2, 6), 0, (0, 0))
     assert h.size() == 12
-    assert len(h.elements()) == 12
-    assert len(set(h.elements())) == 12
+    assert len(h.torsion_elements()) == 12
+    assert len(set(h.torsion_elements())) == 12
 
 
 def reference_reduce(g, vec):
@@ -648,20 +650,22 @@ def test_enumerate_homs_infinite_target():
 
 
 def test_hom_pools_refuse_before_building(monkeypatch):
-    """The pool sizes are counted before any pool is built: U -> F65536
-    units, 65535^2 candidates, is refused without listing the target's
-    torsion elements, and a free generator's pool is None, which only
-    ``enumerate_homs`` expands."""
-    def listed(self):
-        raise AssertionError("torsion elements listed")
+    """A hom search charges the target's torsion units to its cap before
+    any pool is built: U -> F128 at a cap of 126 steps is refused without
+    calling ``hom_pools``.  A free generator's pool is None, which only
+    ``enumerate_homs`` expands, so no torsion element is listed."""
+    def listed(*args):
+        raise AssertionError("pools built")
 
+    P = finite_field(128)
+    monkeypatch.setattr(morphisms, "hom_pools", listed)
+    with pytest.raises(SearchSpaceExceeded,
+                       match="^hom search passed its cap of 126 steps$"):
+        morphisms.hom_set(named("U"), P, cap=126)
     monkeypatch.setattr(AbelianGroup, "torsion_elements", listed)
     u = named("U").units
     assert (u.torsion, u.free_rank, u.sign_generator) == ((2,), 2, 0)
-    with pytest.raises(SearchSpaceExceeded, match="^4294836225 "):
-        hom_pools(u, AbelianGroup((65535,), 0, (0,)), cap=10**9)
-    assert hom_pools(u, AbelianGroup((6,), 0, (3,)), cap=36) == \
-        [[(3,)], None, None]
+    assert hom_pools(u, AbelianGroup((6,), 0, (3,))) == [[(3,)], None, None]
 
 
 @pytest.mark.parametrize("source, target", [
@@ -670,16 +674,24 @@ def test_hom_pools_refuse_before_building(monkeypatch):
     (AbelianGroup((3, 9), 0, (0, 0)), AbelianGroup((3, 3, 9), 0, (0, 0, 0))),
     (AbelianGroup((), 3, ()), AbelianGroup((5,), 0, (0,)))])
 def test_hom_pools_cap_is_the_product_of_the_built_pools(source, target):
-    """The counted sizes are those of the pools: the product of the pool
-    lengths, every torsion element for None, passes as the cap and one
-    less is refused."""
-    pools = hom_pools(source, target, cap=DEFAULT_CAP)
-    total = 1
-    for pool in pools:
-        total *= len(target.torsion_elements() if pool is None else pool)
-    assert hom_pools(source, target, cap=total) == pools
-    with pytest.raises(SearchSpaceExceeded):
-        hom_pools(source, target, cap=total - 1)
+    """``enumerate_homs`` tries every candidate of the pools of
+    ``hom_pools``, every torsion element for None, so the product of the
+    pool lengths is its cap: that product passes and one less is refused.
+    A free source generator meets an infinite target before the cap."""
+    pools = [target.torsion_elements() if pool is None else pool
+             for pool in hom_pools(source, target)]
+    total = math.prod(map(len, pools))
+    if source.free_rank and not target.is_finite:
+        with pytest.raises(InfiniteTargetError):
+            enumerate_homs(source, target, cap=total)
+        return
+    homs = enumerate_homs(source, target, cap=total)
+    assert homs and all(map(list.__contains__, pools, images)
+                        for images in homs)
+    with pytest.raises(SearchSpaceExceeded,
+                       match=f"^{total} candidate homomorphisms exceed the "
+                             f"cap of {total - 1}$"):
+        enumerate_homs(source, target, cap=total - 1)
 
 
 @given(small_matrices)

@@ -27,7 +27,7 @@ from pastures.morphisms import NotIso, Unknown, hom_set, iso_check
 
 ATOMS = ("U", "D", "H", "S", "F2", "F3", "F4", "F5", "F7", "F8", "F9")
 FIELDS = ("F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16")
-CAP = 10**6
+CAP = 10**4     # steps of each search; a refused one spends them all
 
 
 def expressions(depth):

@@ -214,7 +214,7 @@ def test_class_structure():
         assert c.representative.values in c.members
         assert c.size == len(c.members)
         # orbit sizes divide the rescaling torus order
-        assert (len(P.units.elements()) ** 4) % c.size == 0
+        assert (len(P.units.torsion_elements()) ** 4) % c.size == 0
         assert not (union & c.members)
         union |= c.members
         total += c.size
@@ -241,17 +241,31 @@ def test_relabeling_invariance():
 def test_guards():
     with pytest.raises(InfinitePasture):
         representation_classes(u24(), named("D"))
-    # the cap bounds the candidate pools of F_M's generators: 1 * 6 * 6, as
-    # -1 -> -1 fixes the image of its C2 generator
+    # the cap bounds the steps of the search for F_M -> F7, F_M being U:
+    # F7's 6 torsion units and 12 nodes
     with pytest.raises(SearchSpaceExceeded,
-                       match="^36 candidate homomorphisms exceed the cap "
-                             "of 10$"):
-        representation_classes(u24(), finite_field(7), cap=10)
+                       match="^hom search passed its cap of 17 steps$"):
+        representation_classes(u24(), finite_field(7), cap=17)
+    assert len(representation_classes(u24(), finite_field(7), cap=18)) == 5
     # every basis of U(1,8) is pinned, so F_M is F1pm with one morphism;
     # its class has 15^7 members, counted by formula, never enumerated
     [c] = representation_classes(uniform(1, 8), finite_field(16))
     assert c.size == 15**7
     assert "members" not in c.__dict__
+
+
+@pytest.mark.parametrize("rank, n, q, count", [
+    (2, 7, 8, math.prod(8 - k for k in range(2, 6))),
+    (3, 6, 7, 140), (3, 7, 8, 1200)], ids=["U27/F8", "U36/F7", "U37/F8"])
+def test_searches_the_candidate_product_refused_answer(rank, n, q, count):
+    """At the default cap, searches whose candidate pools multiply to
+    6.8e11, 7.8e10 and 4.6e23 answer, in 2966, 1602 and 39710 nodes.
+    U(2, n) over F_q has (q - 2)(q - 3)...(q - n + 2) classes: n points of
+    the projective line, the first three fixed at 0, 1 and infinity.  The
+    counts of U(3, 6) and U(3, 7) are those of the same search with the
+    cap lifted."""
+    assert len(representation_classes(uniform(rank, n), finite_field(q))) \
+        == count
 
 
 def test_mk4_counts():
@@ -348,7 +362,7 @@ def reference_classes(M, P):
     rescaling torus around each accepted assignment and drop repeats.
     Returns (representative values, members) pairs in output order."""
     units = [PastureElement(c) for c in
-             sorted(P.units.elements(), key=P.units.key)]
+             sorted(P.units.torsion_elements(), key=P.units.key)]
     # each constraint is checked once its largest basis position is set
     buckets = [[] for _ in M.bases]
     for con in _constraints(M):
@@ -494,7 +508,7 @@ def test_least_is_the_least_member(q, data):
     for c in classes:
         least = min(c.members, key=lambda t: tuple(key(v.coords) for v in t))
         assert all(least_rescaling(M, P, t) == least for t in c.members)
-    units = [PastureElement(u) for u in P.units.elements()]
+    units = [PastureElement(u) for u in P.units.torsion_elements()]
     for rest in data.draw(st.lists(st.lists(st.sampled_from(units),
                                             min_size=len(M.bases) - 1,
                                             max_size=len(M.bases) - 1),
@@ -526,7 +540,7 @@ SHUFFLED_BASES = [
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_least_in_any_basis_order(M, P, data):
-    units = [PastureElement(u) for u in P.units.elements()]
+    units = [PastureElement(u) for u in P.units.torsion_elements()]
     t = (P.one(), *data.draw(st.lists(st.sampled_from(units),
                                       min_size=len(M.bases) - 1,
                                       max_size=len(M.bases) - 1)))

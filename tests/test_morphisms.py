@@ -245,25 +245,40 @@ def test_hom_set_from_u_and_h_into_every_small_field():
 
 
 def test_hom_set_guard_counts_every_candidate():
-    # U -> F7: 1 * 6 * 6 candidates, as enumerate_homs counts them: U's -1
-    # is its C2 generator, whose image -1 -> -1 fixes
+    # U -> F7 takes 18 steps: one for each of F7's 6 torsion units, then
+    # one for each of the 12 nodes, the candidate images assigned
+    stats = SearchStats()
+    assert len(hom_set(named("U"), finite_field(7), cap=18, stats=stats)) \
+        == 5
+    assert stats.nodes == 12
     with pytest.raises(SearchSpaceExceeded,
-                       match="^36 candidate homomorphisms exceed the cap "
-                             "of 35$"):
-        hom_set(named("U"), finite_field(7), cap=35)
-    assert len(hom_set(named("U"), finite_field(7), cap=36)) == 5
+                       match="^hom search passed its cap of 17 steps$"):
+        hom_set(named("U"), finite_field(7), cap=17)
 
 
 def test_hom_set_refuses_before_indexing_the_target():
-    """A refused search builds nothing of the target: its torsion units
-    are indexed (``Pasture.indexed``, a list of every one) only after the
-    pool sizes pass the cap."""
+    """The target's torsion units are charged before they are indexed
+    (``Pasture.indexed``, a list of every one): U -> F128 at a cap of 126
+    builds nothing of the target.  The 254 nodes come after, so 380 steps
+    are refused midway and 381 answer."""
     P = finite_field(128)
     with pytest.raises(SearchSpaceExceeded):
-        hom_set(named("U"), P, cap=127 ** 2 - 1)
+        hom_set(named("U"), P, cap=126)
     assert "indexed" not in vars(P)
-    assert len(hom_set(named("U"), P, cap=127 ** 2)) == 126
+    with pytest.raises(SearchSpaceExceeded):
+        hom_set(named("U"), P, cap=127 + 253)
     assert "indexed" in vars(P)
+    assert len(hom_set(named("U"), P, cap=127 + 254)) == 126
+
+
+def test_hom_into_f65536_answers_at_the_default_cap():
+    """Hom(U, F_q) has q - 2 morphisms, one for each a other than 0 and 1:
+    U's x goes to a and y to 1 - a.  For q = 65536 the search takes 65535
+    + 131070 steps, under the default cap of 10^6."""
+    stats = SearchStats()
+    assert len(hom_set(named("U"), finite_field(65536), stats=stats)) \
+        == 65536 - 2
+    assert stats.nodes == 1 + 65535 + 65534
 
 
 def counts(stats):

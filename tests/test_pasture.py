@@ -65,7 +65,7 @@ def test_finite_fields_as_pastures():
     assert F4.units.torsion == (3,)
     assert F4.eps == (0,)
     F2 = finite_field(2)
-    assert F2.units.is_trivial
+    assert F2.units.ngens == 0
     assert not F2.null_orbits
     # a field's nullset encodes a+b+c=0 on units
     from pastures.gf import field
@@ -390,7 +390,7 @@ def test_null3_matches_orbit_lookup(P):
     """The pair lookup of ``_null3`` against the canonical orbit lookup it
     replaced, on every triple of units."""
     g = P.units
-    for t in itertools.product(g.elements(), repeat=3):
+    for t in itertools.product(g.torsion_elements(), repeat=3):
         assert P._null3(*t) == (canonical_orbit(g, t) in P.null_orbits), t
 
 
@@ -703,7 +703,7 @@ def test_presented_refuses_malformed_terms(term):
 def test_product_and_tensor_identities():
     # F2 tensor F3 collapses to the Krasner hyperfield
     T = tensor(finite_field(2), finite_field(3))
-    assert T.units.is_trivial
+    assert T.units.ngens == 0
     assert tuple(T.sorted_orbits()) == (((), (), ()),)
     assert bool(iso_check(T, named("K")))
     # empty product / tensor
