@@ -56,7 +56,7 @@ EXIT_CASES = [
     (["reps", "--matroid", "MK4", "--pasture", "F16"], 0),
     # 504 classes at the default cap: F_M's -1 is counted once
     (["reps", "--matroid", str(DATA / "u26.json"), "--pasture", "F11"], 0),
-    # 1200 classes in 7 + 39710 steps, refused by the candidate product before
+    # 1200 classes in 7 + 39710 steps; the candidate pools multiply to 4.6e23
     (["reps", "--matroid", str(DATA / "u37.json"), "--pasture", "F8"], 0),
     # verified-false answers
     (["iso", "F4", "F5"], 1),

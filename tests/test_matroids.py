@@ -257,7 +257,7 @@ def test_guards():
 @pytest.mark.parametrize("rank, n, q, count", [
     (2, 7, 8, math.prod(8 - k for k in range(2, 6))),
     (3, 6, 7, 140), (3, 7, 8, 1200)], ids=["U27/F8", "U36/F7", "U37/F8"])
-def test_searches_the_candidate_product_refused_answer(rank, n, q, count):
+def test_uniform_class_counts_at_the_default_cap(rank, n, q, count):
     """At the default cap, searches whose candidate pools multiply to
     6.8e11, 7.8e10 and 4.6e23 answer, in 2966, 1602 and 39710 nodes.
     U(2, n) over F_q has (q - 2)(q - 3)...(q - n + 2) classes: n points of
