@@ -220,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit machine-readable JSON")
     common.add_argument("--max-candidates", type=_int_at_least(1),
                         metavar="N", default=DEFAULT_CAP,
-                        help="hom search steps: target torsion units and "
-                             "generator images tried (default %(default)s)")
+                        help="hom search steps (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="pastures",

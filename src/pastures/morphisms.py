@@ -95,14 +95,14 @@ class SearchStats:
     """What the hom searches it is passed to did, summed over them:
     ``nodes``, the generator images assigned, one per node of the search
     tree below its root, the steps the cap bounds besides the target's
-    torsion units; ``floor``, the nodes with an answer below them, which
-    is the least any search in the same order visits; ``prunes``,
-    the candidate images a check cut from a domain; ``solves``, the checks
-    that solved a domain from a pair table instead of testing each
-    candidate; and ``survivors``, the morphisms found.  Each free-part
-    entry adds its counters when its search ends, before its first
-    morphism is handed out; entries a caller stops before, or that pass
-    the cap, add nothing."""
+    torsion units and the candidates checks test; ``floor``, the nodes
+    with an answer below them, the least any search in the same order
+    visits; ``prunes``, the candidate images a check cut from a domain;
+    ``solves``, the checks that solved a domain from a pair table instead
+    of testing each candidate; and ``survivors``, the morphisms found.
+    Each free-part entry adds its counters when its search ends, before
+    its first morphism is handed out; entries a caller stops before, or
+    that pass the cap, add nothing."""
 
     __slots__ = ("nodes", "floor", "prunes", "solves", "survivors")
 
@@ -152,9 +152,10 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
     entries in the order given.  An entry is searched whole and its rows
     sorted, its counters are added to ``stats``, and only then are its
     morphisms built, one as each is asked for; a caller that stops leaves
-    the later entries unsearched.  The steps, one per torsion unit of the
-    target, charged before it is indexed, and one per node, are summed over
-    the entries; past ``cap`` SearchSpaceExceeded is raised.
+    the later entries unsearched.  A step is a torsion unit of the target
+    (charged before it is indexed), a node (a leaf before its row is kept)
+    or a candidate a check tests one by one; past ``cap`` steps, summed
+    over the entries, SearchSpaceExceeded is raised.
 
     The domains start as the pools of ``hom_pools``.  A check is a pair of
     source vectors and the allowed pairs of their images: -1 -> -1 (with a
@@ -180,12 +181,17 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
     the lowest on ties.
     """
     gs, gt = source.units, target.units
-    # steps left: the torsion units are charged before they are indexed
-    budget = cap - math.prod(gt.torsion)
+    budget = cap
     over = f"hom search passed its cap of {cap} steps"
-    if budget < 0:
-        raise SearchSpaceExceeded(over)
-    pools = hom_pools(gs, gt)
+
+    def charge(steps):
+        """Spend ``steps`` of the budget; past it the search is refused."""
+        nonlocal budget
+        budget -= steps
+        if budget < 0:
+            raise SearchSpaceExceeded(over)
+
+    charge(math.prod(gt.torsion))
     form = target.indexed
     n, nt, ng = len(gt.torsion), len(gs.torsion), gs.ngens
     size = len(form.coords)
@@ -195,7 +201,7 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         [exponent] * gs.free_rank
     pools = [range(size) if pool is None or len(pool) == size else
              tuple(sum(map(mul, e, form.strides)) for e in pool)
-             for pool in pools]
+             for pool in hom_pools(gs, gt)]
     orbits = [tuple(tuple(a - c for a, c in zip(w, z)) for w in (x, y))
               for x, y, z in source.null_orbits]
     # check ch: -1 -> -1 for ch = 0, else orbit ch - 1; its vectors are 2 ch
@@ -271,9 +277,11 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
                         continue
                     new = ()
                 else:
+                    charge(len(sol))
                     new = [i for i in [s * (packed[e] - b) % modulus
                                        for e in sol] if i in dom]
             else:
+                charge(len(dom))
                 x, y = x & mask, x >> width
                 new = [i for i in dom if (y + b * packed[i]) % modulus
                        in table.get((x + a * packed[i]) % modulus, ())]
@@ -293,8 +301,7 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         k = sizes.index(min(sizes))
         cands = doms[k]
         nodes += len(cands)
-        if nodes > budget:
-            raise SearchSpaceExceeded(over)
+        charge(len(cands))
         sizes[k] = done
         assigned |= 1 << k
         # the checks k leaves with one generator without an image depend on
@@ -321,8 +328,7 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
                 else:
                     below = len(doms[last])
                     nodes += below
-                    if nodes > budget:
-                        raise SearchSpaceExceeded(over)
+                    charge(below)
                     for j in doms[last]:
                         chosen[last] = j
                         found.append(tuple(chosen))
@@ -371,14 +377,10 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         if holds:
             if ng > 1:
                 extend(0, 0, 0)
-            elif ng:
-                found = [(i,) for i in doms[0]]
-                nodes = floor = len(found)
             else:
-                found.append(())
-        budget -= nodes
-        if budget < 0:
-            raise SearchSpaceExceeded(over)
+                nodes = floor = sum(map(len, doms))
+                charge(nodes)
+                found = list(itertools.product(*doms))
         found.sort()
         if stats is not None:
             stats.nodes += nodes

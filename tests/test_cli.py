@@ -274,13 +274,14 @@ def test_one_default_cap(capsys):
 
 
 def test_iso_guard_counts_the_search_steps(capsys):
-    # the target's 2 torsion units, then 1 node for z -> t*z, which gives
-    # no isomorphism, and 2 for z -> t/z: the steps of the two searches
-    # are summed, so 4 answers unknown and 5 finds the isomorphism
+    # the target's 2 torsion units, then for z -> t*z 1 node and the 2
+    # candidates the orbit check tests, which leave none, and for z -> t/z
+    # 1 node, 2 tested and 1 leaf: the steps of the two searches are
+    # summed, so 8 answers unknown and 9 finds the isomorphism
     argv = ["iso", "D", "F1pm<z>//(z^-1+z^-1-1)", "--max-candidates"]
-    assert run(capsys, argv + ["4"]) == (
-        2, "unknown: hom search passed its cap of 4 steps\n", "")
-    code, out, err = run(capsys, argv + ["5"])
+    assert run(capsys, argv + ["8"]) == (
+        2, "unknown: hom search passed its cap of 8 steps\n", "")
+    code, out, err = run(capsys, argv + ["9"])
     assert (code, err) == (0, "")
     assert out.endswith(" are isomorphic\n")
 

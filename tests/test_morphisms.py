@@ -271,14 +271,66 @@ def test_hom_set_refuses_before_indexing_the_target():
     assert len(hom_set(named("U"), P, cap=127 + 254)) == 126
 
 
-def test_hom_into_f65536_answers_at_the_default_cap():
+@pytest.fixture(scope="module")
+def f65536():
+    return finite_field(65536)
+
+
+def test_hom_into_f65536_answers_at_the_default_cap(f65536):
     """Hom(U, F_q) has q - 2 morphisms, one for each a other than 0 and 1:
     U's x goes to a and y to 1 - a.  For q = 65536 the search takes 65535
     + 131070 steps, under the default cap of 10^6."""
     stats = SearchStats()
-    assert len(hom_set(named("U"), finite_field(65536), stats=stats)) \
-        == 65536 - 2
+    assert len(hom_set(named("U"), f65536, stats=stats)) == 65536 - 2
     assert stats.nodes == 1 + 65535 + 65534
+
+
+def test_hom_set_charges_every_candidate_a_check_tests(f65536):
+    """A check with a coefficient other than +-1 on the generator it
+    narrows tests every candidate of that generator's domain, one step
+    each.  F1pm<a,b>//(a^2+b^2-1) -> F13: 12 torsion units, 13 nodes (-1
+    and every image of a), 12 candidates of b tested under each image of
+    a, and 8 leaves, one per point of a^2 + b^2 = 1 with a and b nonzero,
+    which number q - (-1)^((q-1)/2) - 4 for odd q; so 176 steps are
+    refused and 177 answer.  Into F65536 the default cap refuses the search
+    after 15 images of a instead of testing 65535^2 pairs.  A check solved
+    from a pair table tests each solution when there are several: Hom(U,
+    S x S), the 3^2 pairs of morphisms U -> S, takes 4 torsion units, 5
+    nodes, 8 solutions tested and 9 leaves, 26 steps."""
+    U, S = named("U"), named("S")
+    with pytest.raises(SearchSpaceExceeded):
+        hom_set(U, product(S, S), cap=25)
+    assert len(hom_set(U, product(S, S), cap=26)) \
+        == len(hom_set(U, S)) ** 2 == 9
+    P = pasture_of("F1pm<a,b>//(a^2+b^2-1)")
+    q = 13
+    with pytest.raises(SearchSpaceExceeded):
+        hom_set(P, finite_field(q), cap=176)
+    stats = SearchStats()
+    assert len(hom_set(P, finite_field(q), cap=177, stats=stats)) \
+        == q - (-1) ** ((q - 1) // 2) - 4 == 8
+    assert stats.nodes == 1 + 12 + 8
+    with pytest.raises(SearchSpaceExceeded):
+        hom_set(P, f65536)
+
+
+def test_hom_set_charges_a_leaf_before_keeping_its_row(monkeypatch):
+    """The rows of an entry are kept until its search ends, so each leaf
+    is charged before its row is built, and a refused search holds no
+    more rows than its cap.  U -> F128 at 380 steps is refused at its last
+    leaf, the 126th: 125 rows are built, not 126.  Rows are built by
+    ``tuple`` from the list of chosen images, counted here."""
+    rows = []
+
+    def counting(items=()):
+        if isinstance(items, list):
+            rows.append(items)
+        return tuple(items)
+
+    monkeypatch.setattr(morphisms, "tuple", counting, raising=False)
+    with pytest.raises(SearchSpaceExceeded):
+        hom_set(named("U"), finite_field(128), cap=127 + 253)
+    assert len(rows) == 125
 
 
 def counts(stats):
