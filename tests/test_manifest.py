@@ -8,15 +8,18 @@ not picked by hand:
 - every atom of ATOMS, and every unordered pair of atoms (a pair of one
   atom twice included) under ``x`` and under ``ox``, through
   ``pasture --json``, ``hexagons``, the ternary, WLUM and GRS lifts and
-  ``hom`` into every field of TARGETS;
+  ``hom`` into every field of TARGETS, and into F16 at a cap of SMALL;
 - ``iso`` on every ordered pair of atoms, and of ``a x b`` with
   ``b x a`` and ``a ox b`` with ``b ox a`` for every two atoms a, b;
-- ``reps --list`` of U24, MK4 and ``u26.json`` over F3 to F9.
+- ``reps --list`` of U24, MK4 and ``u26.json`` over F3 to F9, at the
+  default cap and at SMALL.
 
 Commands that exit 2 (a guard, an infinite pasture, an ``iso`` answering
-unknown) stay in, so a change of refusal shows as a mismatch.  A mismatch
-means an answer changed: either the program is wrong, or the change is
-argued and the manifest re-recorded, on its own, with
+unknown) stay in, so a change of refusal shows as a mismatch.  At SMALL,
+30 steps, some of those searches are refused and some answer, so a change
+of how the steps are counted shows too.  A mismatch means an answer
+changed: either the program is wrong, or the change is argued and the
+manifest re-recorded, on its own, with
 
     PYTHONPATH=src python tests/test_manifest.py
 """
@@ -37,6 +40,7 @@ ATOMS = ("U", "D", "H", "S", "K", "W", "G",
          "F2", "F3", "F4", "F5", "F7", "F8", "F9")
 TARGETS = ("F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16")
 MATROIDS = ("U24", "MK4", "tests/data/u26.json")
+SMALL = ["--max-candidates", "30"]
 
 
 def texts():
@@ -55,6 +59,7 @@ def commands():
             yield ["lift", "--kind", kind, text]
         for q in TARGETS:
             yield ["hom", text, q]
+        yield ["hom", text, "F16", *SMALL]
     for a, b in itertools.product(ATOMS, repeat=2):
         yield ["iso", a, b]
     for a, b in itertools.combinations(ATOMS, 2):
@@ -63,6 +68,7 @@ def commands():
     for m in MATROIDS:
         for q in ("F3", "F4", "F5", "F7", "F8", "F9"):
             yield ["reps", "--matroid", m, "--pasture", q, "--list"]
+            yield ["reps", "--matroid", m, "--pasture", q, "--list", *SMALL]
 
 
 def entry(argv):
