@@ -13,16 +13,13 @@ import os
 import sys
 
 from .expr import pasture_of
-from .gf import FieldConstructionFailed, FieldTooLarge
-from .groups import (DEFAULT_CAP, EpsilonOrderError, InfiniteTargetError,
-                     SearchSpaceExceeded)
-from .hexagons import HexagonsInconsistent, hexagons
-from .lifts import LIFTS, LiftCheckFailed, NotFinitary
+from .groups import DEFAULT_CAP, InfinitePasture, SearchSpaceExceeded
+from .hexagons import hexagons
+from .lifts import LIFTS
 from .matroids import (lift_bijection_check, matroid_from_json, mk4,
                        representation_classes, u24)
-from .morphisms import (ChainMismatch, EpsilonViolation, GroupHomViolation,
-                        Iso, NotIso, NullsetViolation, hom_set, iso_check)
-from .pasture import InfinitePasture
+from .morphisms import Iso, NotIso, hom_set, iso_check
+from .record import InternalError
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -296,14 +293,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (FieldTooLarge, InfiniteTargetError, InfinitePasture, NotFinitary,
-            SearchSpaceExceeded) as e:
+    # refusals first: InfinitePasture is a ValueError too
+    except (SearchSpaceExceeded, InfinitePasture) as e:
         print(f"guard tripped: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
-    # a failed check of the library's own invariants, which no input causes
-    except (FieldConstructionFailed, HexagonsInconsistent, LiftCheckFailed,
-            GroupHomViolation, EpsilonViolation, NullsetViolation,
-            ChainMismatch, EpsilonOrderError) as e:
+    except InternalError as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError) as e:

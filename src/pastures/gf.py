@@ -25,16 +25,19 @@ import math
 from functools import cached_property, lru_cache
 from operator import lshift, mul as _mul
 
+from .groups import SearchSpaceExceeded
+from .record import InternalError
+
 
 class NotPrimePower(ValueError):
     """q is not of the form p^k with p prime and k >= 1."""
 
 
-class FieldConstructionFailed(RuntimeError):
+class FieldConstructionFailed(InternalError, RuntimeError):
     """A step that cannot fail for a prime power q failed building GF(q)."""
 
 
-class FieldTooLarge(RuntimeError):
+class FieldTooLarge(SearchSpaceExceeded):
     """q exceeds ``MAX_Q``, past which the tables are not built."""
 
 

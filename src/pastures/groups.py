@@ -19,20 +19,20 @@ import itertools
 import math
 from operator import add as _add, mod as _mod, neg as _neg
 
-from .record import Record, set_field as _set
+from .record import InternalError, Record, set_field as _set
 
 
-class EpsilonOrderError(ValueError):
+class EpsilonOrderError(InternalError, ValueError):
     """The designated sign element does not square to the identity."""
 
 
-class InfiniteTargetError(ValueError):
-    """A hom-set enumeration would have infinitely many candidates."""
+class InfinitePasture(ValueError):
+    """An operation that needs finitely many units met infinitely many."""
 
 
 class SearchSpaceExceeded(RuntimeError):
-    """A search passed its cap: the steps of a hom search, or the
-    candidates of ``enumerate_homs``."""
+    """A computation passed its work budget: hom search steps, candidate
+    homomorphisms, product orbits, GRS lift cells or a field's order."""
 
 
 DEFAULT_CAP = 10**6     # the default cap of every search, --max-candidates too
@@ -478,11 +478,11 @@ def enumerate_homs(source: AbelianGroup, target: AbelianGroup, *,
     The target may be infinite provided the source is all-torsion (every
     generator image is then confined to the finite torsion subgroup).  When a
     free source generator meets an infinite target, the hom set has no finite
-    enumeration and :class:`InfiniteTargetError` is raised.  More than
+    enumeration and :class:`InfinitePasture` is raised.  More than
     ``cap`` candidates raise :class:`SearchSpaceExceeded` before any is tried.
     """
     if source.free_rank and not target.is_finite:
-        raise InfiniteTargetError("free source generator with infinite target")
+        raise InfinitePasture("free source generator with infinite target")
     pools = [target.torsion_elements() if pool is None else pool
              for pool in hom_pools(source, target)]
     total = math.prod(map(len, pools))

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 from .pasture import Pasture
 from . import pasture as pa
-from .record import Record
+from .record import InternalError, Record
 
 
 class NotFundamental(ValueError):
     """The dihedral action is only defined on fundamental pairs."""
 
 
-class HexagonsInconsistent(RuntimeError):
+class HexagonsInconsistent(InternalError, RuntimeError):
     """A fundamental pair lies in no hexagon, against the orbit partition."""
 
 

@@ -11,23 +11,18 @@ the induced multiplicative relations.
 
 from __future__ import annotations
 
-from .groups import AbelianGroup, GroupMap
+from .groups import AbelianGroup, GroupMap, SearchSpaceExceeded
 from .pasture import Pasture, _reduced, named, tensor_full
 from .hexagons import Hexagon, fundamental_pairs, hexagons
 from .morphisms import PastureMorphism, make
-from .record import Record
+from .record import InternalError, Record
 
 
 class KindMismatch(ValueError):
     """Descriptor comparison needs two ternary or WLUM lifts."""
 
 
-class NotFinitary(ValueError):
-    """The pasture has too many fundamental elements to present its GRS
-    lift."""
-
-
-class LiftCheckFailed(RuntimeError):
+class LiftCheckFailed(InternalError, RuntimeError):
     """A computed lift fails a property its construction guarantees: lambda
     is not a bijection on fundamental pairs or elements, or the fundamental
     elements are not closed under the GRS relations."""
@@ -160,7 +155,7 @@ def _g5_triples(g, F):
                 yield i, j, k
 
 
-MAX_FUNDAMENTAL = 512      # grs_lift raises NotFinitary past this many
+MAX_CELLS = 25 * 10**6     # grs_lift's cap on its Smith normal form input
 
 
 def grs_lift(P: Pasture) -> LiftResult:
@@ -185,17 +180,21 @@ def grs_lift(P: Pasture) -> LiftResult:
     G3 is passed for one pair of each hexagon of P: by G2 and G4 the triple
     (t_a, t_b, -1) of any other pair of the hexagon is a rescaling of a
     permutation of it, so it adjoins the same orbit.  lambda sends t_a to
-    a and restricts to a bijection on fundamental elements.
+    a and restricts to a bijection on fundamental elements.  The rows, the
+    C2 row of -1 and those above, are counted before any is built: past
+    ``MAX_CELLS`` cells, n + 1 a row, SearchSpaceExceeded is raised.
     """
     g = P.units
     pairs = fundamental_pairs(P)
     F = sorted({a for a, _ in pairs}, key=g.key)
     n = len(F)
-    if n > MAX_FUNDAMENTAL:
-        raise NotFinitary(
-            f"{n} fundamental elements exceed the cap of {MAX_FUNDAMENTAL}")
+    triples = list(_g5_triples(g, F))
+    g1 = g.epsilon == g.identity()
+    if (1 + g1 + len(pairs) + n + len(triples)) * (n + 1) > MAX_CELLS:
+        raise SearchSpaceExceeded(
+            f"GRS lift passed its cap of {MAX_CELLS} cells")
     col = {a: i for i, a in enumerate(F, 1)}
-    kill = [[1] + [0] * n] if g.epsilon == g.identity() else []    # G1
+    kill = [[1] + [0] * n] if g1 else []                            # G1
     for a, b in sorted(pairs, key=lambda p: (g.key(p[0]), g.key(p[1]))):
         binv = g.inv(b)
         c = g.mul(g.epsilon, g.inv(g.mul(a, binv)))
@@ -215,7 +214,7 @@ def grs_lift(P: Pasture) -> LiftResult:
         row[col[a]] += 1
         row[col[ainv]] += 1
         kill.append(row)
-    for i, j, k in _g5_triples(g, F):
+    for i, j, k in triples:
         row = [0] * (n + 1)                                         # G5
         row[i + 1] += 1
         row[j + 1] += 1

@@ -20,9 +20,9 @@ import itertools
 import math
 from operator import gt
 
-from .groups import DEFAULT_CAP
+from .groups import DEFAULT_CAP, InfinitePasture
 from .morphisms import SearchStats, compose, hom_set
-from .pasture import InfinitePasture, Pasture, PastureElement, presented
+from .pasture import Pasture, PastureElement, presented
 from .record import Record
 
 

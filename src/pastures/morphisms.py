@@ -16,29 +16,29 @@ from operator import getitem, mul
 from .groups import (
     DEFAULT_CAP,
     GroupMap,
-    InfiniteTargetError,
+    InfinitePasture,
     SearchSpaceExceeded,
     hom_pools,
     identity_rows,
     is_surjective,
 )
 from .pasture import Pasture, canonical_orbit
-from .record import Record, set_field as _set
+from .record import InternalError, Record, set_field as _set
 
 
-class GroupHomViolation(ValueError):
+class GroupHomViolation(InternalError, ValueError):
     """Generator images do not respect the generator orders."""
 
 
-class EpsilonViolation(ValueError):
+class EpsilonViolation(InternalError, ValueError):
     """-1 does not map to -1."""
 
 
-class NullsetViolation(ValueError):
+class NullsetViolation(InternalError, ValueError):
     """Some null orbit does not map to a null triple."""
 
 
-class ChainMismatch(ValueError):
+class ChainMismatch(InternalError, ValueError):
     """Composition of morphisms whose endpoints do not match."""
 
 
@@ -126,7 +126,7 @@ def hom_set(source: Pasture, target: Pasture, *, cap: int = DEFAULT_CAP,
     has empty, and a torsion part, which the search finds.  Into an infinite
     target the source must be all-torsion, and the images lie in the
     finite torsion subgroup; a free source generator raises
-    InfiniteTargetError.  The search enforces everything ``make`` validates
+    InfinitePasture.  The search enforces everything ``make`` validates
     (generator orders, -1 -> -1, every null orbit), so its survivors are
     built directly; ``make`` stays the constructor for generator images
     from elsewhere and is the oracle the tests compare this search with.
@@ -136,7 +136,7 @@ def hom_set(source: Pasture, target: Pasture, *, cap: int = DEFAULT_CAP,
     """
     gs, gt = source.units, target.units
     if gs.free_rank and not gt.is_finite:
-        raise InfiniteTargetError("free source generator with infinite target")
+        raise InfinitePasture("free source generator with infinite target")
     return list(_pruned_images(source, target, cap,
                                [((0,) * gt.free_rank,) * gs.free_rank], stats))
 

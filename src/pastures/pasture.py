@@ -46,6 +46,8 @@ from . import gf as gf_mod
 from .groups import (
     AbelianGroup,
     GroupMap,
+    InfinitePasture,    # defined with the other refusals, imported from here
+    SearchSpaceExceeded,
     reduce_presentation,
 )
 from .record import Record, set_field as _set
@@ -53,10 +55,6 @@ from .record import Record, set_field as _set
 
 class BadRelationShape(ValueError):
     """A quotient relation is not a 2- or 3-term sum of the expected shape."""
-
-
-class InfinitePasture(ValueError):
-    """An operation requiring finitely many units met an infinite pasture."""
 
 
 class PastureElement(Record):
@@ -431,11 +429,19 @@ def _reduced(units, kill, adjoin) -> QuotientResult:
     return QuotientResult(Pasture(units, orbits), cum, sections)
 
 
+MAX_PRODUCT_ORBITS = 2 * 10**5     # product_full's cap on candidate orbits
+
+
 def product_full(P: Pasture, Q: Pasture) -> ProductResult:
     """Direct product: units multiply componentwise and a product triple is
     null exactly when both components are: the orbits (x_i y_s(i)) for
     orbits x of P and y of Q and permutations s, each member the product
-    of its components' images under ``embed1`` and ``embed2``."""
+    of its components' images under ``embed1`` and ``embed2``.  These
+    6 |O_P| |O_Q| candidate orbits are charged before anything is built;
+    past ``MAX_PRODUCT_ORBITS`` :class:`SearchSpaceExceeded` is raised."""
+    if 6 * len(P.null_orbits) * len(Q.null_orbits) > MAX_PRODUCT_ORBITS:
+        raise SearchSpaceExceeded(
+            f"product passed its cap of {MAX_PRODUCT_ORBITS} orbits")
     gp, gq = P.units, Q.units
     n1, n2 = gp.ngens, gq.ngens
     rows = [list(r) + [0] * n2 for r in gp.relation_rows()]

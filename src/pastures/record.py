@@ -13,7 +13,12 @@ class, ``hash`` of the tuple of field values, the repr ``Name(field=value,
 set_field = object.__setattr__
 
 
-class FrozenError(AttributeError):
+class InternalError(Exception):
+    """A check of the library's own invariants failed: a bug, not an answer
+    about the input.  Each such exception also keeps its built-in base."""
+
+
+class FrozenError(InternalError, AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
 
 

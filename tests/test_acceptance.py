@@ -7,6 +7,7 @@ factorisation are spelled out inline so the assertion text shows exactly
 what was compared.
 """
 
+import pytest
 from sympy import factorint
 
 from pastures import verify
@@ -37,6 +38,8 @@ def _suite_ok(name, **kw):
 def test_criterion_1_hexagon_lists_of_small_fields():
     report = _suite_ok("hex-lists")
     assert len(report.items) == 19
+    with pytest.raises(ValueError, match="unknown suite 'hex'"):
+        verify.run("hex")
 
 
 def test_criterion_2_hexagon_census_up_to_q_64():

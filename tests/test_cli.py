@@ -7,11 +7,13 @@ commands and reviewed by hand.
 """
 
 import contextlib
+import importlib
 import inspect
 import io
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -19,17 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pastures
 from pastures import cli, lifts
 from pastures.expr import MAX_PARTS, pasture_of
-from pastures.gf import FieldConstructionFailed
-from pastures.groups import (DEFAULT_CAP, AbelianGroup, EpsilonOrderError,
-                             enumerate_homs)
-from pastures.hexagons import HexagonsInconsistent
-from pastures.lifts import LiftCheckFailed
+from pastures.groups import (DEFAULT_CAP, AbelianGroup, InfinitePasture,
+                             SearchSpaceExceeded, enumerate_homs)
 from pastures.matroids import lift_bijection_check, representation_classes
-from pastures.morphisms import (ChainMismatch, EpsilonViolation,
-                                GroupHomViolation, NullsetViolation,
-                                hom_set, iso_check)
+from pastures.morphisms import hom_set, iso_check
+from pastures.record import InternalError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -408,10 +407,25 @@ def test_texts_near_the_budget_end_closed(text):
         assert "Traceback" not in err.getvalue()
 
 
+def library_exceptions():
+    """Every exception class defined in a module of ``pastures``, by
+    name."""
+    found = set()
+    for info in pkgutil.iter_modules(pastures.__path__):
+        module = importlib.import_module(f"pastures.{info.name}")
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type)
+                     and issubclass(obj, BaseException)
+                     and obj.__module__ == module.__name__)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+EXCEPTIONS = library_exceptions()
+
+
 @pytest.mark.parametrize("error", [
-    LiftCheckFailed, HexagonsInconsistent, FieldConstructionFailed,
-    GroupHomViolation, EpsilonViolation, NullsetViolation, ChainMismatch,
-    EpsilonOrderError])
+    cls for cls in EXCEPTIONS if issubclass(cls, InternalError)
+    and cls is not InternalError], ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("argv", [
     ["lift", "--kind", "ternary", "F9"],
     ["lift-check", "--matroid", "U24", "--pasture", "F4", "--kind", "wlum"]],
@@ -428,6 +442,30 @@ def test_internal_invariant_failure_exits_4(capsys, monkeypatch, argv,
     assert run(capsys, argv) == (
         4, "", f"internal error: {error.__name__}: lambda does not cover "
                "the fundamental pairs\n")
+
+
+@pytest.mark.parametrize("error", EXCEPTIONS, ids=lambda cls: cls.__name__)
+def test_every_exception_has_one_exit_code(capsys, monkeypatch, error):
+    """Each exception the library defines belongs to exactly one family: a
+    refusal (exit 2), a failed check of the library's own invariants (exit
+    4) or an input error, a ``ValueError`` (exit 3).  ``cli.main`` maps a
+    raised instance by its family, with one line on stderr."""
+    refusal = issubclass(error, (SearchSpaceExceeded, InfinitePasture))
+    internal = issubclass(error, InternalError)
+    usage = issubclass(error, ValueError) and not refusal and not internal
+    assert refusal + internal + usage == 1, error
+    exc = error.__new__(error)
+    exc.args = ("no answer",)
+
+    def raising(text):
+        raise exc
+
+    monkeypatch.setattr(cli, "pasture_of", raising)
+    expected = {2: "guard tripped: no answer\n",
+                4: f"internal error: {error.__name__}: no answer\n",
+                3: "error: no answer\n"}
+    code = 2 if refusal else 4 if internal else 3
+    assert run(capsys, ["pasture", "U"]) == (code, "", expected[code])
 
 
 def test_guard_message_goes_to_stderr(capsys):

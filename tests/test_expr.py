@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pastures.expr import (MAX_PARTS, ExprError, Fq, Lift, Name, Presentation,
@@ -31,9 +31,29 @@ def exprs(children):
 ast = st.recursive(atoms, exprs, max_leaves=12)
 
 
-@given(ast)
+@st.composite
+def presentations(draw):
+    """``F1pm<...>//(...)`` nodes: 1-3 generators, up to 2 relations of 2
+    or 3 terms, each term a signed product of up to 2 powers, negative
+    exponents included, or the bare unit 1."""
+    names = tuple(draw(st.lists(st.sampled_from(["a", "b", "x", "ox", "t2"]),
+                                min_size=1, max_size=3, unique=True)))
+    power = st.tuples(st.sampled_from(names),
+                      st.sampled_from([-2, -1, 1, 2, 3]))
+    term = st.tuples(st.sampled_from([1, -1]),
+                     st.lists(power, max_size=2).map(tuple))
+    relation = st.lists(term, min_size=2, max_size=3).map(tuple)
+    return Presentation(names, tuple(draw(st.lists(relation, max_size=2))))
+
+
+@given(st.recursive(atoms | presentations(), exprs, max_leaves=12))
 @settings(max_examples=300, deadline=None)
+@example(Presentation(("a",), ()))
+@example(Presentation(("a", "b"), (((1, (("a", 1), ("b", -2))), (-1, ())),)))
 def test_parse_print_roundtrip(tree):
+    """Printing then parsing gives the tree back.  Presentations are only
+    parsed and printed here: evaluating a drawn one can run its Smith
+    normal form for minutes, as nothing meters its entries yet."""
     assert parse(print_expr(tree)) == tree
 
 
@@ -74,7 +94,9 @@ def test_syntax_errors_have_positions():
     for text, pos in [("F4xF5", 0), ("F4 x", 4), ("x F4", 0),
                       ("F1pm<x,>//(x+x-1)", 7), ("Lt(F4", 5),
                       ("F1pm<x>//(x)", 11), ("F1pm<x>//(x+x+x+x)", 17),
-                      ("", 0)]:
+                      ("", 0), ("F4 $ F5", 3), ("F1pm<a,a>", 7),
+                      ("F1pm<a b>", 7), ("F1pm<a>//(a+2)", 12),
+                      ("F1pm<a>//(a^b+1)", 12), ("F4 F5", 3)]:
         with pytest.raises(ExprError) as exc:
             parse(text)
         assert exc.value.position == pos, text
@@ -88,6 +110,13 @@ def test_syntax_errors_have_positions():
     ("F1pm<x>//(x+1", "expected ')', found end of input (at position 13)"),
     ("Lt F4", "expected '(', found 'F4' (at position 3)"),
     ("F4 x )", "expected a pasture expression, found ')' (at position 5)"),
+    ("F4 $ F5", "unexpected character '$' (at position 3)"),
+    ("F1pm<a,a>", "duplicate generator 'a' (at position 7)"),
+    ("F1pm<a b>", "expected ',' or '>' (at position 7)"),
+    ("F1pm<a>//(a+2)", "only the unit 1 may appear as a bare integer "
+                       "(at position 12)"),
+    ("F1pm<a>//(a^b+1)", "expected an integer exponent (at position 12)"),
+    ("F4 F5", "trailing input 'F5' (at position 3)"),
 ])
 def test_syntax_error_messages(text, message):
     """A token is named by its value; the end of the text as such."""
@@ -171,6 +200,8 @@ def test_unknown_names_rejected():
         parse("F4 x Q7")
     with pytest.raises(ExprError):
         parse("F1pm<x>//(x+y-1)")      # y never declared
+    with pytest.raises(KeyError, match="unknown pasture name 'Q7'"):
+        named("Q7")
 
 
 def test_evaluate_errors():

@@ -7,9 +7,9 @@ from sympy import factorint
 
 from pastures import lifts
 from pastures.expr import pasture_of
-from pastures.groups import AbelianGroup
+from pastures.groups import AbelianGroup, SearchSpaceExceeded
 from pastures.hexagons import fundamental_pairs
-from pastures.lifts import (KindMismatch, LiftCheckFailed, NotFinitary,
+from pastures.lifts import (KindMismatch, LiftCheckFailed,
                             _check_pair_bijection, binary_lift, grs_lift,
                             lift_descriptor_iso, ternary_lift, wlum_lift)
 from pastures.morphisms import hom_set, is_isomorphism, iso_check
@@ -217,9 +217,37 @@ def test_grs_lift_one_g3_per_hexagon_matches_every_pair(P, monkeypatch):
 
 
 def test_grs_guard(monkeypatch):
-    monkeypatch.setattr(lifts, "MAX_FUNDAMENTAL", 1)
-    with pytest.raises(NotFinitary):
-        grs_lift(finite_field(7))
+    """The GRS lift counts its Smith normal form input before building a
+    row: F53's is 553 rows (the C2 row of -1, 51 G4, 51 G2 and 450 G5
+    rows) of 52 cells, 28 756 cells.  A cap one cell smaller than the
+    input ``_reduced`` receives refuses it before ``_reduced`` is called,
+    and a cap of exactly that answers, on pastures with and without
+    -1 = 1."""
+    def unreached(*args):
+        raise AssertionError("Smith normal form input built")
+
+    cells = {}
+    for P in (finite_field(53), finite_field(4), finite_field(9), named("U"),
+              product(named("D"), finite_field(3))):
+        def spy(units, kill, adjoin):
+            cells[P.label] = (len(units.relation_rows()) + len(kill)) \
+                * units.ngens
+            return _reduced(units, kill, adjoin)
+
+        with monkeypatch.context() as m:
+            m.setattr(lifts, "_reduced", spy)
+            want = grs_lift(P)
+        cap = cells[P.label]
+        with monkeypatch.context() as m:
+            m.setattr(lifts, "MAX_CELLS", cap - 1)
+            m.setattr(lifts, "_reduced", unreached)
+            with pytest.raises(SearchSpaceExceeded, match=(
+                    f"^GRS lift passed its cap of {cap - 1} cells$")):
+                grs_lift(P)
+        monkeypatch.setattr(lifts, "MAX_CELLS", cap)
+        assert grs_lift(P) == want, P.label
+        monkeypatch.undo()
+    assert cells["F53"] == 553 * 52 == 28756
 
 
 def test_idempotence_spot_checks():
@@ -237,6 +265,8 @@ def test_descriptor_iso():
     assert not lift_descriptor_iso(L1, L3)
     with pytest.raises(KindMismatch):
         lift_descriptor_iso(L1, grs_lift(finite_field(5)))
+    with pytest.raises(KindMismatch, match="lifts of different kinds"):
+        lift_descriptor_iso(L1, wlum_lift(finite_field(8)))
 
 
 def test_pair_bijection_check_is_a_typed_error():

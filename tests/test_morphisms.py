@@ -6,10 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from pastures import morphisms
 from pastures.expr import pasture_of
-from pastures.groups import (GroupMap, InfiniteTargetError,
+from pastures.groups import (GroupMap, InfinitePasture,
                              SearchSpaceExceeded, enumerate_homs,
                              is_surjective)
-from pastures.morphisms import (EpsilonViolation, GroupHomViolation, Iso,
+from pastures.morphisms import (ChainMismatch, EpsilonViolation, GroupHomViolation, Iso,
                                 NotIso, NullsetViolation, PastureMorphism,
                                 SearchStats, Unknown, compose, hom_set,
                                 identity_morphism, is_isomorphism, iso_check,
@@ -34,6 +34,9 @@ def test_make_validates_nullset():
         make(H, F7, ((2,),))        # zeta^2 has trivial eps component
     with pytest.raises(GroupHomViolation):
         make(H, finite_field(5), ((1,),))   # no order-6 image in C4
+    with pytest.raises(GroupHomViolation, match="expected 1 generator "
+                                                "images, got 2"):
+        make(H, F7, ((1,), (1,)))
 
 
 def test_make_validates_epsilon():
@@ -58,6 +61,8 @@ def test_identity_and_compose():
     fg = compose(f, g)
     assert fg.source is g.source
     assert fg.unit_map((1,)) == (3,)  # -1 goes to -1
+    with pytest.raises(ChainMismatch):
+        compose(g, f)                   # F7 is not H
 
 
 def test_hom_set_counts():
@@ -172,9 +177,9 @@ def free_quotients(draw):
 @example(F[7], pasture_of("U ox F3"))
 def test_hom_set_matches_unpruned_search(P, Q):
     if not Q.is_finite and not P.is_finite:
-        with pytest.raises(InfiniteTargetError):
+        with pytest.raises(InfinitePasture):
             hom_set(P, Q)
-        with pytest.raises(InfiniteTargetError):
+        with pytest.raises(InfinitePasture):
             reference_hom_rows(P, Q)
         return
     homs = hom_set(P, Q)

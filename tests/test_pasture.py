@@ -11,8 +11,9 @@ from pastures import lifts
 from pastures import pasture as pasture_mod
 from pastures.expr import pasture_of
 from pastures.gf import field
-from pastures.groups import (AbelianGroup, GroupMap, identity_rows,
-                             reduce_presentation, smith_normal_form)
+from pastures.groups import (AbelianGroup, GroupMap, SearchSpaceExceeded,
+                             identity_rows, reduce_presentation,
+                             smith_normal_form)
 from pastures.hexagons import fundamental_pairs, hexagons
 from pastures.lifts import (_model_and_images, grs_lift, ternary_lift,
                             wlum_lift)
@@ -485,6 +486,11 @@ def test_free_algebra_and_quotient():
     x, y = unit((0, 1, 0)), unit((0, 0, 1))
     Q = quotient(P, [(x, y, minus_one(P))])
     assert bool(iso_check(Q, named("U")))
+    # a relation that is no triple, a term that is no element, and an
+    # element of a group with other generators
+    for relation in [(x, y), (x, y, (0, 0, 1)), (x, y, unit((0, 1)))]:
+        with pytest.raises(BadRelationShape):
+            quotient_full(P, [relation])
 
 
 # -- presentations --------------------------------------------------------
@@ -688,6 +694,8 @@ def test_presented_refuses_malformed_terms(term):
     well = ([({1: 1}, {0: 1}, None), ({1: 2}, {}, None),
              ({1: 1}, {}, {0: 1})] * 167)[:500]
     presented(1, well)
+    with pytest.raises(BadRelationShape, match="at least two nonzero terms"):
+        presented(1, [({1: 1}, None, None)])
     for slot in range(3):
         two = [{1: 1}] * 3
         two[slot], two[slot - 1] = term, None
@@ -757,6 +765,37 @@ def test_product_embeddings_are_projected_unit_vectors(pair, monkeypatch):
             R.mul(pad1(a[i]), pad2(b[perm[i]])) for i in range(3)))
         for a in P.null_orbits for b in Q.null_orbits
         for perm in itertools.permutations(range(3))}
+
+
+def test_product_guard(monkeypatch):
+    """``product_full`` charges its candidate orbits, one ``canonical_orbit``
+    call each, before anything is built: 6 |O_P| |O_Q| = 6 * 3 * 3 = 54
+    for F4 x F7 times F13.  A cap of 53 refuses the product before
+    ``reduce_presentation`` is called, and a cap of 54 answers."""
+    P, Q = product(finite_field(4), finite_field(7)), finite_field(13)
+    charge = 6 * len(P.null_orbits) * len(Q.null_orbits)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return canonical_orbit(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(pasture_mod, "canonical_orbit", counted)
+        want = product_full(P, Q)
+    assert len(calls) == charge == 54
+
+    def unreached(*args):
+        raise AssertionError("product built")
+
+    with monkeypatch.context() as m:
+        m.setattr(pasture_mod, "MAX_PRODUCT_ORBITS", charge - 1)
+        m.setattr(pasture_mod, "reduce_presentation", unreached)
+        with pytest.raises(SearchSpaceExceeded,
+                           match="^product passed its cap of 53 orbits$"):
+            product_full(P, Q)
+    monkeypatch.setattr(pasture_mod, "MAX_PRODUCT_ORBITS", charge)
+    assert product_full(P, Q) == want
 
 
 PRODUCT_FACTORS = [named(n) for n in NAMED] + [
