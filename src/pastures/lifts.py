@@ -11,6 +11,8 @@ the induced multiplicative relations.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .groups import AbelianGroup, GroupMap, SearchSpaceExceeded
 from .pasture import Pasture, _reduced, named, tensor_full
 from .hexagons import Hexagon, fundamental_pairs, hexagons
@@ -181,16 +183,18 @@ def grs_lift(P: Pasture) -> LiftResult:
     (t_a, t_b, -1) of any other pair of the hexagon is a rescaling of a
     permutation of it, so it adjoins the same orbit.  lambda sends t_a to
     a and restricts to a bijection on fundamental elements.  The rows, the
-    C2 row of -1 and those above, are counted before any is built: past
-    ``MAX_CELLS`` cells, n + 1 a row, SearchSpaceExceeded is raised.
+    C2 row of -1 and those above, are counted before any is built, G5's
+    last and drawn only while they fit: past ``MAX_CELLS`` cells, n + 1 a
+    row, SearchSpaceExceeded is raised.
     """
     g = P.units
     pairs = fundamental_pairs(P)
     F = sorted({a for a, _ in pairs}, key=g.key)
     n = len(F)
-    triples = list(_g5_triples(g, F))
     g1 = g.epsilon == g.identity()
-    if (1 + g1 + len(pairs) + n + len(triples)) * (n + 1) > MAX_CELLS:
+    room = MAX_CELLS // (n + 1) - (1 + g1 + len(pairs) + n)        # G5 rows
+    triples = list(islice(_g5_triples(g, F), max(room + 1, 0)))
+    if len(triples) > room:
         raise SearchSpaceExceeded(
             f"GRS lift passed its cap of {MAX_CELLS} cells")
     col = {a: i for i, a in enumerate(F, 1)}
@@ -205,20 +209,14 @@ def grs_lift(P: Pasture) -> LiftResult:
         for k in (col[a], col[binv], col[c]):
             row[k] += 1
         kill.append(row)
-    for a in F:
-        ainv = g.inv(a)
-        if ainv not in col:
-            raise LiftCheckFailed(
-                "fundamental elements are not closed under inversion")
-        row = [0] * (n + 1)                                         # G2
-        row[col[a]] += 1
-        row[col[ainv]] += 1
-        kill.append(row)
-    for i, j, k in triples:
-        row = [0] * (n + 1)                                         # G5
-        row[i + 1] += 1
-        row[j + 1] += 1
-        row[k + 1] += 1
+    if any(g.inv(a) not in col for a in F):
+        raise LiftCheckFailed(
+            "fundamental elements are not closed under inversion")
+    g2 = [(col[a], col[g.inv(a)]) for a in F]
+    for ks in g2 + [(i + 1, j + 1, k + 1) for i, j, k in triples]:   # G2, G5
+        row = [0] * (n + 1)
+        for k in ks:
+            row[k] += 1
         kill.append(row)
     adjoin = [({col[a]: 1}, {col[b]: 1}, {0: 1})                    # G3
               for a, b in map(min, P.orbit_pairs)]

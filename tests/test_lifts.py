@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
-from pastures import lifts
+from pastures import cli, lifts
 from pastures.expr import pasture_of
 from pastures.groups import AbelianGroup, SearchSpaceExceeded
 from pastures.hexagons import fundamental_pairs
@@ -248,6 +248,31 @@ def test_grs_guard(monkeypatch):
         assert grs_lift(P) == want, P.label
         monkeypatch.undo()
     assert cells["F53"] == 553 * 52 == 28756
+
+
+def test_grs_guard_draws_only_the_triples_that_fit(monkeypatch, capsys):
+    """The rows other than G5 are counted before any G5 triple is drawn,
+    and triples are drawn only until one passes the cells left.  F65536
+    (n = 65534) is refused with no triple drawn, F1024 (n = 1022: the C2
+    row, G1, 1022 G4 and 1022 G2 rows of 1023 cells) after the triples
+    that fit and one more; both exit 2 from the command line with one
+    stderr line."""
+    drawn = []
+    g5_triples = lifts._g5_triples
+
+    def counted(g, F):
+        for t in g5_triples(g, F):
+            drawn.append(t)
+            yield t
+
+    monkeypatch.setattr(lifts, "_g5_triples", counted)
+    message = f"guard tripped: GRS lift passed its cap of " \
+              f"{lifts.MAX_CELLS} cells\n"
+    for q, room in ((65536, -1), (1024, lifts.MAX_CELLS // 1023 - 2046)):
+        drawn.clear()
+        assert cli.main(["lift", "--kind", "grs", f"F{q}"]) == 2
+        assert capsys.readouterr() == ("", message)
+        assert len(drawn) == max(room + 1, 0), q
 
 
 def test_idempotence_spot_checks():
