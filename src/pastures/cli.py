@@ -4,13 +4,20 @@ Commands: pasture, hexagons, lift, hom, iso, reps, lift-check, verify.
 Exit codes: 0 success, 1 verified false, 2 unknown or guard tripped,
 3 usage error, 4 internal error: a check of the library's own invariants
 failed, which is a bug, not an answer.
+
+``parse`` reads the line from one table, ``_COMMANDS``, as argparse would
+read the same declarations: ``--opt value`` or ``--opt=value``, options
+before or after positionals, unique prefixes of long options, ``--``, and
+the last of repeated options.  argparse is not imported: its import and
+parser set-up cost more than most commands' own work.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .expr import pasture_of
 from .groups import DEFAULT_CAP, InfinitePasture, SearchSpaceExceeded
@@ -60,19 +67,6 @@ def _load_matroid(source: str):
     if key in BUILTIN_MATROIDS:
         return BUILTIN_MATROIDS[key]()
     raise ValueError(f"no matroid file or builtin named {source!r}")
-
-
-def _int_at_least(low: int):
-    """An argparse ``type``: an integer no smaller than ``low``, so that a
-    malformed bound is a usage error and not a vacuous or refused run."""
-    def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {low}, not {value}")
-        return value
-    parse.__name__ = "int"      # argparse reports "invalid int value: 'x'"
-    return parse
 
 
 def cmd_pasture(args) -> int:
@@ -211,86 +205,189 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_FALSE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
-    common.add_argument("--max-candidates", type=_int_at_least(1),
-                        metavar="N", default=DEFAULT_CAP,
-                        help="hom search steps (default %(default)s)")
+# The command table: per command its handler, its help and its arguments,
+# options first.  An argument is (name, kind, default): an option if its
+# name starts with "-", else a positional; it is required when its default
+# is None.  A kind is bool (a flag), str (text), a list of choices, or an
+# int: the least integer taken.
+_HELP = ("-h/--help", bool, False)
+_COMMON = [_HELP, ("--json", bool, False), ("--max-candidates", 1, DEFAULT_CAP)]
+_KIND, _LIST = ("--kind", sorted(LIFTS), None), ("--list", bool, False)
+_ON = [("--matroid", str, None), ("--pasture", str, None)]
+_COMMANDS = {
+    "pasture": (cmd_pasture, "print a pasture", [("expr", str, None)]),
+    "hexagons": (cmd_hexagons, "list the hexagons of a pasture",
+                 [("expr", str, None)]),
+    "lift": (cmd_lift, "compute a lift", [_KIND, ("expr", str, None)]),
+    "hom": (cmd_hom, "count the morphisms between two pastures",
+            [_LIST, ("source", str, None), ("target", str, None)]),
+    "iso": (cmd_iso, "decide whether two pastures are isomorphic",
+            [("left", str, None), ("right", str, None)]),
+    "reps": (cmd_reps, "rescaling classes of matroid representations",
+             _ON + [_LIST]),
+    "lift-check": (cmd_lift_check, "check the lift bijection on a matroid",
+                   _ON + [_KIND]),
+    "verify": (cmd_verify, "recompute a frozen reference suite",
+               [("--max-q", 2, 64), ("suite", sorted(verify_mod.SUITES),
+                                      None)])}
+# The line itself: -h, then the command, which takes the rest of the line
+_TOP = (None, "\n".join(f"  {c:<12}{row[1]}" for c, row in _COMMANDS.items()),
+        [("COMMAND", _COMMANDS, 0)])
 
-    parser = argparse.ArgumentParser(
-        prog="pastures",
-        description="Compute with pastures: hexagons, lifts, morphisms, "
-                    "and matroid representations.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("pasture", parents=[common],
-                       help="evaluate an expression and print the pasture")
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_pasture)
+class _UsageError(ValueError):
+    """A command line that does not parse; the message is its stderr."""
 
-    p = sub.add_parser("hexagons", parents=[common],
-                       help="list the hexagons of a pasture")
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_hexagons)
 
-    p = sub.add_parser("lift", parents=[common], help="compute a lift")
-    p.add_argument("--kind", required=True, choices=sorted(LIFTS))
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_lift)
+def _usage(command):
+    """argparse's usage line, on one line."""
+    if command is None:
+        return "usage: pastures [-h] COMMAND ..."
+    words = ["usage: pastures", command, "[-h] [--json] [--max-candidates N]"]
+    for name, kind, default in _COMMANDS[command][2]:
+        word = "{" + ",".join(kind) + "}" if isinstance(kind, list) else name
+        if name[0] == "-" and kind is not bool:
+            word = f"{name} {word[2:].upper().replace('-', '_')}" \
+                if word == name else f"{name} {word}"
+        words.append(word if default is None else f"[{word}]")
+    return " ".join(words)
 
-    p = sub.add_parser("hom", parents=[common],
-                       help="count morphisms between two pastures")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--list", action="store_true",
-                   help="print generator images of every morphism")
-    p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("iso", parents=[common],
-                       help="decide whether two pastures are isomorphic")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_iso)
+def _fail(command, reason, name=None):
+    prog = f"pastures {command}" if command else "pastures"
+    reason = f"argument {name}: {reason}" if name else reason
+    raise _UsageError(f"{_usage(command)}\n{prog}: error: {reason}")
 
-    p = sub.add_parser("reps", parents=[common],
-                       help="rescaling classes of matroid representations")
-    p.add_argument("--matroid", required=True,
-                   help="JSON file, or builtin U24 / MK4")
-    p.add_argument("--pasture", required=True)
-    p.add_argument("--list", action="store_true",
-                   help="print a representative per class")
-    p.set_defaults(func=cmd_reps)
 
-    p = sub.add_parser("lift-check", parents=[common],
-                       help="check the lift bijection on a matroid")
-    p.add_argument("--matroid", required=True,
-                   help="JSON file, or builtin U24 / MK4")
-    p.add_argument("--pasture", required=True)
-    p.add_argument("--kind", required=True, choices=sorted(LIFTS))
-    p.set_defaults(func=cmd_lift_check)
+def _read(command, options, arg):
+    """How argparse reads one argument: None for a positional, else the
+    option's name (None if unknown) and the text after "=" (or None).  A
+    long option may be given by a unique prefix."""
+    if arg[:1] != "-" or len(arg) == 1:
+        return None
+    head, eq, tail = arg.partition("=")
+    if arg in options or eq and head in options:
+        return (arg, None) if arg in options else (head, tail)
+    found = [(o, tail if eq else None) for o in options
+             if arg[1] == "-" and o.startswith(head)]
+    found += [("-h", arg[2:])] * (arg[1] == "h")    # the one short option
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {arg} could match "
+                       + ", ".join(o for o, _ in found))
+    if found or re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return found[0] if found else None
+    return None, None
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="recompute a frozen reference suite")
-    p.add_argument("suite", choices=sorted(verify_mod.SUITES))
-    p.add_argument("--max-q", type=_int_at_least(2), default=64,
-                   help="largest prime power for table1 (default 64)")
-    p.set_defaults(func=cmd_verify)
 
-    return parser
+def _value(command, name, kind, strings):
+    """An argument's value as argparse gives it: one "--" among its strings
+    is dropped (not before the command), and with none left it is []."""
+    if kind is not _COMMANDS and "--" in strings:
+        strings.remove("--")
+    value = strings[0] if strings else []
+    if strings and type(kind) is int:
+        try:
+            value = int(value)
+        except ValueError:
+            _fail(command, f"invalid int value: {value!r}", name)
+        if value < kind:
+            _fail(command, f"must be at least {kind}, not {value}", name)
+    if strings and isinstance(kind, (list, dict)) and value not in kind:
+        _fail(command, f"invalid choice: {value!r} (choose from "
+                       f"{', '.join(map(repr, kind))})", name)
+    return value
+
+
+def _parse(command, argv):
+    """(values, leftover arguments) of ``argv``: a command's arguments, or
+    the whole line when ``command`` is None; None after printing a help.
+    Arguments are taken in argparse's order, so the error raised is the
+    first that argparse reports."""
+    handler, about, args = _COMMANDS.get(command, _TOP)
+    own = (_COMMON if command else [_HELP]) + args
+    options = {n: a for a in own for n in a[0].split("/") if n[0] == "-"}
+    values = {a[0].lstrip("-").replace("-", "_"): a[2] for a in own[1:]}
+    values.update(command=command, func=handler)
+    # argparse's pattern of the line: O an option, A a positional, - the
+    # first "--", after which every argument is a positional
+    cut = argv.index("--") if "--" in argv else len(argv)
+    found = {i: _read(command, options, a) for i, a in enumerate(argv[:cut])}
+    marks = "".join("O" if f else "A" for f in found.values()) \
+        + ("-" + "A" * (len(argv) - cut - 1)) * (cut < len(argv))
+    todo, extras, i = [a for a in args if a[0][0] != "-"], [], 0
+    while True:
+        for k in range(len(todo), 0, -1):   # as many positionals as fit
+            match = re.match("(-*A-*)" * k if command else "(-*A[-AO]*)",
+                             marks[i:])
+            for (name, kind, _), group in zip(todo, match.groups() if match
+                                              else ()):
+                strings, i = argv[i:i + len(group)], i + len(group)
+                values[name] = _value(command, name, kind, strings)
+                if kind is _COMMANDS:
+                    got = _parse(strings[0], strings[1:])
+                    if got is None:
+                        return None
+                    values.update(got[0])
+                    extras += got[1]
+            if match:
+                del todo[:k]
+                break
+        nxt = min([j for j in found if found[j] and j >= i] + [len(argv)])
+        extras += argv[i:nxt]
+        if nxt == len(argv):
+            break
+        (option, text), i = found[nxt], nxt + 1
+        kind = options[option][1] if option else None
+        if kind is bool:        # a flag given a value is refused, but -hh…h
+            rest = text.lstrip("h") if option == "-h" and text else text
+            if text is not None and (rest or not text):
+                _fail(command, f"ignored explicit argument {rest!r}",
+                      options[option][0])
+            if options[option] is _HELP:
+                print(f"{_usage(command)}\n\n{about}")
+                return None
+            values[option[2:]] = True
+        elif kind is None:
+            extras.append(argv[nxt])
+        elif text is None and marks[i:i + 1] != "A":
+            _fail(command, "expected one argument", option)
+        else:
+            values[option[2:].replace("-", "_")] = _value(
+                command, option, kind, [argv[i]] if text is None else [text])
+            i += text is None
+    missing = [a[0] for a in args
+               if values[a[0].lstrip("-").replace("-", "_")] is None]
+    if missing:
+        _fail(command, "the following arguments are required: "
+                       + ", ".join(missing))
+    return values, extras
+
+
+def parse(argv):
+    """A command line, ``argv`` without the program name, read as argparse
+    reads it from the same declarations: a namespace of ``command``,
+    ``func``, its handler, and a field per argument; None after printing
+    the help for -h.  Where argparse refuses, a ``ValueError`` is raised
+    whose message is the usage line and ``pastures ...: error: ...``."""
+    got = _parse(None, argv)
+    if got is None:
+        return None
+    values, extras = got
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    if values.pop("COMMAND") == 0:
+        raise _UsageError(_usage(None))
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        code = e.code if e.code is not None else 0
-        return EXIT_USAGE if code not in (0,) else 0
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
+        args = parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as e:
+        print(e, file=sys.stderr)
         return EXIT_USAGE
+    if args is None:
+        return EXIT_OK
     try:
         return args.func(args)
     # refusals first: InfinitePasture is a ValueError too

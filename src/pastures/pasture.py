@@ -430,6 +430,7 @@ def _reduced(units, kill, adjoin) -> QuotientResult:
 
 
 MAX_PRODUCT_ORBITS = 2 * 10**5     # product_full's cap on candidate orbits
+MAX_TENSOR_CELLS = 10**6           # tensor_full's cap on its SNF input
 
 
 def product_full(P: Pasture, Q: Pasture) -> ProductResult:
@@ -485,12 +486,19 @@ def tensor_full(factors) -> TensorResult:
     factors' carried through the inclusions: each factor's are computed on
     the columns of the tensor's group that its inclusion rows touch (at
     most 3 for a model; ``_on_columns``), then widened once to the full
-    width, and the hexagons fill the tensor's cached ``orbit_pairs``."""
+    width, and the hexagons fill the tensor's cached ``orbit_pairs``.  Its
+    Smith normal form input, a row per torsion relation and per gluing of
+    two factors' -1, by the factors' generators, is charged first: past
+    ``MAX_TENSOR_CELLS`` cells :class:`SearchSpaceExceeded` is raised."""
     factors = tuple(factors)
     if not factors:
         return TensorResult(named("F1pm"), (), ())
     ngs = [F.units.ngens for F in factors]
     total = sum(ngs)
+    if (sum(len(F.units.torsion) + 1 for F in factors) - 1) * total \
+            > MAX_TENSOR_CELLS:
+        raise SearchSpaceExceeded(
+            f"tensor passed its cap of {MAX_TENSOR_CELLS} cells")
     offs = [sum(ngs[:i]) for i in range(len(factors))]
 
     def pad(i, x):

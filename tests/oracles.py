@@ -22,14 +22,20 @@ with.  The library itself never calls them.
   sparse terms of ``pasture.presented``, which the lift writes as rows.
 * ``gf_neg``, ``gf_sub``, ``gf_inv``, ``gf_minus_one`` and ``minus_one``:
   field and pasture operations that only the tests use.
+* ``build_parser``: the command line declared with argparse, the
+  reference of ``cli.parse``.
 """
 
+import argparse
 import itertools
 from operator import add, concat, mod, neg
 
-from pastures.groups import GroupMap, reduce_presentation
+from pastures import verify as verify_mod
+from pastures.cli import (cmd_hexagons, cmd_hom, cmd_iso, cmd_lift,
+                          cmd_lift_check, cmd_pasture, cmd_reps, cmd_verify)
+from pastures.groups import DEFAULT_CAP, GroupMap, reduce_presentation
 from pastures.hexagons import Hexagon, fundamental_pairs, hexagons
-from pastures.lifts import _g5_triples
+from pastures.lifts import LIFTS, _g5_triples
 from pastures.pasture import (Pasture, PastureElement, ProductResult,
                               canonical_orbit, quotient_full)
 
@@ -285,3 +291,86 @@ def gf_minus_one(F):
 def minus_one(P: Pasture) -> PastureElement:
     """The element -1 of a pasture."""
     return PastureElement(P.units.epsilon)
+
+
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``, so that a
+    malformed bound is a usage error and not a vacuous or refused run."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"      # argparse reports "invalid int value: 'x'"
+    return parse
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true",
+                        help="emit machine-readable JSON")
+    common.add_argument("--max-candidates", type=_int_at_least(1),
+                        metavar="N", default=DEFAULT_CAP,
+                        help="hom search steps (default %(default)s)")
+
+    parser = argparse.ArgumentParser(
+        prog="pastures",
+        description="Compute with pastures: hexagons, lifts, morphisms, "
+                    "and matroid representations.")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    p = sub.add_parser("pasture", parents=[common],
+                       help="evaluate an expression and print the pasture")
+    p.add_argument("expr")
+    p.set_defaults(func=cmd_pasture)
+
+    p = sub.add_parser("hexagons", parents=[common],
+                       help="list the hexagons of a pasture")
+    p.add_argument("expr")
+    p.set_defaults(func=cmd_hexagons)
+
+    p = sub.add_parser("lift", parents=[common], help="compute a lift")
+    p.add_argument("--kind", required=True, choices=sorted(LIFTS))
+    p.add_argument("expr")
+    p.set_defaults(func=cmd_lift)
+
+    p = sub.add_parser("hom", parents=[common],
+                       help="count morphisms between two pastures")
+    p.add_argument("source")
+    p.add_argument("target")
+    p.add_argument("--list", action="store_true",
+                   help="print generator images of every morphism")
+    p.set_defaults(func=cmd_hom)
+
+    p = sub.add_parser("iso", parents=[common],
+                       help="decide whether two pastures are isomorphic")
+    p.add_argument("left")
+    p.add_argument("right")
+    p.set_defaults(func=cmd_iso)
+
+    p = sub.add_parser("reps", parents=[common],
+                       help="rescaling classes of matroid representations")
+    p.add_argument("--matroid", required=True,
+                   help="JSON file, or builtin U24 / MK4")
+    p.add_argument("--pasture", required=True)
+    p.add_argument("--list", action="store_true",
+                   help="print a representative per class")
+    p.set_defaults(func=cmd_reps)
+
+    p = sub.add_parser("lift-check", parents=[common],
+                       help="check the lift bijection on a matroid")
+    p.add_argument("--matroid", required=True,
+                   help="JSON file, or builtin U24 / MK4")
+    p.add_argument("--pasture", required=True)
+    p.add_argument("--kind", required=True, choices=sorted(LIFTS))
+    p.set_defaults(func=cmd_lift_check)
+
+    p = sub.add_parser("verify", parents=[common],
+                       help="recompute a frozen reference suite")
+    p.add_argument("suite", choices=sorted(verify_mod.SUITES))
+    p.add_argument("--max-q", type=_int_at_least(2), default=64,
+                   help="largest prime power for table1 (default 64)")
+    p.set_defaults(func=cmd_verify)
+
+    return parser

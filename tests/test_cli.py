@@ -119,12 +119,15 @@ def test_unknown_matroid_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("argv, loads", [
     (["hexagons", "F7"], False), (["hexagons", "F7", "--json"], True)])
-def test_json_is_imported_only_when_used(argv, loads):
-    """A command without ``--json`` or a matroid file never imports json."""
+def test_argparse_gettext_locale_and_json_are_imported_only_when_used(
+        argv, loads):
+    """No command imports argparse, gettext or locale, and a command without
+    ``--json`` or a matroid file never imports json."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     code = ("import sys; from pastures import cli; "
             f"code = cli.main({argv!r}); "
-            "sys.exit(code or 10 + ('json' in sys.modules))")
+            "sys.exit(code or 10 + ('json' in sys.modules) + 2 * any("
+            "m in sys.modules for m in ('argparse', 'gettext', 'locale')))")
     proc = subprocess.run([sys.executable, "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
@@ -263,8 +266,7 @@ def test_one_default_cap(capsys):
                  ["reps", "--matroid", "U24", "--pasture", "F5"],
                  ["lift-check", "--matroid", "U24", "--pasture", "F4",
                   "--kind", "ternary"]):
-        assert cli.build_parser().parse_args(argv).max_candidates \
-            == DEFAULT_CAP
+        assert cli.parse(argv).max_candidates == DEFAULT_CAP
     assert run(capsys, ["hom", "U ox U", "F128"]) == (
         0, "15876 morphisms U ox U -> F128\n", "")
     assert run(capsys, ["hom", "U ox U ox U", "F128"]) == (

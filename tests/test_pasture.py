@@ -798,6 +798,39 @@ def test_product_guard(monkeypatch):
     assert product_full(P, Q) == want
 
 
+def test_tensor_guard(monkeypatch):
+    """``tensor_full`` charges its Smith normal form input before it builds
+    any row: a row per torsion relation of a factor and per gluing of two
+    factors' -1, by the factors' generators together.  The ternary lift of
+    F7 tensors H (C6) and D (C2 x Z): 3 rows by 3 columns, 9 cells, the
+    input ``reduce_presentation`` receives.  A cap of 8 refuses the lift
+    before ``reduce_presentation`` is called, and a cap of 9 answers."""
+    F7, cells = finite_field(7), []
+
+    def recorded(width, rows, epsilon):
+        cells.append(len(rows) * width)
+        return reduce_presentation(width, rows, epsilon)
+
+    with monkeypatch.context() as m:
+        m.setattr(pasture_mod, "reduce_presentation", recorded)
+        want = ternary_lift(F7)
+    assert cells == [9]
+
+    def unreached(*args):
+        raise AssertionError("tensor built")
+
+    with monkeypatch.context() as m:
+        m.setattr(pasture_mod, "MAX_TENSOR_CELLS", 8)
+        m.setattr(pasture_mod, "reduce_presentation", unreached)
+        with pytest.raises(SearchSpaceExceeded,
+                           match="^tensor passed its cap of 8 cells$"):
+            ternary_lift(F7)
+    monkeypatch.setattr(pasture_mod, "MAX_TENSOR_CELLS", 9)
+    got = ternary_lift(F7)
+    assert (got.lift, got.factor_descriptor) == (want.lift,
+                                                 want.factor_descriptor)
+
+
 PRODUCT_FACTORS = [named(n) for n in NAMED] + [
     finite_field(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
 
