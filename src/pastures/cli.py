@@ -211,15 +211,17 @@ def cmd_verify(args) -> int:
 # is None.  A kind is bool (a flag), str (text), a list of choices, or an
 # int: the least integer taken.
 _HELP = ("-h/--help", bool, False)
-_COMMON = [_HELP, ("--json", bool, False), ("--max-candidates", 1, DEFAULT_CAP)]
+_COMMON = [_HELP, ("--json", bool, False),
+           ("--max-candidates", 1, DEFAULT_CAP)]
 _KIND, _LIST = ("--kind", sorted(LIFTS), None), ("--list", bool, False)
 _ON = [("--matroid", str, None), ("--pasture", str, None)]
 _COMMANDS = {
-    "pasture": (cmd_pasture, "print a pasture", [("expr", str, None)]),
+    "pasture": (cmd_pasture, "evaluate an expression and print the pasture",
+                [("expr", str, None)]),
     "hexagons": (cmd_hexagons, "list the hexagons of a pasture",
                  [("expr", str, None)]),
     "lift": (cmd_lift, "compute a lift", [_KIND, ("expr", str, None)]),
-    "hom": (cmd_hom, "count the morphisms between two pastures",
+    "hom": (cmd_hom, "count morphisms between two pastures",
             [_LIST, ("source", str, None), ("target", str, None)]),
     "iso": (cmd_iso, "decide whether two pastures are isomorphic",
             [("left", str, None), ("right", str, None)]),
@@ -231,7 +233,9 @@ _COMMANDS = {
                [("--max-q", 2, 64), ("suite", sorted(verify_mod.SUITES),
                                       None)])}
 # The line itself: -h, then the command, which takes the rest of the line
-_TOP = (None, "\n".join(f"  {c:<12}{row[1]}" for c, row in _COMMANDS.items()),
+_TOP = (None, "Compute with pastures: hexagons, lifts, morphisms, and matroid "
+        "representations.\n\n" + "\n".join(
+            f"  {c:<12}{row[1]}" for c, row in _COMMANDS.items()),
         [("COMMAND", _COMMANDS, 0)])
 
 
@@ -245,10 +249,13 @@ def _usage(command):
         return "usage: pastures [-h] COMMAND ..."
     words = ["usage: pastures", command, "[-h] [--json] [--max-candidates N]"]
     for name, kind, default in _COMMANDS[command][2]:
-        word = "{" + ",".join(kind) + "}" if isinstance(kind, list) else name
-        if name[0] == "-" and kind is not bool:
-            word = f"{name} {word[2:].upper().replace('-', '_')}" \
-                if word == name else f"{name} {word}"
+        if isinstance(kind, list):
+            word = "{" + ",".join(kind) + "}"
+        else:
+            word = name[2:].upper().replace("-", "_") if name[0] == "-" \
+                else name
+        if name[0] == "-":
+            word = name if kind is bool else f"{name} {word}"
         words.append(word if default is None else f"[{word}]")
     return " ".join(words)
 
@@ -270,7 +277,8 @@ def _read(command, options, arg):
         return (arg, None) if arg in options else (head, tail)
     found = [(o, tail if eq else None) for o in options
              if arg[1] == "-" and o.startswith(head)]
-    found += [("-h", arg[2:])] * (arg[1] == "h")    # the one short option
+    if arg[1] == "h":           # -h is the one short option: -hX
+        found.append(("-h", arg[2:]))
     if len(found) > 1:
         _fail(command, f"ambiguous option: {arg} could match "
                        + ", ".join(o for o, _ in found))
@@ -281,7 +289,8 @@ def _read(command, options, arg):
 
 def _value(command, name, kind, strings):
     """An argument's value as argparse gives it: one "--" among its strings
-    is dropped (not before the command), and with none left it is []."""
+    is dropped (the command's strings keep theirs), and with none left the
+    value is []."""
     if kind is not _COMMANDS and "--" in strings:
         strings.remove("--")
     value = strings[0] if strings else []
@@ -316,22 +325,23 @@ def _parse(command, argv):
         + ("-" + "A" * (len(argv) - cut - 1)) * (cut < len(argv))
     todo, extras, i = [a for a in args if a[0][0] != "-"], [], 0
     while True:
+        groups = ()
         for k in range(len(todo), 0, -1):   # as many positionals as fit
             match = re.match("(-*A-*)" * k if command else "(-*A[-AO]*)",
                              marks[i:])
-            for (name, kind, _), group in zip(todo, match.groups() if match
-                                              else ()):
-                strings, i = argv[i:i + len(group)], i + len(group)
-                values[name] = _value(command, name, kind, strings)
-                if kind is _COMMANDS:
-                    got = _parse(strings[0], strings[1:])
-                    if got is None:
-                        return None
-                    values.update(got[0])
-                    extras += got[1]
             if match:
-                del todo[:k]
+                groups = match.groups()
                 break
+        for (name, kind, _), group in zip(todo, groups):
+            strings, i = argv[i:i + len(group)], i + len(group)
+            values[name] = _value(command, name, kind, strings)
+            if kind is _COMMANDS:       # the command takes the rest
+                got = _parse(strings[0], strings[1:])
+                if got is None:
+                    return None
+                values.update(got[0])
+                extras += got[1]
+        del todo[:len(groups)]
         nxt = min([j for j in found if found[j] and j >= i] + [len(argv)])
         extras += argv[i:nxt]
         if nxt == len(argv):

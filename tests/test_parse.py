@@ -5,9 +5,9 @@ command line was read before ``cli.parse``.  Both read each drawn argv and
 must agree: both accept it with the same value in every field, both refuse
 it with the same stderr (argparse's usage line unwrapped, as on a wide
 terminal), or both print a help.  The draws come from ``cli._COMMANDS``:
-every command, each argument missing, given once or twice, options in
-full, by a prefix (unique or not) or with ``=``, good and bad values, and
-stray ``--``, ``-h`` forms, unknown options and extra words.
+half are built to parse, and half have each argument missing, given once
+or twice, options by a prefix (unique or not) or with ``=``, bad values,
+and stray ``--``, ``-h`` forms, unknown options and extra words.
 
 The parser reads argv as argparse 3.10 and 3.11 do, the versions CI runs.
 Later versions change how argparse reads ``--`` and ``-h`` forms (3.13
@@ -33,9 +33,10 @@ pytestmark = pytest.mark.skipif(
     sys.version_info >= (3, 12),
     reason="the reference is argparse as Python 3.10 and 3.11 have it")
 
-TEXTS = ["F7", "U", "H x F3", "-5", "-1.5", "-", "", "x y", "-x y", "--",
-         "--x", "F7=1"]
-INTS = ["1", "2", "3", "64", "0", "-5", "x", "", " 7", "+3", "1_0", "2.0"]
+TEXTS = ["F7", "U", "H x F3", "-5", "-1.5", "", "x y", "-x y"]
+INTS = ["2", "3", "64", " 7", "+3", "1_0"]
+BAD_TEXTS = ["-", "--", "--x", "F7=1"]
+BAD_INTS = ["1", "0", "-5", "x", "", "2.0"]
 EXTRAS = ["--", "--", "-h", "--help", "--he", "-hh", "-hx", "--help=x",
           "--bogus", "--bogus=1", "-j", "--=x", "--json=1", "--list",
           "word", "-5"]
@@ -50,7 +51,8 @@ def outcome(read, argv):
         try:
             ns = read(argv)
         except SystemExit as e:         # argparse
-            return ("help", None) if e.code == 0 else ("refuse", err.getvalue())
+            return ("help", None) if e.code == 0 \
+                else ("refuse", err.getvalue())
         except ValueError as e:         # cli.parse
             return "refuse", f"{e}\n"
     if ns is None:
@@ -64,47 +66,57 @@ def reference(argv):
     return build_parser().parse_args(argv)
 
 
-def values(kind):
+def values(kind, clean):
     if kind is bool:
         return st.sampled_from(["1", "", "x"])
     if kind is str:
-        return st.sampled_from(TEXTS)
+        return st.sampled_from(TEXTS if clean else TEXTS + BAD_TEXTS)
     if isinstance(kind, list):
-        return st.sampled_from(kind + ["bogus", "", "--"])
-    return st.sampled_from(INTS)
+        return st.sampled_from(kind if clean else kind + ["bogus", "", "--"])
+    return st.sampled_from(INTS if clean else INTS + BAD_INTS)
 
 
 @st.composite
-def given_once(draw, arg):
+def given_once(draw, arg, clean):
     """One argument as typed: a positional's value, or an option in full
     or by a prefix, with its value after it, after "=", or missing."""
     name, kind, _ = arg
     if name[0] != "-":
-        return [draw(values(kind))]
-    typed = name[:draw(st.integers(3, len(name)))]
-    form = draw(st.sampled_from(["apart", "=", "bare"]))
-    if form == "bare" or kind is bool and form == "apart":
+        return [draw(values(kind, clean))]
+    typed = name if clean else name[:draw(st.integers(3, len(name)))]
+    form = draw(st.sampled_from(["apart", "="] + ["bare"] * (not clean)))
+    if form == "bare" or kind is bool and (clean or form == "apart"):
         return [typed]
     if form == "=":
-        return [f"{typed}={draw(values(kind))}"]
-    return [typed, draw(values(kind))]
+        return [f"{typed}={draw(values(kind, clean))}"]
+    return [typed, draw(values(kind, clean))]
 
 
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(list(cli._COMMANDS) * 3 + ["nope", ""]))
+    """A line built to parse (each required argument once, options in
+    full, good values), or one with anything drawn."""
+    clean = draw(st.booleans())
+    names = list(cli._COMMANDS)
+    command = draw(st.sampled_from(names if clean else names + ["nope", ""]))
     args = cli._COMMANDS[command][2] if command in cli._COMMANDS else []
     chunks = []
     for arg in cli._COMMON[1:] + args:
-        times = draw(st.sampled_from([0, 1, 1, 1, 2]
-                                     if arg[2] is None else [0, 0, 1, 2]))
-        chunks += [draw(given_once(arg)) for _ in range(times)]
-    chunks += [[w] for w in draw(st.lists(st.sampled_from(EXTRAS),
-                                          max_size=2))]
-    words = [w for chunk in draw(st.permutations(chunks)) for w in chunk]
-    before = draw(st.integers(0, min(len(words), 2)))    # before the command
-    if draw(st.integers(0, 9)) == 0:
-        words.insert(0, "--")
+        times = draw(st.sampled_from(
+            [1] if clean and arg[2] is None else [0, 1, 1, 1, 2]
+            if arg[2] is None else [0, 0, 1, 2]))
+        chunks += [draw(given_once(arg, clean)) for _ in range(times)]
+    if not clean:
+        chunks += [[w] for w in draw(st.lists(st.sampled_from(EXTRAS),
+                                              max_size=3))]
+    chunks = draw(st.permutations(chunks))
+    before = 0 if clean else draw(st.sampled_from([0, 0, 0, 1]))
+    if not clean and draw(st.integers(0, 9)) == 0:
+        chunks.insert(0, ["--"])
+    # "--" before the last positional, when nothing after it is an option
+    if clean and chunks and chunks[-1][0][:1] != "-" and draw(st.booleans()):
+        chunks.insert(len(chunks) - 1, ["--"])
+    words = [w for chunk in chunks for w in chunk]
     return words[:before] + [command] + words[before:]
 
 
