@@ -5,17 +5,16 @@ Exit codes: 0 success, 1 verified false, 2 unknown or guard tripped,
 3 usage error, 4 internal error: a check of the library's own invariants
 failed, which is a bug, not an answer.
 
-``parse`` reads the line from one table, ``_COMMANDS``, as argparse would
-read the same declarations: ``--opt value`` or ``--opt=value``, options
-before or after positionals, unique prefixes of long options, ``--``, and
-the last of repeated options.  argparse is not imported: its import and
-parser set-up cost more than most commands' own work.
+``parse`` reads a line in plain form, as every command is typed in the
+README, the tests and the benchmark, straight from one table,
+``_COMMANDS``, without importing argparse: its import and parser set-up
+cost more than most commands' own work.  Any other line, a help
+included, goes to argparse, built from the same table.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -210,9 +209,7 @@ def cmd_verify(args) -> int:
 # name starts with "-", else a positional; it is required when its default
 # is None.  A kind is bool (a flag), str (text), a list of choices, or an
 # int: the least integer taken.
-_HELP = ("-h/--help", bool, False)
-_COMMON = [_HELP, ("--json", bool, False),
-           ("--max-candidates", 1, DEFAULT_CAP)]
+_COMMON = [("--json", bool, False), ("--max-candidates", 1, DEFAULT_CAP)]
 _KIND, _LIST = ("--kind", sorted(LIFTS), None), ("--list", bool, False)
 _ON = [("--matroid", str, None), ("--pasture", str, None)]
 _COMMANDS = {
@@ -232,162 +229,114 @@ _COMMANDS = {
     "verify": (cmd_verify, "recompute a frozen reference suite",
                [("--max-q", 2, 64), ("suite", sorted(verify_mod.SUITES),
                                       None)])}
-# The line itself: -h, then the command, which takes the rest of the line
-_TOP = (None, "Compute with pastures: hexagons, lifts, morphisms, and matroid "
-        "representations.\n\n" + "\n".join(
-            f"  {c:<12}{row[1]}" for c, row in _COMMANDS.items()),
-        [("COMMAND", _COMMANDS, 0)])
 
 
 class _UsageError(ValueError):
     """A command line that does not parse; the message is its stderr."""
 
 
-def _usage(command):
-    """argparse's usage line, on one line."""
-    if command is None:
-        return "usage: pastures [-h] COMMAND ..."
-    words = ["usage: pastures", command, "[-h] [--json] [--max-candidates N]"]
-    for name, kind, default in _COMMANDS[command][2]:
-        if isinstance(kind, list):
-            word = "{" + ",".join(kind) + "}"
-        else:
-            word = name[2:].upper().replace("-", "_") if name[0] == "-" \
-                else name
-        if name[0] == "-":
-            word = name if kind is bool else f"{name} {word}"
-        words.append(word if default is None else f"[{word}]")
-    return " ".join(words)
+def _field(name):
+    """The namespace field of an argument, as argparse names it."""
+    return name.lstrip("-").replace("-", "_")
 
 
-def _fail(command, reason, name=None):
-    prog = f"pastures {command}" if command else "pastures"
-    reason = f"argument {name}: {reason}" if name else reason
-    raise _UsageError(f"{_usage(command)}\n{prog}: error: {reason}")
-
-
-def _read(command, options, arg):
-    """How argparse reads one argument: None for a positional, else the
-    option's name (None if unknown) and the text after "=" (or None).  A
-    long option may be given by a unique prefix."""
-    if arg[:1] != "-" or len(arg) == 1:
+def _plain(argv):
+    """The namespace of a line in plain form, else None.  Plain: the
+    command first; each option under its full name; a value as the next
+    word, not starting with "-", or after "=", not "--"; a flag without
+    "="; no positional starting with "-"; every value of its kind, and
+    every required argument given.  argparse reads such a line the same."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    head, eq, tail = arg.partition("=")
-    if arg in options or eq and head in options:
-        return (arg, None) if arg in options else (head, tail)
-    found = [(o, tail if eq else None) for o in options
-             if arg[1] == "-" and o.startswith(head)]
-    if arg[1] == "h":           # -h is the one short option: -hX
-        found.append(("-h", arg[2:]))
-    if len(found) > 1:
-        _fail(command, f"ambiguous option: {arg} could match "
-                       + ", ".join(o for o, _ in found))
-    if found or re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
-        return found[0] if found else None
-    return None, None
-
-
-def _value(command, name, kind, strings):
-    """An argument's value as argparse gives it: one "--" among its strings
-    is dropped (the command's strings keep theirs), and with none left the
-    value is []."""
-    if kind is not _COMMANDS and "--" in strings:
-        strings.remove("--")
-    value = strings[0] if strings else []
-    if strings and type(kind) is int:
-        try:
-            value = int(value)
-        except ValueError:
-            _fail(command, f"invalid int value: {value!r}", name)
-        if value < kind:
-            _fail(command, f"must be at least {kind}, not {value}", name)
-    if strings and isinstance(kind, (list, dict)) and value not in kind:
-        _fail(command, f"invalid choice: {value!r} (choose from "
-                       f"{', '.join(map(repr, kind))})", name)
-    return value
-
-
-def _parse(command, argv):
-    """(values, leftover arguments) of ``argv``: a command's arguments, or
-    the whole line when ``command`` is None; None after printing a help.
-    Arguments are taken in argparse's order, so the error raised is the
-    first that argparse reports."""
-    handler, about, args = _COMMANDS.get(command, _TOP)
-    own = (_COMMON if command else [_HELP]) + args
-    options = {n: a for a in own for n in a[0].split("/") if n[0] == "-"}
-    values = {a[0].lstrip("-").replace("-", "_"): a[2] for a in own[1:]}
-    values.update(command=command, func=handler)
-    # argparse's pattern of the line: O an option, A a positional, - the
-    # first "--", after which every argument is a positional
-    cut = argv.index("--") if "--" in argv else len(argv)
-    found = {i: _read(command, options, a) for i, a in enumerate(argv[:cut])}
-    marks = "".join("O" if f else "A" for f in found.values()) \
-        + ("-" + "A" * (len(argv) - cut - 1)) * (cut < len(argv))
-    todo, extras, i = [a for a in args if a[0][0] != "-"], [], 0
-    while True:
-        groups = ()
-        for k in range(len(todo), 0, -1):   # as many positionals as fit
-            match = re.match("(-*A-*)" * k if command else "(-*A[-AO]*)",
-                             marks[i:])
-            if match:
-                groups = match.groups()
-                break
-        for (name, kind, _), group in zip(todo, groups):
-            strings, i = argv[i:i + len(group)], i + len(group)
-            values[name] = _value(command, name, kind, strings)
-            if kind is _COMMANDS:       # the command takes the rest
-                got = _parse(strings[0], strings[1:])
-                if got is None:
-                    return None
-                values.update(got[0])
-                extras += got[1]
-        del todo[:len(groups)]
-        nxt = min([j for j in found if found[j] and j >= i] + [len(argv)])
-        extras += argv[i:nxt]
-        if nxt == len(argv):
-            break
-        (option, text), i = found[nxt], nxt + 1
-        kind = options[option][1] if option else None
-        if kind is bool:        # a flag given a value is refused, but -hh…h
-            rest = text.lstrip("h") if option == "-h" and text else text
-            if text is not None and (rest or not text):
-                _fail(command, f"ignored explicit argument {rest!r}",
-                      options[option][0])
-            if options[option] is _HELP:
-                print(f"{_usage(command)}\n\n{about}")
+    handler, _, args = _COMMANDS[argv[0]]
+    options = {a[0]: a[1] for a in _COMMON + args if a[0][0] == "-"}
+    todo = [a for a in args if a[0][0] != "-"]
+    values = {_field(a[0]): a[2] for a in _COMMON + args}
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, text = word.partition("=")
+        if word[:1] != "-":                     # the next positional
+            if not todo:
                 return None
-            values[option[2:]] = True
-        elif kind is None:
-            extras.append(argv[nxt])
-        elif text is None and marks[i:i + 1] != "A":
-            _fail(command, "expected one argument", option)
+            (name, kind, _), text = todo.pop(0), word
         else:
-            values[option[2:].replace("-", "_")] = _value(
-                command, option, kind, [argv[i]] if text is None else [text])
-            i += text is None
-    missing = [a[0] for a in args
-               if values[a[0].lstrip("-").replace("-", "_")] is None]
-    if missing:
-        _fail(command, "the following arguments are required: "
-                       + ", ".join(missing))
-    return values, extras
+            kind = options.get(name)
+            if kind is bool and not eq:
+                values[_field(name)] = True
+                continue
+            text = text if eq else next(words, "-")
+            if kind in (None, bool) or (text == "--" if eq
+                                        else text[:1] == "-"):
+                return None
+        if type(kind) is int:
+            try:
+                text = int(text)
+            except ValueError:
+                return None
+            if text < kind:
+                return None
+        elif kind is not str and text not in kind:
+            return None
+        values[_field(name)] = text
+    if None in values.values():         # a required argument is missing
+        return None
+    return SimpleNamespace(command=argv[0], func=handler, **values)
 
 
 def parse(argv):
-    """A command line, ``argv`` without the program name, read as argparse
-    reads it from the same declarations: a namespace of ``command``,
-    ``func``, its handler, and a field per argument; None after printing
-    the help for -h.  Where argparse refuses, a ``ValueError`` is raised
-    whose message is the usage line and ``pastures ...: error: ...``."""
-    got = _parse(None, argv)
-    if got is None:
+    """A command line, ``argv`` without the program name: a namespace of
+    ``command``, ``func``, its handler, and a field per argument; None
+    after printing a help.  A line in plain form is read from the table;
+    any other is read by argparse from the same rows, and where argparse
+    refuses, a ``ValueError`` is raised whose message is its usage line
+    and ``pastures ...: error: ...``."""
+    args = _plain(argv)
+    if args is not None:
+        return args
+    import argparse     # here, not at the top: plain lines never need it
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(f"{self.format_usage().strip()}\n"
+                              f"{self.prog}: error: {message}")
+
+    def wide(prog):     # the usage on one line
+        return argparse.HelpFormatter(prog, width=1 << 16)
+
+    def at_least(low):
+        def read(text):
+            value = int(text)
+            if value < low:
+                raise argparse.ArgumentTypeError(
+                    f"must be at least {low}, not {value}")
+            return value
+        read.__name__ = "int"   # argparse says "invalid int value: 'x'"
+        return read
+
+    top = Parser(prog="pastures", formatter_class=wide,
+                 description="Compute with pastures: hexagons, lifts, "
+                             "morphisms, and matroid representations.")
+    commands = top.add_subparsers(dest="command", metavar="COMMAND")
+    for command, (handler, about, args) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=about, formatter_class=wide)
+        sub.set_defaults(func=handler)
+        for name, kind, default in _COMMON + args:
+            if kind is bool:
+                sub.add_argument(name, action="store_true")
+                continue
+            sub.add_argument(
+                name, default=default,
+                choices=kind if isinstance(kind, list) else None,
+                type=at_least(kind) if type(kind) is int else None,
+                metavar="N" if name == "--max-candidates" else None,
+                **{"required": default is None} if name[0] == "-" else {})
+    try:
+        args = top.parse_args(argv)
+    except SystemExit:          # a help, printed
         return None
-    values, extras = got
-    if extras:
-        _fail(None, "unrecognized arguments: " + " ".join(extras))
-    if values.pop("COMMAND") == 0:
-        raise _UsageError(_usage(None))
-    return SimpleNamespace(**values)
+    if args.command is None:
+        raise _UsageError(top.format_usage().strip())
+    return args
 
 
 def main(argv=None) -> int:
@@ -398,6 +347,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if args is None:
         return EXIT_OK
+    # argparse reads the lone string "--" of an argument as no string: []
+    for name, _, _ in _COMMON + _COMMANDS[args.command][2]:
+        if getattr(args, _field(name)) == []:
+            print(f"error: argument {name}: expected one argument",
+                  file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     # refusals first: InfinitePasture is a ValueError too

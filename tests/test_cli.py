@@ -30,6 +30,8 @@ from pastures.matroids import lift_bijection_check, representation_classes
 from pastures.morphisms import hom_set, iso_check
 from pastures.record import InternalError
 
+import test_manifest
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -121,8 +123,8 @@ def test_unknown_matroid_is_a_usage_error(capsys):
     (["hexagons", "F7"], False), (["hexagons", "F7", "--json"], True)])
 def test_argparse_gettext_locale_and_json_are_imported_only_when_used(
         argv, loads):
-    """No command imports argparse, gettext or locale, and a command without
-    ``--json`` or a matroid file never imports json."""
+    """No plain command line imports argparse, gettext or locale, and a
+    command without ``--json`` or a matroid file never imports json."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     code = ("import sys; from pastures import cli; "
             f"code = cli.main({argv!r}); "
@@ -132,6 +134,21 @@ def test_argparse_gettext_locale_and_json_are_imported_only_when_used(
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 10 + loads, proc.stderr
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "table1", "--max-q=--"], "--max-q"),
+    (["hom", "H", "F7", "--max-candidates=--"], "--max-candidates"),
+    (["reps", "--matroid=--", "--pasture", "F5"], "--matroid"),
+    (["hom", "H", "--", "--"], "target"),
+    (["reps", "--matroid", "U24", "--pasture=--"], "--pasture")])
+def test_an_argument_given_only_as_double_dash_is_a_usage_error(
+        capsys, argv, name):
+    """argparse reads an argument whose one string is "--" as []; the line
+    exits 3 with one stderr line, not with a traceback or through the
+    expression parser."""
+    assert run(capsys, argv) == (
+        3, "", f"error: argument {name}: expected one argument\n")
 
 
 # -- golden JSON outputs ------------------------------------------------
@@ -186,6 +203,14 @@ def test_golden_output(capsys, argv, golden):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out == (DATA / golden).read_text()
+
+
+def test_real_command_lines_are_read_without_argparse():
+    """Every command of the output manifest and of the golden files is in
+    plain form, so ``cli.parse`` reads it from the table alone."""
+    for argv in [*test_manifest.commands(),
+                 *(argv for argv, _ in GOLDEN_CASES)]:
+        assert cli._plain(argv) is not None, argv
 
 
 # -- behaviour details --------------------------------------------------

@@ -316,6 +316,27 @@ def test_uniform_counts_at_the_default_cap(r, n, q):
     assert len(classes) == math.prod(q - k for k in range(2, n - 1))
 
 
+def test_class_counts_from_closed_forms():
+    """Counts from matroid theory, not from the library.  Over the Krasner
+    hyperfield K every matroid has one class.  Over the sign hyperfield S,
+    U(2, n) has one per cyclic order of its points up to reversal,
+    (n - 1)!/2, a regular matroid has one and the Fano plane, which is not
+    orientable, none.  A binary matroid has one class over F2 and a
+    ternary one over F3 (Brylawski-Lucas); U(2, 4) is not binary and the
+    Fano plane is not ternary."""
+    K, S, F2, F3 = named("K"), named("S"), finite_field(2), finite_field(3)
+    cases = [(K, M, 1) for M in [uniform(2, n) for n in range(4, 8)]
+             + [uniform(3, 6), uniform(3, 7), mk4(), fano()]]
+    cases += [(S, uniform(2, n), math.factorial(n - 1) // 2)
+              for n in range(4, 8)]
+    cases += [(S, mk4(), 1), (S, fano(), 0), (F2, mk4(), 1),
+              (F2, fano(), 1), (F2, u24(), 0), (F3, mk4(), 1),
+              (F3, u24(), 1), (F3, fano(), 0)]
+    for P, M, count in cases:
+        assert len(representation_classes(M, P)) == count, \
+            (P.label, M.n, M.rank)
+
+
 def test_foundations_are_the_known_pastures():
     # regular: F1pm; Fano: F2; non-Fano: the dyadic D (Baker-Lorscheid)
     for M, name in ((mk4(), "F1pm"), (fano(), "F2"), (NON_FANO, "D")):
