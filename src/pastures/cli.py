@@ -205,30 +205,41 @@ def cmd_verify(args) -> int:
 
 
 # The command table: per command its handler, its help and its arguments,
-# options first.  An argument is (name, kind, default): an option if its
-# name starts with "-", else a positional; it is required when its default
-# is None.  A kind is bool (a flag), str (text), a list of choices, or an
-# int: the least integer taken.
-_COMMON = [("--json", bool, False), ("--max-candidates", 1, DEFAULT_CAP)]
-_KIND, _LIST = ("--kind", sorted(LIFTS), None), ("--list", bool, False)
-_ON = [("--matroid", str, None), ("--pasture", str, None)]
+# options first.  An argument is (name, kind, default, help): an option if
+# its name starts with "-", else a positional; it is required when its
+# default is None.  A kind is bool (a flag), str (text), a list of choices,
+# or an int: the least integer taken.
+_EXPR = ("expr", str, None, "a pasture expression, such as F7 or \"U ox H\"")
+_COMMON = [("--json", bool, False, "print the answer as JSON"),
+           ("--max-candidates", 1, DEFAULT_CAP,
+            "cap on the steps of a hom search (default %(default)s)")]
+_KIND = ("--kind", sorted(LIFTS), None, "the lift to compute")
+_ON = [("--matroid", str, None, "a matroid JSON file, or the builtin U24 "
+                                "or MK4"),
+       ("--pasture", str, None, "the pasture expression to represent over")]
 _COMMANDS = {
     "pasture": (cmd_pasture, "evaluate an expression and print the pasture",
-                [("expr", str, None)]),
-    "hexagons": (cmd_hexagons, "list the hexagons of a pasture",
-                 [("expr", str, None)]),
-    "lift": (cmd_lift, "compute a lift", [_KIND, ("expr", str, None)]),
+                [_EXPR]),
+    "hexagons": (cmd_hexagons, "list the hexagons of a pasture", [_EXPR]),
+    "lift": (cmd_lift, "compute a lift", [_KIND, _EXPR]),
     "hom": (cmd_hom, "count morphisms between two pastures",
-            [_LIST, ("source", str, None), ("target", str, None)]),
+            [("--list", bool, False,
+              "print the generator images of every morphism"),
+             ("source", str, None, "the source pasture expression"),
+             ("target", str, None, "the target pasture expression")]),
     "iso": (cmd_iso, "decide whether two pastures are isomorphic",
-            [("left", str, None), ("right", str, None)]),
+            [("left", str, None, "a pasture expression"),
+             ("right", str, None, "a pasture expression")]),
     "reps": (cmd_reps, "rescaling classes of matroid representations",
-             _ON + [_LIST]),
+             _ON + [("--list", bool, False,
+                     "print a representative of each class")]),
     "lift-check": (cmd_lift_check, "check the lift bijection on a matroid",
                    _ON + [_KIND]),
     "verify": (cmd_verify, "recompute a frozen reference suite",
-               [("--max-q", 2, 64), ("suite", sorted(verify_mod.SUITES),
-                                      None)])}
+               [("--max-q", 2, 64, "the largest prime power of table1 "
+                                   "(default %(default)s)"),
+                ("suite", sorted(verify_mod.SUITES), None,
+                 "the suite to recompute")])}
 
 
 class _UsageError(ValueError):
@@ -258,7 +269,7 @@ def _plain(argv):
         if word[:1] != "-":                     # the next positional
             if not todo:
                 return None
-            (name, kind, _), text = todo.pop(0), word
+            (name, kind, _, _), text = todo.pop(0), word
         else:
             kind = options.get(name)
             if kind is bool and not eq:
@@ -320,12 +331,12 @@ def parse(argv):
     for command, (handler, about, args) in _COMMANDS.items():
         sub = commands.add_parser(command, help=about, formatter_class=wide)
         sub.set_defaults(func=handler)
-        for name, kind, default in _COMMON + args:
+        for name, kind, default, about in _COMMON + args:
             if kind is bool:
-                sub.add_argument(name, action="store_true")
+                sub.add_argument(name, action="store_true", help=about)
                 continue
             sub.add_argument(
-                name, default=default,
+                name, default=default, help=about,
                 choices=kind if isinstance(kind, list) else None,
                 type=at_least(kind) if type(kind) is int else None,
                 metavar="N" if name == "--max-candidates" else None,
@@ -348,7 +359,7 @@ def main(argv=None) -> int:
     if args is None:
         return EXIT_OK
     # argparse reads the lone string "--" of an argument as no string: []
-    for name, _, _ in _COMMON + _COMMANDS[args.command][2]:
+    for name, *_ in _COMMON + _COMMANDS[args.command][2]:
         if getattr(args, _field(name)) == []:
             print(f"error: argument {name}: expected one argument",
                   file=sys.stderr)

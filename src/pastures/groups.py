@@ -32,16 +32,24 @@ class InfinitePasture(ValueError):
 
 class SearchSpaceExceeded(RuntimeError):
     """A computation passed its work budget: hom search steps, candidate
-    homomorphisms, product orbits, GRS lift cells or a field's order."""
+    homomorphisms, product orbits, GRS lift cells, Smith normal form
+    multiplier bits or a field's order."""
 
 
 DEFAULT_CAP = 10**6     # the default cap of every search, --max-candidates too
+MAX_SNF_BITS = 10**4    # smith_normal_form's cap on a multiplier's bit length
 
 
 def identity_rows(n):
     """Rows of the n x n identity matrix: the unit vectors of Z^n, which are
     also the canonical generators of any group with n coordinates."""
     return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+
+
+def _grown(q):
+    return SearchSpaceExceeded(
+        f"Smith normal form multiplier of {q.bit_length()} bits passed its "
+        f"cap of {MAX_SNF_BITS} bits")
 
 
 def smith_normal_form(rows, width):
@@ -68,8 +76,15 @@ def smith_normal_form(rows, width):
     or subtracts the pivot row without a multiply when the entry is +-pivot;
     a column reduction updates only rows nonzero in the pivot column (after
     a swap-free row pass, the pivot row alone); a column swap is logged and
-    swaps two entries of a column map, not two entries of every row; the
-    divisibility sweep is skipped for a pivot of +-1.
+    swaps two entries of a column map, not two entries of every row; under
+    a pivot of +-1 a row's multiplier is its entry times the pivot, with no
+    division; the divisibility sweep is skipped for a pivot of +-1 and for
+    the last column's, below which every row is zero.
+
+    A multiplier found by division, in a row pass under a pivot other than
+    +-1 or in a column pass, of more than ``MAX_SNF_BITS`` bits raises
+    :class:`SearchSpaceExceeded`: the entries of some inputs grow without
+    bound, and those of the library's own presentations stay far below.
 
     The rows, lists of ``width`` entries (checked), are reduced in place, so
     a caller passes rows it does not read after; the list holding them is
@@ -148,7 +163,12 @@ def smith_normal_form(rows, width):
                         for j in support:
                             r[j] += p[j]
                     else:
-                        q, x = divmod(x, d)
+                        if d == 1 or d == -1:
+                            q, x = x * d, 0
+                        else:
+                            q, x = divmod(x, d)
+                            if q.bit_length() > MAX_SNF_BITS:
+                                raise _grown(q)
                         for j in support:
                             r[j] -= q * p[j]
                         if x:
@@ -164,6 +184,8 @@ def smith_normal_form(rows, width):
                 if p[cj]:
                     q = p[cj] // p[pt]
                     if q:
+                        if q.bit_length() > MAX_SNF_BITS:
+                            raise _grown(q)
                         for r in hits:
                             r[cj] -= q * r[pt]
                         ops.append((t, j, -q))
@@ -178,7 +200,8 @@ def smith_normal_form(rows, width):
                         dirty = True
             if dirty:
                 continue
-            bad = None if abs(d) == 1 else next(
+            # past the last column every row below is zero
+            bad = None if abs(d) == 1 or t == n - 1 else next(
                 (i for i in range(t + 1, m) if a[i] is not zero
                  and any(x % d for x in filter(None, a[i]))), None)
             if bad is None:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .groups import AbelianGroup, GroupMap, SearchSpaceExceeded
-from .pasture import Pasture, _reduced, named, tensor_full
+from .groups import GroupMap, SearchSpaceExceeded, reduce_presentation
+from .pasture import Pasture, _adjoined, named, tensor_full
 from .hexagons import Hexagon, fundamental_pairs, hexagons
 from .morphisms import PastureMorphism, make
 from .record import InternalError, Record
@@ -176,9 +176,7 @@ def grs_lift(P: Pasture) -> LiftResult:
     The unit group is F1pm's with the free units (t_a for a in F), so an
     exponent vector has the sign at 0 and t_a at the column of a, 1 + its
     index in F.  G3 adjoins null orbits; the others are 2-term relations,
-    and each is written as the Smith normal form row it kills, in the
-    order G1, G4, G2, G5: the relation w = (-1)^s, for w the product of the
-    t's, kills the row with s at 0 and 1 added at a column per factor.
+    each written as the Smith normal form row it kills (``_grs_rows``).
     G3 is passed for one pair of each hexagon of P: by G2 and G4 the triple
     (t_a, t_b, -1) of any other pair of the hexagon is a rescaling of a
     permutation of it, so it adjoins the same orbit.  lambda sends t_a to
@@ -186,6 +184,13 @@ def grs_lift(P: Pasture) -> LiftResult:
     C2 row of -1 and those above, are counted before any is built, G5's
     last and drawn only while they fit: past ``MAX_CELLS`` cells, n + 1 a
     row, SearchSpaceExceeded is raised.
+
+    The rows are fixed by the signature (n, G1, G4, G2, G5) of the 2-term
+    relations, so their reduction is too.  The lift keeps both in its
+    ``__dict__`` as ``grs_presentation``.  When P keeps a signature equal
+    to its own, as the GRS lift of a field does, its lift reuses that
+    reduction: no row is built and no Smith normal form is run.  The G3
+    orbits, lambda, the checks and the cap are P's own on either path.
     """
     g = P.units
     pairs = fundamental_pairs(P)
@@ -198,30 +203,30 @@ def grs_lift(P: Pasture) -> LiftResult:
         raise SearchSpaceExceeded(
             f"GRS lift passed its cap of {MAX_CELLS} cells")
     col = {a: i for i, a in enumerate(F, 1)}
-    kill = [[1] + [0] * n] if g1 else []                            # G1
+    g4 = []
     for a, b in sorted(pairs, key=lambda p: (g.key(p[0]), g.key(p[1]))):
         binv = g.inv(b)
         c = g.mul(g.epsilon, g.inv(g.mul(a, binv)))
         if binv not in col or c not in col:
             raise LiftCheckFailed(
                 "fundamental elements are not closed under the pair relations")
-        row = [1] + [0] * n                                         # G4
-        for k in (col[a], col[binv], col[c]):
-            row[k] += 1
-        kill.append(row)
+        g4.append(tuple(sorted((col[a], col[binv], col[c]))))
     if any(g.inv(a) not in col for a in F):
         raise LiftCheckFailed(
             "fundamental elements are not closed under inversion")
-    g2 = [(col[a], col[g.inv(a)]) for a in F]
-    for ks in g2 + [(i + 1, j + 1, k + 1) for i, j, k in triples]:   # G2, G5
-        row = [0] * (n + 1)
-        for k in ks:
-            row[k] += 1
-        kill.append(row)
+    g2 = tuple([(col[a], col[g.inv(a)]) for a in F])
+    signature = (n, g1, tuple(g4), g2, tuple(triples))
+    kept = vars(P).get("grs_presentation")
+    if kept is not None and kept[0] == signature:
+        red = kept[1]
+    else:
+        red = reduce_presentation(n + 1, _grs_rows(signature),
+                                  [1] + [0] * n)
     adjoin = [({col[a]: 1}, {col[b]: 1}, {0: 1})                    # G3
               for a, b in map(min, P.orbit_pairs)]
-    res = _reduced(AbelianGroup((2,), n, (1,) + (0,) * n), kill, adjoin)
+    res = _adjoined(red, adjoin)
     lift = res.pasture
+    vars(lift)["grs_presentation"] = (signature, red)
     lam = make(lift, P, map(GroupMap(g, (g.epsilon, *F)), res.sections))
     lifted_F = {a for a, _ in fundamental_pairs(lift)}
     mapped = {lam.unit_map(a) for a in lifted_F}
@@ -229,6 +234,29 @@ def grs_lift(P: Pasture) -> LiftResult:
         raise LiftCheckFailed(
             "lambda is not a bijection on fundamental elements")
     return LiftResult(lift, lam, "grs", None)
+
+
+def _grs_rows(signature):
+    """The Smith normal form input of a GRS lift's 2-term relations, from
+    their signature (n, G1, G4, G2, G5): the C2 row of -1, then in the
+    order G1, G4, G2, G5 the row each relation kills, n + 1 entries.  The
+    relation w = (-1)^s, for w a product of t's, kills the row with s at 0
+    and 1 added at the column of each factor.  G4 comes as sorted column
+    triples, G2 as column pairs and G5 as index triples into F, each in
+    the order of its rows."""
+    n, g1, g4, g2, g5 = signature
+    rows = [[2] + [0] * n]
+    if g1:
+        rows.append([1] + [0] * n)                                  # G1
+    for sign, relations in ((1, g4), (0, g2),                       # G4, G2
+                            (0, [(i + 1, j + 1, k + 1)              # G5
+                                 for i, j, k in g5])):
+        for ks in relations:
+            row = [sign] + [0] * n
+            for k in ks:
+                row[k] += 1
+            rows.append(row)
+    return rows
 
 
 def lift_descriptor_iso(L1: LiftResult, L2: LiftResult) -> bool:

@@ -32,7 +32,8 @@ A presentation, F1pm with n free units modulo 2- and 3-term relations, is
 built by ``presented`` from sparse terms {0: sign, 1 + i: exponent of t_i}:
 the named pastures, ``F1pm<...>//(...)`` expressions and matroid
 foundations all are, and ``quotient_full`` shares its checks.  Both then
-reduce through ``_reduced``, to which a GRS lift writes its rows directly.
+reduce through ``_reduced``.  A GRS lift writes its rows directly and
+projects its orbits through ``_adjoined``, as ``_reduced`` does.
 """
 
 from __future__ import annotations
@@ -113,8 +114,10 @@ def canonical_orbit(group: AbelianGroup, triple):
 class Pasture(Record):
     """Unit group, null orbits and an optional ``label``, which equality and
     hash ignore; the ``__dict__`` holds the cached ``orbit_pairs``,
-    ``null_pairs``, ``indexed``, the tuple of ``hexagons.hexagons`` and the
-    orbits and hexagons carried into tensors (``_on_columns``)."""
+    ``null_pairs``, ``indexed``, the tuple of ``hexagons.hexagons``, the
+    orbits and hexagons carried into tensors (``_on_columns``) and, on a
+    GRS lift, the signature and reduction of its presentation
+    (``grs_presentation``, see ``lifts.grs_lift``)."""
 
     __slots__ = ("units", "null_orbits", "label", "__dict__")
     _fields = __slots__[:3]
@@ -221,7 +224,13 @@ class Pasture(Record):
     # -- bookkeeping ---------------------------------------------------------
 
     def with_label(self, label: str) -> "Pasture":
-        return Pasture(self.units, self.null_orbits, label)
+        """The same pasture under ``label``, keeping a GRS lift's
+        ``grs_presentation``, which a lift of it may reuse."""
+        P = Pasture(self.units, self.null_orbits, label)
+        kept = vars(self).get("grs_presentation")
+        if kept is not None:
+            vars(P)["grs_presentation"] = kept
+        return P
 
     def descriptor(self) -> dict:
         return {
@@ -407,11 +416,18 @@ def _reduced(units, kill, adjoin) -> QuotientResult:
     ``reduce_presentation``, whose Smith normal form reduces them in place.
     With no row to kill, the Smith normal form of a canonical group's own
     rows logs no column operation, so the projection and sections are the
-    identity.  Each member of an adjoined triple is projected by summing
-    the projection rows of its nonzero coordinates.
+    identity.
     """
-    red = reduce_presentation(units.ngens, units.relation_rows() + kill,
-                              list(units.epsilon))
+    return _adjoined(reduce_presentation(
+        units.ngens, units.relation_rows() + kill, list(units.epsilon)),
+        adjoin)
+
+
+def _adjoined(red, adjoin) -> QuotientResult:
+    """The pasture on the group of the :class:`Reduction` ``red`` with the
+    null orbits of the ``adjoin`` triples of exponent maps over the
+    presentation's generators.  Each member is projected by summing the
+    projection rows of its nonzero coordinates."""
     units, cum, sections = red.group, red.project, red.sections
     proj, zero = cum.rows, [0] * units.ngens
 

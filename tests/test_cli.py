@@ -14,6 +14,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import random
 import subprocess
 import sys
 
@@ -277,6 +278,23 @@ def test_hom_guard_message(capsys):
     assert err == "guard tripped: hom search passed its cap of 17 steps\n"
     assert run(capsys, ["hom", "U", "F7", "--max-candidates", "18"]) == (
         0, "5 morphisms U -> F7\n", "")
+
+
+def test_snf_meter_stops_a_presentation(capsys):
+    """The presentation by the 10 x 8 matrix of
+    ``random.Random(1).randint(-3, 3)``, row by row, one relation
+    a^e1 * ... * h^e8 - 1 a row, ran for minutes in the Smith normal form;
+    it exits 2 with one stderr line."""
+    rng = random.Random(1)
+    rows = [[rng.randint(-3, 3) for _ in range(8)] for _ in range(10)]
+    monomials = ["*".join(f"{x}^{e}" if e != 1 else x
+                          for x, e in zip("abcdefgh", row) if e)
+                 for row in rows]
+    text = f"F1pm<a,b,c,d,e,f,g,h>//({'; '.join(m + '-1' for m in monomials)})"
+    assert len(text) == 325
+    assert run(capsys, ["pasture", text]) == (
+        2, "", "guard tripped: Smith normal form multiplier of 14111 bits "
+        "passed its cap of 10000 bits\n")
 
 
 def test_one_default_cap(capsys):

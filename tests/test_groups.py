@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -357,13 +358,68 @@ def test_snf_known_values():
     # rows 1 and 2 become the shared zero row in the first pivot search; the
     # divisibility sweep of pivot 2 passes them and stops at row 3
     [[2, 0, 0], [0, 0, 0], [0, 0, 0], [0, 3, 5]],
+    # under pivot 1 and then pivot -1, entries 3 and -2 in the pivot column:
+    # the quotient is the entry times the pivot, with no division
+    [[1, 2, 3], [3, 1, 0], [-2, 5, 1]],
+    [[-1, 2], [3, 4], [-2, 7]],
+    # the last column's pivot, 4, then 2 after the remainder of 6: every row
+    # below is zero, so no divisibility sweep runs
+    [[2, 0], [0, 4], [0, 6]],
 ], ids=["quotient-0", "zero-row-at-pivot", "column-pass-changes-a-row",
         "cancel-plus-and-minus-d", "quotient-2-remainder-0",
-        "remainder-becomes-pivot", "zero-rows-before-sweep"])
+        "remainder-becomes-pivot", "zero-rows-before-sweep",
+        "unit-pivot-quotient", "minus-one-pivot-quotient",
+        "last-column-pivot"])
 def test_snf_regression_cases(rows):
     width = len(rows[0])
     assert full_smith_normal_form(rows, width) == \
         reference_smith_normal_form(rows, width)
+
+
+def seeded_matrix(m, n, seed):
+    """The m x n matrix of ``random.Random(seed).randint(-3, 3)``, row by
+    row (ROADMAP item 6)."""
+    rng = random.Random(seed)
+    return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+
+
+def test_snf_meter_refuses_coefficient_growth():
+    """The 10 x 8 matrix of seed 1, whose entries grow without bound, is
+    refused at its first multiplier past ``MAX_SNF_BITS``, in pivot 5's
+    column pass; the 12 x 9 matrix of seed 2, whose multipliers reach 7205
+    bits, answers as the reference does."""
+    assert groups.MAX_SNF_BITS == 10**4
+    with pytest.raises(SearchSpaceExceeded, match=(
+            "^Smith normal form multiplier of 17076 bits passed its cap of "
+            "10000 bits$")):
+        smith_normal_form(seeded_matrix(10, 8, 1), 8)
+    rows = seeded_matrix(12, 9, 2)
+    diag, ops = smith_normal_form([list(r) for r in rows], 9)
+    assert max(abs(op[2]).bit_length() for op in ops if len(op) == 3) == 7205
+    assert full_smith_normal_form(rows, 9) == \
+        reference_smith_normal_form(rows, 9)
+
+
+@pytest.mark.parametrize("rows, refused", [
+    ([[2, 32]], True),              # column pass: 32 // 2 = 16, 5 bits
+    ([[2, 0], [34, 3]], True),      # row pass: 34 = 17 * 2, 5 bits
+    ([[1, 0], [34, 3]], False),     # row pass under pivot 1: not metered
+    ([[2, 14]], False),             # column pass: 7, 3 bits
+], ids=["column-pass", "row-pass", "unit-pivot", "within-cap"])
+def test_snf_meter_checks_where_it_multiplies(rows, refused, monkeypatch):
+    """With a cap of 3 bits, a multiplier of 5 bits is refused in the
+    column pass and in the row pass under a pivot other than +-1; under a
+    unit pivot the entry itself is the multiplier, and is not metered."""
+    monkeypatch.setattr(groups, "MAX_SNF_BITS", 3)
+    if refused:
+        with pytest.raises(SearchSpaceExceeded, match=(
+                "^Smith normal form multiplier of 5 bits passed its cap of "
+                "3 bits$")):
+            smith_normal_form(rows, 2)
+    else:
+        width = len(rows[0])
+        assert full_smith_normal_form(rows, width) == \
+            reference_smith_normal_form(rows, width)
 
 
 def test_reduce_presentation_c4():

@@ -7,14 +7,16 @@ from sympy import factorint
 
 from pastures import cli, lifts
 from pastures.expr import pasture_of
-from pastures.groups import AbelianGroup, SearchSpaceExceeded
+from pastures.groups import (AbelianGroup, SearchSpaceExceeded,
+                             reduce_presentation)
 from pastures.hexagons import fundamental_pairs
 from pastures.lifts import (KindMismatch, LiftCheckFailed,
                             _check_pair_bijection, binary_lift, grs_lift,
                             lift_descriptor_iso, ternary_lift, wlum_lift)
 from pastures.morphisms import hom_set, is_isomorphism, iso_check
-from pastures.pasture import _reduced, finite_field, named, product
-from pastures.tables import LIFT_TABLE, WLUM_TABLE
+from pastures.pasture import (Pasture, _adjoined, finite_field, named,
+                              product)
+from pastures.tables import LIFT_TABLE, WLUM_TABLE, ZAGIER_TRIPLES
 
 
 def test_binary_lift_cases():
@@ -200,7 +202,8 @@ def test_grs_lift_one_g3_per_hexagon_matches_every_pair(P, monkeypatch):
     """G3 for one pair of each hexagon adjoins the same orbits as G3 for
     every fundamental pair: adding the other pairs' relations changes
     neither the lift nor lambda, and the same holds for the lift of the
-    lift."""
+    lift, whose orbits are adjoined the same way when it reuses the
+    reduction of the first lift."""
     for P in (P, grs_lift(P).lift):
         got = grs_lift(P)
         g = P.units
@@ -208,8 +211,8 @@ def test_grs_lift_one_g3_per_hexagon_matches_every_pair(P, monkeypatch):
         col = {a: 1 + i for i, a in enumerate(F)}
         every_pair = [({col[a]: 1}, {col[b]: 1}, {0: 1})
                       for a, b in fundamental_pairs(P)]
-        monkeypatch.setattr(lifts, "_reduced", lambda units, kill, adjoin:
-                            _reduced(units, kill, [*adjoin, *every_pair]))
+        monkeypatch.setattr(lifts, "_adjoined", lambda red, adjoin:
+                            _adjoined(red, [*adjoin, *every_pair]))
         want = grs_lift(P)
         monkeypatch.undo()
         assert got.lift == want.lift, P.label
@@ -220,32 +223,40 @@ def test_grs_guard(monkeypatch):
     """The GRS lift counts its Smith normal form input before building a
     row: F53's is 553 rows (the C2 row of -1, 51 G4, 51 G2 and 450 G5
     rows) of 52 cells, 28 756 cells.  A cap one cell smaller than the
-    input ``_reduced`` receives refuses it before ``_reduced`` is called,
-    and a cap of exactly that answers, on pastures with and without
-    -1 = 1."""
+    input ``reduce_presentation`` receives refuses it before any row is
+    built, and a cap of exactly that answers, on pastures with and without
+    -1 = 1.  The lift of the lift of a field, which reuses the first
+    reduction, is counted and refused the same."""
     def unreached(*args):
         raise AssertionError("Smith normal form input built")
 
     cells = {}
     for P in (finite_field(53), finite_field(4), finite_field(9), named("U"),
               product(named("D"), finite_field(3))):
-        def spy(units, kill, adjoin):
-            cells[P.label] = (len(units.relation_rows()) + len(kill)) \
-                * units.ngens
-            return _reduced(units, kill, adjoin)
+        def spy(ngens, rows, eps):
+            cells[P.label] = len(rows) * ngens
+            return reduce_presentation(ngens, rows, eps)
 
         with monkeypatch.context() as m:
-            m.setattr(lifts, "_reduced", spy)
+            m.setattr(lifts, "reduce_presentation", spy)
             want = grs_lift(P)
         cap = cells[P.label]
-        with monkeypatch.context() as m:
-            m.setattr(lifts, "MAX_CELLS", cap - 1)
-            m.setattr(lifts, "_reduced", unreached)
-            with pytest.raises(SearchSpaceExceeded, match=(
-                    f"^GRS lift passed its cap of {cap - 1} cells$")):
-                grs_lift(P)
+        sources = (P, want.lift) if P.label[1:].isdigit() else (P,)
+        for Q in sources:
+            with monkeypatch.context() as m:
+                m.setattr(lifts, "MAX_CELLS", cap - 1)
+                m.setattr(lifts, "_grs_rows", unreached)
+                m.setattr(lifts, "reduce_presentation", unreached)
+                with pytest.raises(SearchSpaceExceeded, match=(
+                        f"^GRS lift passed its cap of {cap - 1} cells$")):
+                    grs_lift(Q)
         monkeypatch.setattr(lifts, "MAX_CELLS", cap)
         assert grs_lift(P) == want, P.label
+        if len(sources) == 2:
+            L = want.lift
+            fresh = grs_lift(Pasture(L.units, L.null_orbits)).lift
+            monkeypatch.setattr(lifts, "reduce_presentation", unreached)
+            assert grs_lift(L).lift == fresh, P.label
         monkeypatch.undo()
     assert cells["F53"] == 553 * 52 == 28756
 
@@ -301,3 +312,80 @@ def test_pair_bijection_check_is_a_typed_error():
     lam = hom_set(named("U"), finite_field(3))[0]
     with pytest.raises(LiftCheckFailed):
         _check_pair_bijection(lam)
+
+
+def count_reductions(monkeypatch):
+    """Patch the ``reduce_presentation`` of ``grs_lift`` to count its calls
+    in the returned list."""
+    calls = []
+    monkeypatch.setattr(lifts, "reduce_presentation", lambda *args:
+                        calls.append(1) or reduce_presentation(*args))
+    return calls
+
+
+# every F_q and F_p1 x F_p2 of a Zagier triple with q <= 64, and GRS_CORPUS
+REUSE_SOURCES = list({P.label: P for P in [
+    *(finite_field(q) for q in range(2, 65) if len(factorint(q)) == 1),
+    *(product(finite_field(p1), finite_field(p2))
+      for q, p1, p2 in ZAGIER_TRIPLES if q <= 64),
+    *GRS_CORPUS]}.values())
+
+
+@pytest.mark.parametrize("P", REUSE_SOURCES, ids=lambda P: P.label)
+def test_grs_relift_reuse_matches_a_fresh_reduction(P, monkeypatch):
+    """The GRS lift of a GRS lift, and of its lift, with the kept
+    reduction and without it (the same pasture, built anew): the same
+    lift, the same images of lambda, the same label and the same kept
+    signature and reduction.  The lift of the lift of a field reuses the
+    first reduction, under a label too, as ``Lg(Lg(F7))`` evaluates."""
+    L1 = grs_lift(P).lift
+    L2 = grs_lift(L1).lift
+    calls = count_reductions(monkeypatch)
+    for Q in (L1, L2, L1.with_label("Lg(P)")):
+        calls.clear()
+        got = grs_lift(Q)
+        reused = not calls
+        want = grs_lift(Pasture(Q.units, Q.null_orbits, Q.label))
+        assert got.lift == want.lift and got.lift.label == want.lift.label
+        assert got.lift.null_orbits == want.lift.null_orbits
+        assert got.lam.unit_map.rows == want.lam.unit_map.rows
+        assert vars(got.lift)["grs_presentation"] == \
+            vars(want.lift)["grs_presentation"]
+        if P.label[1:].isdigit():
+            assert reused, P.label
+
+
+def test_relift_runs_one_reduction_per_new_presentation(monkeypatch):
+    """``Lg(Lg(F53))`` reduces one presentation, its lift's being the
+    same; ``Lg(Lg(F5 x F19))`` two, its lift's rows coming in another
+    order.  Both give the answer of a fresh reduction."""
+    for text, want in (("Lg(Lg(F53))", 1), ("Lg(Lg(F5 x F19))", 2)):
+        with monkeypatch.context() as m:
+            calls = count_reductions(m)
+            got = pasture_of(text)
+        assert len(calls) == want, text
+        L = pasture_of(text[3:-1])
+        assert got == grs_lift(Pasture(L.units, L.null_orbits)).lift
+
+
+@pytest.mark.parametrize("part", [2, 3, 4], ids=["G4", "G2", "G5"])
+def test_grs_relift_reuses_only_an_equal_signature(part, monkeypatch):
+    """A kept signature that differs from the lift's own in one part, the
+    order of the G4 rows or of the G2 pairs, or the G5 triples, one fewer,
+    is not reused:
+    the reduction kept with it is never read, and the answer is a fresh
+    reduction's.  The same signature with the same poisoned reduction is
+    reused, so the test reaches the comparison."""
+    L = grs_lift(finite_field(7)).lift
+    want = grs_lift(Pasture(L.units, L.null_orbits)).lift
+    signature, _ = vars(L)["grs_presentation"]
+    changed = list(signature)
+    changed[part] = changed[part][::-1] if part != 4 else changed[4][:-1]
+    assert changed[part] != signature[part]
+    vars(L)["grs_presentation"] = (tuple(changed), None)
+    calls = count_reductions(monkeypatch)
+    assert grs_lift(L).lift == want
+    assert calls == [1]
+    vars(L)["grs_presentation"] = (signature, None)
+    with pytest.raises(AttributeError):
+        grs_lift(L)

@@ -82,7 +82,7 @@ def values(kind, clean):
 def given_once(draw, arg, clean):
     """One argument as typed: a positional's value, or an option in full
     or by a prefix, with its value after it, after "=", or missing."""
-    name, kind, _ = arg
+    name, kind = arg[:2]
     if name[0] != "-":
         return [draw(values(kind, clean))]
     typed = name if clean else name[:draw(st.integers(3, len(name)))]
@@ -153,3 +153,31 @@ def test_main_maps_the_outcomes(capsys):
         "not 1\n"))
     assert cli.main([]) == 3
     assert capsys.readouterr() == ("", "usage: pastures [-h] COMMAND ...\n")
+
+
+def test_lift_help_describes_every_option(capsys):
+    """``pastures lift -h`` prints a line of help for the positional and
+    for every option, each from its row of the command table."""
+    assert cli.main(["lift", "-h"]) == 0
+    assert capsys.readouterr() == ("""\
+usage: pastures lift [-h] [--json] [--max-candidates N] \
+--kind {binary,grs,ternary,wlum} expr
+
+positional arguments:
+  expr                  a pasture expression, such as F7 or "U ox H"
+
+options:
+  -h, --help            show this help message and exit
+  --json                print the answer as JSON
+  --max-candidates N    cap on the steps of a hom search (default 1000000)
+  --kind {binary,grs,ternary,wlum}
+                        the lift to compute
+""", "")
+
+
+def test_every_row_of_the_table_has_help():
+    for _, about, args in cli._COMMANDS.values():
+        assert about
+        for name, _, _, text in cli._COMMON + args:
+            assert text and text[0].islower() and not text.endswith("."), \
+                name

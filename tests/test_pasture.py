@@ -625,48 +625,60 @@ def test_grs_lift_matches_reference_quotient(monkeypatch, text):
     """The GRS lift, its rows written directly, equals the presentation by
     the sparse terms of ``reference_grs_relations``: the lift, the images
     of lambda and the sections.  That presentation equals the
-    element-arithmetic quotient by the same relations as elements."""
+    element-arithmetic quotient by the same relations as elements.  The
+    same holds for the lift of the lift, which may reuse the reduction of
+    the first lift."""
     seen = []
 
-    def record(units, kill, adjoin):
-        seen.append(pasture_mod._reduced(units, kill, adjoin))
+    def record(red, adjoin):
+        seen.append(pasture_mod._adjoined(red, adjoin))
         return seen[-1]
 
-    monkeypatch.setattr(lifts, "_reduced", record)
+    monkeypatch.setattr(lifts, "_adjoined", record)
     P = pasture_of(text)
-    L = grs_lift(P)
-    got, = seen
-    g, F = P.units, fundamental_elements(P)
-    n, relations = len(F), reference_grs_relations(P)
-    res = presented(n, relations)
-    assert got == res
-    assert L.lift == res.pasture
-    assert L.lam.unit_map.rows == tuple(
-        map(GroupMap(g, (g.epsilon, *F)), res.sections))
-    A = free_algebra(named("F1pm"), [f"t{i}" for i in range(n)])
-    want = reference_quotient(A, as_elements(n, relations))
-    assert (res.pasture, res.unit_map, res.sections) == want
+    for P in (P, grs_lift(P).lift):
+        seen.clear()
+        L = grs_lift(P)
+        got, = seen
+        g, F = P.units, fundamental_elements(P)
+        n, relations = len(F), reference_grs_relations(P)
+        res = presented(n, relations)
+        assert got == res
+        assert L.lift == res.pasture
+        assert L.lam.unit_map.rows == tuple(
+            map(GroupMap(g, (g.epsilon, *F)), res.sections))
+        A = free_algebra(named("F1pm"), [f"t{i}" for i in range(n)])
+        want = reference_quotient(A, as_elements(n, relations))
+        assert (res.pasture, res.unit_map, res.sections) == want
 
 
 def test_grs_rows_match_reference_relations_on_benchmark_corpus(
         monkeypatch):
     """On the sources of the benchmark's presentations workload and more,
     every F_q and F_p1 x F_p2 of a Zagier triple with q <= 64 and the
-    named pastures, and on the GRS lift of each: the rows and 3-term
-    relations ``grs_lift`` passes to ``_reduced`` are those ``presented``
-    builds from ``reference_grs_relations``, so the Smith normal form reads
-    the same (rows, width)."""
+    named pastures, and on the GRS lift of each: the rows ``grs_lift``
+    builds from its signature and the 3-term relations it adjoins are
+    those ``presented`` builds from ``reference_grs_relations``, and the
+    reduction it adjoins them to, built or reused, is that of the
+    reference rows.  A lift that reduces its rows passes the reference
+    rows to ``reduce_presentation``; the lift of the lift of a field
+    reuses the reduction and builds no row."""
     inputs = []
 
     def arguments(units, kill, adjoin):
         return units, [list(r) for r in kill], [tuple(o) for o in adjoin]
 
-    def record(units, kill, adjoin):
-        inputs.append(arguments(units, kill, adjoin))
-        return reduced(units, kill, adjoin)
+    def record_rows(ngens, rows, eps):
+        inputs.append(("rows", [list(r) for r in rows]))
+        return reduce_presentation(ngens, rows, eps)
 
-    reduced = pasture_mod._reduced
-    monkeypatch.setattr(lifts, "_reduced", record)
+    def record_adjoined(red, adjoin):
+        inputs.append(("adjoined", red, [tuple(o) for o in adjoin]))
+        return adjoined(red, adjoin)
+
+    adjoined = pasture_mod._adjoined
+    monkeypatch.setattr(lifts, "reduce_presentation", record_rows)
+    monkeypatch.setattr(lifts, "_adjoined", record_adjoined)
     sources = [finite_field(q) for q in range(2, 65)
                if len(factorint(q)) == 1]
     sources += [product(finite_field(p1), finite_field(p2))
@@ -675,13 +687,25 @@ def test_grs_rows_match_reference_relations_on_benchmark_corpus(
     for P in sources:
         for Q in (P, grs_lift(P).lift):
             inputs.clear()
-            grs_lift(Q)
-            got, = inputs
+            L = grs_lift(Q).lift
+            *rows, (_, red, adjoin) = inputs
             with monkeypatch.context() as m:
                 m.setattr(pasture_mod, "_reduced", arguments)
-                want = presented(len(fundamental_elements(Q)),
-                                 reference_grs_relations(Q))
-            assert got == want, Q
+                units, kill, want_adjoin = presented(
+                    len(fundamental_elements(Q)), reference_grs_relations(Q))
+            want_rows = units.relation_rows() + kill
+            signature, kept = vars(L)["grs_presentation"]
+            assert lifts._grs_rows(signature) == want_rows, Q
+            assert adjoin == want_adjoin, Q
+            if rows:
+                assert rows == [("rows", want_rows)], Q
+            else:       # only a lift's own lift may reuse
+                assert Q is not P, Q
+            if Q is not P and P.label[1:].isdigit():
+                assert not rows, Q
+            assert kept is red
+            assert red == reduce_presentation(
+                units.ngens, want_rows, list(units.epsilon)), Q
 
 
 @pytest.mark.parametrize("term", [{2: 1}, {-1: 1}, {"1": 1}, [0, 1],
