@@ -11,8 +11,8 @@ not picked by hand:
   ``hom`` into every field of TARGETS, and into F16 at a cap of SMALL;
 - ``iso`` on every ordered pair of atoms, and of ``a x b`` with
   ``b x a`` and ``a ox b`` with ``b ox a`` for every two atoms a, b;
-- ``reps --list`` of U24, MK4 and ``u26.json`` over F3 to F9, at the
-  default cap and at SMALL.
+- ``reps`` of U24, MK4 and ``u26.json`` over F3 to F9, with and without
+  ``--list``, at the default cap and at SMALL.
 
 Commands that exit 2 (a guard, an infinite pasture, an ``iso`` answering
 unknown) stay in, so a change of refusal shows as a mismatch.  At SMALL,
@@ -67,8 +67,10 @@ def commands():
             yield ["iso", f"{a} {op} {b}", f"{b} {op} {a}"]
     for m in MATROIDS:
         for q in ("F3", "F4", "F5", "F7", "F8", "F9"):
-            yield ["reps", "--matroid", m, "--pasture", q, "--list"]
-            yield ["reps", "--matroid", m, "--pasture", q, "--list", *SMALL]
+            for listed in (["--list"], []):
+                yield ["reps", "--matroid", m, "--pasture", q, *listed]
+                yield ["reps", "--matroid", m, "--pasture", q, *listed,
+                       *SMALL]
 
 
 def entry(argv):
