@@ -22,9 +22,9 @@ from .expr import pasture_of
 from .groups import DEFAULT_CAP, InfinitePasture, SearchSpaceExceeded
 from .hexagons import hexagons
 from .lifts import LIFTS
-from .matroids import (lift_bijection_check, matroid_from_json, mk4,
-                       representation_classes, u24)
-from .morphisms import Iso, NotIso, hom_set, iso_check
+from .matroids import (_foundation_over, lift_bijection_check,
+                       matroid_from_json, mk4, representation_classes, u24)
+from .morphisms import Iso, NotIso, _count, _model, hom_set, iso_check
 from .record import InternalError
 from . import verify as verify_mod
 
@@ -122,9 +122,10 @@ def cmd_lift(args) -> int:
 def cmd_hom(args) -> int:
     P = pasture_of(args.source)
     Q = pasture_of(args.target)
-    homs = hom_set(P, Q, cap=args.max_candidates)
-    data = {"source": P.label, "target": Q.label, "count": len(homs)}
-    lines = [f"{len(homs)} morphisms {P.label} -> {Q.label}"]
+    homs = hom_set(P, Q, cap=args.max_candidates) if args.list else ()
+    n = len(homs) if args.list else _count(*_model(P, Q, args.max_candidates))
+    data = {"source": P.label, "target": Q.label, "count": n}
+    lines = [f"{n} morphisms {P.label} -> {Q.label}"]
     if args.list:
         data["morphisms"] = [[list(r) for r in m.images()] for m in homs]
         for m in homs:
@@ -156,10 +157,12 @@ def cmd_iso(args) -> int:
 def cmd_reps(args) -> int:
     M = _load_matroid(args.matroid)
     P = pasture_of(args.pasture)
-    classes = representation_classes(M, P, cap=args.max_candidates)
-    data = {"matroid": M.to_json(), "pasture": P.label,
-            "count": len(classes)}
-    lines = [f"{len(classes)} rescaling classes over {P.label} "
+    classes = (representation_classes(M, P, cap=args.max_candidates)
+               if args.list else ())
+    n = len(classes) if args.list else _count(*_model(
+        _foundation_over(M, P)[0], P, args.max_candidates))
+    data = {"matroid": M.to_json(), "pasture": P.label, "count": n}
+    lines = [f"{n} rescaling classes over {P.label} "
              f"(n={M.n}, rank={M.rank}, {len(M.bases)} bases)"]
     if args.list:
         data["classes"] = [{"size": c.size,

@@ -305,13 +305,17 @@ def representation_classes(M: Matroid, P: Pasture, *,
     return [c for c, _ in _classes(M, P, cap, stats)]
 
 
+def _foundation_over(M: Matroid, P: Pasture):
+    """``_foundation(M)``, for a search over P, which must be finite."""
+    if not P.is_finite:
+        raise InfinitePasture("representation search needs a finite pasture")
+    return _foundation(M)
+
+
 def _classes(M: Matroid, P: Pasture, cap: int, stats=None) -> list:
     """The pairs (class, morphism F_M -> P) of ``representation_classes``,
     in its order."""
-    if not P.is_finite:
-        raise InfinitePasture(
-            "representation search needs a finite pasture")
-    F, basis_units = _foundation(M)
+    F, basis_units = _foundation_over(M, P)
     size = P.units.size() ** (M.n - len(_gauge(M)[1]))
     torsion = P.units.torsion       # every coordinate of a finite P
     # the nonzero coordinates of each basis unit: at most one, as a rule

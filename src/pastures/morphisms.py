@@ -100,9 +100,9 @@ class SearchStats:
     visits; ``prunes``, the candidate images a check cut from a domain;
     ``solves``, the checks that solved a domain from a pair table instead
     of testing each candidate; and ``survivors``, the morphisms found.
-    Each free-part entry adds its counters when its search ends, before
-    its first morphism is handed out; entries a caller stops before, or
-    that pass the cap, add nothing."""
+    A search adds its counters when it ends, the same whether it keeps its
+    rows (``_solutions``) or only counts them (``_count``); a search that
+    passes the cap adds nothing."""
 
     __slots__ = ("nodes", "floor", "prunes", "solves", "survivors")
 
@@ -121,75 +121,47 @@ def hom_set(source: Pasture, target: Pasture, *, cap: int = DEFAULT_CAP,
     of ``groups.enumerate_homs`` (``itertools.product`` over the generator
     pools of ``groups.hom_pools``), keeping the candidates ``make`` accepts.
 
-    One search, ``_pruned_images``, serves every target: a free source
-    generator's image has a free part, which a morphism into a finite target
-    has empty, and a torsion part, which the search finds.  Into an infinite
-    target the source must be all-torsion, and the images lie in the
-    finite torsion subgroup; a free source generator raises
-    InfinitePasture.  The search enforces everything ``make`` validates
-    (generator orders, -1 -> -1, every null orbit), so its survivors are
-    built directly; ``make`` stays the constructor for generator images
-    from elsewhere and is the oracle the tests compare this search with.
-    Past ``cap`` steps SearchSpaceExceeded is raised.  The list holds all
-    that the search yields, and a ``stats`` record, when given, gets the
-    search's counters added to it.
+    They are built from the rows of ``_solutions`` on the model of
+    ``_model``.  A free source generator's image has a free part, 0 here,
+    and a torsion part, which the search finds; into an infinite target a
+    free source generator raises InfinitePasture.  The search enforces
+    everything ``make`` validates (generator orders, -1 -> -1, every null
+    orbit), so its survivors are built directly; ``make`` stays the
+    constructor for generator images from elsewhere and is the oracle the
+    tests compare this search with.  Past ``cap`` steps SearchSpaceExceeded
+    is raised, and a ``stats`` record, when given, gets the search's
+    counters added to it.
+    """
+    model, = _model(source, target, cap)
+    return list(_built(source, target, model, _solutions(model, stats)))
+
+
+def _model(source: Pasture, target: Pasture, cap: int, free_parts=None):
+    """Yield the constraint models of the hom search source -> target, as
+    dicts, one per entry of ``free_parts``, a row of target free coordinates
+    per free source generator, the free parts of their images (by default
+    all 0, for ``hom_set``).  The models share what does not depend on the
+    free part, and the meter ``charge`` of ``cap`` steps, charged here the
+    target's torsion units before ``Pasture.indexed`` lists them.
+
+    A check is a pair of source vectors and the allowed pairs of their
+    images: -1 -> -1 (with a zero vector), and for each null orbit
+    (x, y, z) that the images of x/z and y/z are -1 times a fundamental
+    pair of ``IndexedUnits.partners`` under the free parts the entry fixes.
     """
     gs, gt = source.units, target.units
-    if gs.free_rank and not gt.is_finite:
+    if free_parts is None and gs.free_rank and not gt.is_finite:
         raise InfinitePasture("free source generator with infinite target")
-    return list(_pruned_images(source, target, cap,
-                               [((0,) * gt.free_rank,) * gs.free_rank], stats))
-
-
-def _pruned_images(source: Pasture, target: Pasture, cap: int,
-                   free_parts, stats: SearchStats | None = None):
-    """Yield the morphisms source -> target whose free source generators
-    have the free parts of their images given by an entry of
-    ``free_parts``: one row of target free coordinates per free source
-    generator.  The torsion parts are searched, over the torsion units
-    indexed by ``Pasture.indexed``; the morphisms come sorted within each
-    entry, in the order of ``itertools.product`` over the pools, and the
-    entries in the order given.  An entry is searched whole and its rows
-    sorted, its counters are added to ``stats``, and only then are its
-    morphisms built, one as each is asked for; a caller that stops leaves
-    the later entries unsearched.  A step is a torsion unit of the target
-    (charged before it is indexed), a node (a leaf before its row is kept)
-    or a candidate a check tests one by one; past ``cap`` steps, summed
-    over the entries, SearchSpaceExceeded is raised.
-
-    The domains start as the pools of ``hom_pools``.  A check is a pair of
-    source vectors and the allowed pairs of their images: -1 -> -1 (with a
-    zero vector), and for each null orbit (x, y, z) that the images of x/z
-    and y/z are -1 times a fundamental pair; the entry fixes the free parts
-    of those images, so only the pairs filed under them in
-    ``IndexedUnits.partners`` are allowed.  Every check reads its pairs
-    there, by the partners of one image or of the other.
-
-    Running images: every vector keeps its image over the generators
-    assigned so far, all of them packed in one integer, one field per
-    vector, each wide enough that no sum carries into the next
-    (``_packing``).  Assigning generator k the unit x adds ``step[k]`` times
-    x, whose fields hold k's coefficient in each vector, and the integer is
-    passed down, so backtracking has nothing to undo.  Forward checking:
-    when a check has one unassigned generator g left, g's domain is
-    narrowed at once, solved from the pair table when one vector has
-    coefficient +-1 on g (modulo the orders g's image can have) and the
-    other 0, which for a field is at most one candidate, else by testing
-    each candidate; an emptied domain prunes the node.  A check is never
-    tested when it closes, as its last generator's domain already passed
-    it.  The next generator is the unassigned one with the smallest domain,
-    the lowest on ties.
-    """
-    gs, gt = source.units, target.units
+    free_parts = free_parts or [((0,) * gt.free_rank,) * gs.free_rank]
     budget = cap
-    over = f"hom search passed its cap of {cap} steps"
 
     def charge(steps):
         """Spend ``steps`` of the budget; past it the search is refused."""
         nonlocal budget
         budget -= steps
         if budget < 0:
-            raise SearchSpaceExceeded(over)
+            raise SearchSpaceExceeded(
+                f"hom search passed its cap of {cap} steps")
 
     charge(math.prod(gt.torsion))
     form = target.indexed
@@ -211,20 +183,75 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
     vecs = [gs.epsilon, (0,) * ng] + [w for vw in orbits for w in vw]
     coefs = [{g: c % orders[g] for g, c in enumerate(w) if c % orders[g]}
              for w in vecs]
-    nchecks = len(vecs) // 2
     modulus, packed, width = _packing(form, max(map(len, coefs)))
-    mask = (1 << width) - 1
     masks = [sum(1 << g for g in coefs[2 * ch].keys() | coefs[2 * ch + 1])
-             for ch in range(nchecks)]
+             for ch in range(len(vecs) // 2)]
     through = [[] for _ in range(ng)]
     step = [0] * ng
-    for ch in range(nchecks):
+    for ch in range(len(masks)):
         for j in (0, 1):
             for g, c in coefs[2 * ch + j].items():
                 step[g] += c << (2 * ch + j) * width
                 if not j or g not in coefs[2 * ch]:
                     through[g].append(ch)
-    done = size + 1     # the domain size of an assigned generator
+    for part in free_parts:
+        # the columns giving a source vector's image its free part
+        cols = [tuple(f[t] for f in part) for t in range(gt.free_rank)]
+        # per check: the allowed image pairs, as the tables solving vector
+        # 0 from vector 1's image and vector 1 from vector 0's
+        by0, by1 = [{0: [form.eps]}], [{form.eps: [0]}]
+        for vw in orbits:
+            key = tuple(tuple(sum(map(mul, w[nt:], c)) for c in cols)
+                        for w in vw)
+            by0.append(form.partners.get(key[::-1], {}))
+            by1.append(form.partners.get(key, {}))
+        # the images of each generator, in index order, as coordinates
+        free = [(0,) * gt.free_rank] * nt + list(part)
+        cells = ([[c[:n] + f for c in form.coords] for f in free]
+                 if gt.free_rank else [form.coords] * ng)
+        yield dict(charge=charge, pools=pools, coefs=coefs, orders=orders,
+                   masks=masks, through=through, step=step, modulus=modulus,
+                   packed=packed, width=width, by0=by0, by1=by1, cells=cells)
+
+
+def _solutions(model, stats: SearchStats | None = None) -> list:
+    """The rows of the morphisms of ``model``, sorted, the order of
+    ``itertools.product`` over its pools: row[g] indexes its ``cells[g]``."""
+    found = []
+    _solve(stats, found, **model)
+    found.sort()
+    return found
+
+
+def _count(model, stats: SearchStats | None = None) -> int:
+    """The number of rows ``_solutions`` finds on ``model``, by the same
+    search, step for step and counter for counter, keeping no row."""
+    return _solve(stats, None, **model)
+
+
+def _built(source, target, model, rows):
+    """The morphisms source -> target of ``rows`` of ``model``, lazily."""
+    for row in rows:
+        yield PastureMorphism(source, target, GroupMap(
+            target.units, tuple(map(getitem, model["cells"], row))))
+
+
+def _solve(stats, found, *, charge, pools, coefs, orders, masks, through,
+           step, modulus, packed, width, by0, by1, **_):
+    """Search a model, given by its fields: the number of its morphisms,
+    each row added to ``found`` unless it is None, the counters to
+    ``stats``.  A step is a node (a leaf before its row is kept) or a
+    candidate a check tests one by one.  Forward checking: when a check
+    has one unassigned generator g left, g's domain is narrowed at once,
+    solved from the pair table when one vector has coefficient +-1 on g
+    (modulo the orders g's image can have) and the other 0, else by
+    testing each candidate; an emptied domain prunes the node, and a
+    closing check needs no test.  The next generator is the unassigned one
+    with the smallest domain, the lowest on ties.
+    """
+    mask, ng, nchecks = (1 << width) - 1, len(pools), len(masks)
+    done = len(packed) + 1      # the domain size of an assigned generator
+    nodes = floor = prunes = solves = 0
 
     def way(ch, g):
         """(g, low, shift, s, a, b, table): how check ch narrows the
@@ -262,12 +289,12 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         packed ``images``, and keep ``sizes`` with the domains; False when
         a domain is emptied, its size then 0, which prunes the node."""
         nonlocal solves
-        count = 0
+        solved = 0
         for g, low, sh, s, a, b, table in closing:
             dom = doms[g]
             x = (images & low) >> sh
             if s:
-                count += 1
+                solved += 1
                 sol = table.get((x >> a & mask) % modulus, ())
                 b = x >> b & mask
                 if len(sol) == 1:
@@ -287,10 +314,10 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
                        in table.get((x + a * packed[i]) % modulus, ())]
             sizes[g] = len(new)
             if not new:
-                solves += count
+                solves += solved
                 return False
             doms[g] = new
-        solves += count
+        solves += solved
         return True
 
     def extend(images, depth, assigned):
@@ -329,9 +356,10 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
                     below = len(doms[last])
                     nodes += below
                     charge(below)
-                    for j in doms[last]:
-                        chosen[last] = j
-                        found.append(tuple(chosen))
+                    if found is not None:
+                        for j in doms[last]:
+                            chosen[last] = j
+                            found.append(tuple(chosen))
                     floor += below
                 if below:
                     floor += 1
@@ -343,54 +371,32 @@ def _pruned_images(source: Pasture, target: Pasture, cap: int,
         sizes[k] = len(cands)
         return got
 
-    for part in free_parts:
-        nodes = floor = prunes = solves = 0
-        # the free part of each generator's image, and the columns that give
-        # the free part of a source vector's image from its free coordinates
-        free = [(0,) * gt.free_rank] * nt + list(part)
-        cols = [tuple(f[t] for f in part) for t in range(gt.free_rank)]
-        # per check: the allowed image pairs, as the tables solving vector
-        # 0 from vector 1's image and vector 1 from vector 0's
-        by0, by1 = [{0: [form.eps]}], [{form.eps: [0]}]
-        for vw in orbits:
-            key = tuple(tuple(sum(map(mul, w[nt:], c)) for c in cols)
-                        for w in vw)
-            by0.append(form.partners.get(key[::-1], {}))
-            by1.append(form.partners.get(key, {}))
-        doms = list(pools)
-        sizes = list(map(len, doms))
-        plans, multiples = {}, [None] * ng
-        # the images of each generator, in index order, as coordinates
-        if gt.free_rank:
-            cells = [[c[:n] + f for c in form.coords] for f in free]
+    doms = list(pools)
+    sizes = list(map(len, doms))
+    plans, multiples = {}, [None] * ng
+    chosen = [0] * ng
+    total = 0
+    # checks on no generator hold or fail outright, and checks on one
+    # narrow its domain before the search
+    holds = all(masks[ch] or 0 in by1[ch].get(0, ())
+                for ch in range(nchecks))
+    if holds:
+        holds = narrow(0, plan(0, range(nchecks))[0])
+        prunes += sum(map(len, pools)) - sum(sizes)
+    if holds:
+        if ng > 1:
+            total = extend(0, 0, 0)
         else:
-            cells = [form.coords] * ng
-        chosen = [0] * ng
-        found = []
-        # checks on no generator hold or fail outright, and checks on one
-        # narrow its domain before the search
-        holds = all(masks[ch] or 0 in by1[ch].get(0, ())
-                    for ch in range(nchecks))
-        if holds:
-            holds = narrow(0, plan(0, range(nchecks))[0])
-            prunes += sum(map(len, pools)) - sum(sizes)
-        if holds:
-            if ng > 1:
-                extend(0, 0, 0)
-            else:
-                nodes = floor = sum(map(len, doms))
-                charge(nodes)
-                found = list(itertools.product(*doms))
-        found.sort()
-        if stats is not None:
-            stats.nodes += nodes
-            stats.floor += floor
-            stats.prunes += prunes
-            stats.solves += solves
-            stats.survivors += len(found)
-        for row in found:
-            yield PastureMorphism(source, target, GroupMap(
-                gt, tuple(map(getitem, cells, row))))
+            nodes = floor = sum(map(len, doms))
+            charge(nodes)
+            total = math.prod(map(len, doms))
+            if found is not None:
+                found += itertools.product(*doms)
+    if stats is not None:
+        for name, n in zip(SearchStats.__slots__,
+                           (nodes, floor, prunes, solves, total)):
+            setattr(stats, name, getattr(stats, name) + n)
+    return total
 
 
 def _packing(form, terms: int):
@@ -489,12 +495,12 @@ def iso_check(P: Pasture, Q: Pasture, *, cap: int = DEFAULT_CAP,
     complete candidate set returns NotIso, anything short of that does not.
     Every isomorphism is a morphism, and at free rank one it sends the free
     generator z to t*z or t/z for a torsion unit t: the candidates are the
-    morphisms of ``_pruned_images`` with those free parts, in that order,
-    each built and tested in turn, and the first that ``is_isomorphism``
-    accepts is returned: the t/z entry is searched only when no t*z
-    candidate is one; past ``cap`` steps of both searches, Unknown.  A
-    ``stats`` record, when given, gets the counters of the entries
-    searched; an answer found before any search adds nothing.
+    rows of ``_solutions`` on ``_model``'s models with those free parts, in
+    that order, each built and tested in turn, and the first that
+    ``is_isomorphism`` accepts is returned: the t/z model is searched only
+    when no t*z candidate is one; past ``cap`` steps of both searches,
+    Unknown.  A ``stats`` record, when given, gets the counters of the
+    models searched; an answer found before any search adds nothing.
     """
     gs, gt = P.units, Q.units
     if gs.torsion != gt.torsion or gs.free_rank != gt.free_rank:
@@ -510,10 +516,11 @@ def iso_check(P: Pasture, Q: Pasture, *, cap: int = DEFAULT_CAP,
     if mus(P) != mus(Q):
         return NotIso("hexagon type multisets differ")
     try:
-        for m in _pruned_images(P, Q, cap, [((1,),), ((-1,),)]
-                                if gs.free_rank else [()], stats):
-            if is_isomorphism(m):
-                return Iso(m)
+        for model in _model(P, Q, cap, [((1,),), ((-1,),)]
+                            if gs.free_rank else [()]):
+            for m in _built(P, Q, model, _solutions(model, stats)):
+                if is_isomorphism(m):
+                    return Iso(m)
     except SearchSpaceExceeded as e:
         return Unknown(str(e))
     return NotIso("exhausted all unit group isomorphisms")

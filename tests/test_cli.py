@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pastures
-from pastures import cli, lifts
+from pastures import cli, lifts, matroids, morphisms
 from pastures.expr import MAX_PARTS, pasture_of
 from pastures.groups import (DEFAULT_CAP, AbelianGroup, InfinitePasture,
                              SearchSpaceExceeded, enumerate_homs)
@@ -315,6 +315,37 @@ def test_one_default_cap(capsys):
     assert run(capsys, ["hom", "U ox U ox U", "F128"]) == (
         2, "", "guard tripped: hom search passed its cap of 1000000 "
         "steps\n")
+
+
+def test_counts_build_nothing(capsys, monkeypatch):
+    """Without --list, ``hom`` and ``reps`` print ``morphisms._count`` of
+    the search: no row is kept and no morphism or class is built, so a search
+    refused at its cap held nothing either.  With --list the same search
+    builds them all."""
+    rows = []
+
+    def counting(items=()):
+        if isinstance(items, list):
+            rows.append(items)
+        return tuple(items)
+
+    def refuse(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(morphisms, "tuple", counting, raising=False)
+    monkeypatch.setattr(morphisms, "PastureMorphism", refuse)
+    monkeypatch.setattr(matroids, "RepresentationClass", refuse)
+    assert run(capsys, ["hom", "U ox U", "F128"]) == (
+        0, "15876 morphisms U ox U -> F128\n", "")
+    assert run(capsys, ["reps", "--matroid", "U24", "--pasture", "F7"]) == (
+        0, "5 rescaling classes over F7 (n=4, rank=2, 6 bases)\n", "")
+    assert run(capsys, ["hom", "U ox U", "F2048", "--max-candidates",
+                        "3000"]) == (
+        2, "", "guard tripped: hom search passed its cap of 3000 steps\n")
+    assert rows == []
+    with pytest.raises(AssertionError, match="^built$"):
+        cli.main(["hom", "U ox U", "F16", "--list"])
+    assert len(rows) == 14 ** 2
 
 
 def test_iso_guard_counts_the_search_steps(capsys):

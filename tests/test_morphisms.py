@@ -4,14 +4,16 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pastures import morphisms
+import test_manifest
+from pastures import cli, morphisms
 from pastures.expr import pasture_of
-from pastures.groups import (GroupMap, InfinitePasture,
+from pastures.groups import (DEFAULT_CAP, GroupMap, InfinitePasture,
                              SearchSpaceExceeded, enumerate_homs,
                              is_surjective)
 from pastures.morphisms import (ChainMismatch, EpsilonViolation, GroupHomViolation, Iso,
                                 NotIso, NullsetViolation, PastureMorphism,
-                                SearchStats, Unknown, compose, hom_set,
+                                SearchStats, Unknown, _count, _model,
+                                _solutions, compose, hom_set,
                                 identity_morphism, is_isomorphism, iso_check,
                                 make)
 from pastures.lifts import grs_lift
@@ -429,6 +431,48 @@ def test_iso_stops_before_the_inverse_entry(P, Q, solves):
     assert found.morphism.images() == ((1, 0), (1, 1))
     assert counts(stats) == {"nodes": 2, "floor": 2, "prunes": 1,
                              "solves": solves, "survivors": 1}
+
+
+def manifest_searches():
+    """(source, target, cap) of every ``hom`` command of the output
+    manifest, and of the foundation search of every ``reps`` (matroid,
+    field, cap) there."""
+    for argv in test_manifest.commands():
+        cap = int(argv[-1]) if "--max-candidates" in argv else DEFAULT_CAP
+        if argv[0] == "hom":
+            yield pasture_of(argv[1]), pasture_of(argv[2]), cap
+        elif argv[0] == "reps" and "--list" in argv:
+            M = cli._load_matroid(str(test_manifest.DATA.parent.parent
+                                      / argv[2]) if "/" in argv[2]
+                                  else argv[2])
+            yield _foundation(M)[0], pasture_of(argv[4]), cap
+
+
+def test_count_matches_solutions_on_the_manifest():
+    """``_count`` is ``_solutions`` without the rows: on each search of the
+    manifest both answer or both are refused, and when they answer the
+    count is the number of rows and both add the same counters, whose
+    survivors are the count."""
+    searched = refused = 0
+    for source, target, cap in manifest_searches():
+        got = []
+        for search in (_solutions, _count):
+            stats = SearchStats()
+            try:
+                answer = search(next(_model(source, target, cap)), stats)
+            except SearchSpaceExceeded:
+                answer = None
+            got.append((answer, counts(stats)))
+        (rows, kept), (n, counted) = got
+        assert (rows is None) == (n is None)
+        if n is None:
+            refused += 1
+            assert kept == counted == dict.fromkeys(SearchStats.__slots__, 0)
+        else:
+            searched += 1
+            assert n == len(rows) == counted["survivors"]
+            assert kept == counted
+    assert (searched, refused) == (2223, 53)
 
 
 def test_search_counters_add_up_and_default_off():
